@@ -20,18 +20,8 @@ from .empirical import SampleSet, convexity_scan, load_samples, qq_transform
 from .errors import ParseError, QorderError, ValidationError
 from .models import Govindarajulu, TukeyGeneralized, UnitExponential
 from .oracle import logit_grid, lower_cumulative, upper_cumulative
-from .orders import (
-    INCONCLUSIVE,
-    EngineConfig,
-    PairContext,
-    _dmrl_fwd,
-    _qmit_fwd,
-    _star_fwd,
-    _star_rev,
-    compare_all,
-)
-from .shape import GridConfig, find_shape, ratio_qd, tukey_unimodal_region
-from .deltas import delta, delta_ps, eps, mrl_quantile
+from .orders import INCONCLUSIVE, EngineConfig, PairContext, compare_all, theorem_status
+from .shape import GridConfig, ratio_qd, tukey_unimodal_region
 
 __all__ = ["main", "parse_spec", "dumps"]
 
@@ -248,42 +238,6 @@ def run_empirical(args):
     return 0
 
 
-_SWEEP_STATUS = {True: "Holds", False: "Fails", None: "Unknown"}
-
-
-def _sweep_statuses(X, Y, cfg, ctx=None):
-    """Theorem-only status triple (star, qmit, dmrl) for one sweep cell.
-
-    No oracle fallback: a direction the theorems cannot settle is reported as
-    Inconclusive, keeping the full sweep inside the time budget.
-    """
-    ctx = ctx or PairContext(X, Y, cfg)
-
-    def status(fwd_fn, rev_fn):
-        try:
-            fwd = fwd_fn(ctx, [])
-        except QorderError:
-            fwd = None
-        try:
-            rev = rev_fn(ctx, [])
-        except QorderError:
-            rev = None
-        if fwd is True and rev is True:
-            return "Equivalent"
-        if fwd is True:
-            return "Holds"
-        if rev is True:
-            return "HoldsReversed"
-        if fwd is False and rev is False:
-            return "BothDirectionsFail"
-        return "Inconclusive"
-
-    star = status(_star_fwd, _star_rev)
-    qmit = status(_qmit_fwd, lambda c, cs: _qmit_fwd(c.swap(), cs))
-    dmrl = status(_dmrl_fwd, lambda c, cs: _dmrl_fwd(c.swap(), cs))
-    return star, qmit, dmrl
-
-
 def run_sweep(args):
     if args.step <= 0.0:
         raise ValidationError("--step must be positive")
@@ -303,17 +257,16 @@ def run_sweep(args):
                 region = None
             try:
                 ctx = PairContext(X, Y, cfg)
-                shape = ctx.shape().classification
             except QorderError:
-                ctx, shape = None, "Error"
-            try:
-                star, qmit, dmrl = _sweep_statuses(X, Y, cfg, ctx)
-            except QorderError:
-                star = qmit = dmrl = "Error"
-            rows.append(
-                (a1, a2, {True: "true", False: "false", None: "na"}[region],
-                 shape, star, qmit, dmrl)
-            )
+                statuses = ("Error",) * 4
+            else:
+                try:
+                    shape = ctx.shape().classification
+                except QorderError:
+                    shape = "Error"
+                # theorem stage alone: no oracle fallback, no proportional shortcut
+                statuses = (shape,) + tuple(theorem_status(ctx, o) for o in ("star", "qmit", "dmrl"))
+            rows.append((a1, a2, {True: "true", False: "false", None: "na"}[region]) + statuses)
     _write_csv(args.out, ["alpha1", "alpha2", "in_region", "ratio_shape", "star", "qmit", "dmrl"],
                rows)
     sys.stdout.write(dumps({"schema": 1, "command": "sweep", "cells": len(rows),

@@ -14,7 +14,6 @@ must be bound at evaluation time.  Functions: log, exp, sqrt, abs.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 

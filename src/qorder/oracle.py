@@ -163,16 +163,20 @@ def _classify_signs(grid, deltas, scales, tol):
     return status, margin, worst
 
 
+def _monotone_verdict(grid, vals, tol=ORACLE_REL_TOL):
+    """Adjacent-pair monotonicity of the values vals taken on grid."""
+    deltas = np.diff(vals)
+    scales = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
+    return GridVerdict(*_classify_signs(grid[:-1], deltas, scales, tol), len(grid))
+
+
 def grid_monotone(fn, n=4096, tol=ORACLE_REL_TOL, p_min=1e-6):
     """Adjacent-pair monotonicity of fn on a logit-uniform grid."""
     grid = logit_grid(n, p_min)
     vals = _eval(fn, grid)
     if np.any(~np.isfinite(vals)):
         raise DomainError("function not finite on the working grid")
-    deltas = np.diff(vals)
-    scales = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
-    status, margin, worst = _classify_signs(grid[:-1], deltas, scales, tol)
-    return GridVerdict(status, margin, worst, n)
+    return _monotone_verdict(grid, vals, tol)
 
 
 def grid_sign(grid, values, scales, tol=ORACLE_REL_TOL):
@@ -198,35 +202,24 @@ def order_oracle(X, Y, order, n=4096, p_min=1e-6):
         gy = _eval(Y.quantile, grid)
         if np.any(fx <= 0.0):
             raise DomainError("star oracle requires strictly positive quantiles of X")
-        vals = gy / fx
-        deltas = np.diff(vals)
-        scales = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
-        return GridVerdict(*_classify_signs(grid[:-1], deltas, scales, ORACLE_REL_TOL), n)
+        return _monotone_verdict(grid, gy / fx)
     if order == "qmit":
         lx = lower_cumulative(lambda q: q * X.quantile_density(q), grid)
         ly = lower_cumulative(lambda q: q * Y.quantile_density(q), grid)
-        vals = ly / lx
-    elif order == "dmrl":
-        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
-        uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), grid)
-        vals = uy / ux
-    elif order == "ps":
-        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
-        uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), grid)
+        return _monotone_verdict(grid, ly / lx)
+    if order not in ("dmrl", "ps", "nbue"):
+        raise ValueError(f"unknown order {order!r}")
+    ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
+    uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), grid)
+    if order == "dmrl":
+        return _monotone_verdict(grid, uy / ux)
+    if order == "ps":
         fx = _eval(X.quantile, grid)
         gy = _eval(Y.quantile, grid)
         if np.any(fx <= 0.0) or np.any(gy <= 0.0):
             raise DomainError("ps oracle requires strictly positive quantiles")
         eps_x, eps_y = ux / fx, uy / gy
         return grid_sign(grid, eps_y - eps_x, np.maximum(eps_x, eps_y))
-    elif order == "nbue":
-        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
-        uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), grid)
-        ratio = uy / ux
-        const = Y.mean / X.mean
-        return grid_sign(grid, ratio - const, np.maximum(ratio, const))
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    deltas = np.diff(vals)
-    scales = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
-    return GridVerdict(*_classify_signs(grid[:-1], deltas, scales, ORACLE_REL_TOL), n)
+    ratio = uy / ux
+    const = Y.mean / X.mean
+    return grid_sign(grid, ratio - const, np.maximum(ratio, const))

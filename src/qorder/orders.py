@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     NonFiniteMeanError,
+    QorderError,
     TooOscillatoryError,
     ValidationError,
 )
@@ -58,6 +58,7 @@ __all__ = [
     "check_dmrl",
     "check_ps",
     "compare_all",
+    "theorem_status",
     "predict_quantile_ratio_shape",
     "QuantileRatioPrediction",
 ]
@@ -203,7 +204,12 @@ class PairContext:
 
     def shape(self) -> ShapeReport:
         if self._shape is None:
-            self._shape = find_shape(self.ratio, self.cfg.grid)
+            try:
+                self._shape = find_shape(self.ratio, self.cfg.grid)
+            except QorderError as exc:  # deterministic: every later call would fail alike
+                self._shape = exc
+        if isinstance(self._shape, QorderError):
+            raise self._shape
         return self._shape
 
     def swap(self) -> "PairContext":
@@ -234,8 +240,8 @@ class PairContext:
 
         def probe():
             grid = logit_grid(64, self.cfg.grid.p_min)
-            fx = np.array([float(self.X.quantile(p)) for p in grid])
-            gy = np.array([float(self.Y.quantile(p)) for p in grid])
+            fx = np.asarray(self.X.quantile(grid), dtype=float)
+            gy = np.asarray(self.Y.quantile(grid), dtype=float)
             c = gy[len(grid) // 2] / fx[len(grid) // 2]
             scale = np.max(np.abs(gy)) + abs(c) * np.max(np.abs(fx))
             return bool(np.max(np.abs(gy - c * fx)) <= 1e-9 * max(scale, 1e-300))
@@ -333,10 +339,7 @@ def _star_rev(ctx: PairContext, conds, tag=""):
     checks = []
     if n % 2 == 0:
         checks.append(_limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), "<=", tol))
-        odd = range(0, n, 2)  # p_1, p_3, ... (1-based odd)
-    else:
-        odd = range(0, n, 2)
-    for i in odd:
+    for i in range(0, n, 2):  # p_1, p_3, ... (1-based odd)
         checks.append(
             _value_cond(conds, tag + f"delta_at_p{i + 1}", ctx.delta(modes[i].location), "<=", tol)
         )
@@ -478,7 +481,40 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
 # verdict assembly
 
 
-def _oracle_directions(gv: GridVerdict, strict_pointwise=False):
+def _swapped(fwd):
+    """Reversed direction: the forward check with the roles of X and Y exchanged."""
+    return lambda ctx, conds: fwd(ctx.swap(), conds, "swapped.")
+
+
+# the theorem stage: (forward, reverse) direction checks per order
+_DIRECTIONS = {
+    "star": (_star_fwd, _star_rev),
+    "qmit": (_qmit_fwd, _swapped(_qmit_fwd)),
+    "dmrl": (_dmrl_fwd, _swapped(_dmrl_fwd)),
+}
+
+
+def _directions(ctx: PairContext, order, conds):
+    """Theorem verdict (fwd, rev) of star, qmit or dmrl; True/False, or None
+    when undecided.  A direction whose numerics fail is None on its own, so
+    the other direction keeps its theorem verdict."""
+    out = []
+    for check in _DIRECTIONS[order]:
+        try:
+            out.append(check(ctx, conds))
+        except QorderError:
+            out.append(None)
+    return tuple(out)
+
+
+def theorem_status(ctx: PairContext, order) -> str:
+    """Status of star, qmit or dmrl from the theorem stage alone: no oracle
+    fallback and no proportional shortcut, so an undecided direction leaves
+    the status Inconclusive."""
+    return _combine(*_directions(ctx, order, []))
+
+
+def _oracle_directions(gv: GridVerdict):
     if gv.status == "Increasing":
         return True, False
     if gv.status == "Decreasing":
@@ -486,6 +522,10 @@ def _oracle_directions(gv: GridVerdict, strict_pointwise=False):
     if gv.status == "Constant":
         return True, True
     return False, False  # Mixed: violations in both directions exceed tolerance
+
+
+def _oracle_cond(order, gv: GridVerdict, prefix=""):
+    return Condition(f"oracle_{order}", gv.status, f"{prefix}n={gv.n}, margin {gv.margin:.3g}", None)
 
 
 def _combine(fwd, rev):
@@ -504,8 +544,7 @@ def _finish(ctx, order, theorem, fwd, rev, conds):
     method = "theorem"
     if fwd is None or rev is None:
         gv = ctx.oracle(order)
-        conds.append(Condition(f"oracle_{order}", gv.status,
-                               f"grid monotonicity at n={gv.n}, margin {gv.margin:.3g}", None))
+        conds.append(_oracle_cond(order, gv, "grid monotonicity at "))
         of, orv = _oracle_directions(gv)
         if gv.status != "Mixed" and gv.margin < ctx.cfg.tol and gv.status != "Constant":
             of = orv = None  # margin too thin to trust
@@ -545,47 +584,35 @@ def check_convex(X, Y, cfg=None, ctx=None):
     return OrderVerdict("convex", _combine(fwd, rev), "theorem", cert)
 
 
-def check_star(X, Y, cfg=None, ctx=None):
+# certificate theorem of each order the theorem stage decides
+_THEOREMS = {
+    "star": "delta sign characterization at modes and endpoints",
+    "qmit": "delta_qmit non-negativity at even modes plus endpoint limit",
+    "dmrl": "delta_dmrl non-negativity at designated modes plus endpoint limit",
+}
+
+
+def _check(order, X, Y, cfg, ctx):
     ctx = ctx or _ctx(X, Y, cfg)
+    if order in ("qmit", "dmrl"):  # their conditions integrate against the means
+        deltas.finite_mean(X), deltas.finite_mean(Y)
     if ctx.proportional():
-        return _equivalent_verdict("star", "proportional quantiles")
+        return _equivalent_verdict(order, "proportional quantiles")
     conds = []
-    try:
-        fwd = _star_fwd(ctx, conds)
-        rev = _star_rev(ctx, conds)
-    except TooOscillatoryError:
-        fwd = rev = None
-    return _finish(ctx, "star", "delta sign characterization at modes and endpoints", fwd, rev, conds)
+    fwd, rev = _directions(ctx, order, conds)
+    return _finish(ctx, order, _THEOREMS[order], fwd, rev, conds)
+
+
+def check_star(X, Y, cfg=None, ctx=None):
+    return _check("star", X, Y, cfg, ctx)
 
 
 def check_qmit(X, Y, cfg=None, ctx=None):
-    ctx = ctx or _ctx(X, Y, cfg)
-    deltas.finite_mean(X), deltas.finite_mean(Y)
-    if ctx.proportional():
-        return _equivalent_verdict("qmit", "proportional quantiles")
-    conds = []
-    try:
-        fwd = _qmit_fwd(ctx, conds)
-        rev = _qmit_fwd(ctx.swap(), conds, tag="swapped.")
-    except TooOscillatoryError:
-        fwd = rev = None
-    return _finish(ctx, "qmit", "delta_qmit non-negativity at even modes plus endpoint limit",
-                   fwd, rev, conds)
+    return _check("qmit", X, Y, cfg, ctx)
 
 
 def check_dmrl(X, Y, cfg=None, ctx=None):
-    ctx = ctx or _ctx(X, Y, cfg)
-    deltas.finite_mean(X), deltas.finite_mean(Y)
-    if ctx.proportional():
-        return _equivalent_verdict("dmrl", "proportional quantiles")
-    conds = []
-    try:
-        fwd = _dmrl_fwd(ctx, conds)
-        rev = _dmrl_fwd(ctx.swap(), conds, tag="swapped.")
-    except TooOscillatoryError:
-        fwd = rev = None
-    return _finish(ctx, "dmrl", "delta_dmrl non-negativity at designated modes plus endpoint limit",
-                   fwd, rev, conds)
+    return _check("dmrl", X, Y, cfg, ctx)
 
 
 def check_ps(X, Y, cfg=None, ctx=None, star_verdict: OrderVerdict | None = None):
@@ -608,7 +635,7 @@ def check_ps(X, Y, cfg=None, ctx=None, star_verdict: OrderVerdict | None = None)
     verdict = _finish(ctx, "ps", "endpoint limits of delta and delta_ps (unimodal-ratio cases)",
                       fwd, rev, conds)
     if verdict.status in (HOLDS, EQUIVALENT) and star_fwd and fwd is True:
-        verdict.method = "implication" if conds and conds[0].name.endswith("implied_by_star") else verdict.method
+        verdict.method = "implication"  # conds[0] is implied_by_star
     return verdict
 
 
@@ -620,18 +647,9 @@ def _nbue_from(verdicts: dict):
         Condition(f"{v.order}_status", v.status, "nbue follows from star, dmrl or ps", None)
         for v in sources
     ]
-    method = "implication"
-    if fwd and rev:
-        status = EQUIVALENT
-    elif fwd:
-        status = HOLDS
-    elif rev:
-        status = HOLDS_REVERSED
-    else:
-        # there is no direct nbue decision procedure; without a stronger
-        # order to propagate, the honest answer is Inconclusive
-        status = INCONCLUSIVE
-    return OrderVerdict("nbue", status, method,
+    # there is no direct nbue decision procedure; a direction no stronger
+    # order propagates stays undecided, never False
+    return OrderVerdict("nbue", _combine(fwd or None, rev or None), "implication",
                         Certificate("implication from stronger orders", conds))
 
 
@@ -674,12 +692,12 @@ def compare_all(X, Y, cfg: EngineConfig | None = None, method: str = "theorem"):
     cfg = cfg or EngineConfig()
     if method not in ("theorem", "oracle", "both"):
         raise ValidationError(f"unknown method {method!r}")
+    ctx = PairContext(X, Y, cfg)
     results = {}
     if method in ("theorem", "both"):
-        ctx = _ctx(X, Y, cfg)
         results["theorem"] = _compare_theorem(ctx)
     if method in ("oracle", "both"):
-        results["oracle"] = _compare_oracle(X, Y, cfg)
+        results["oracle"] = _compare_oracle(ctx)  # reuses the fallbacks' grid verdicts
     if method == "both":
         _require_agreement(results["theorem"], results["oracle"])
     return results.get("theorem") or results["oracle"]
@@ -707,15 +725,12 @@ def _compare_theorem(ctx: PairContext):
     return [verdicts[o] for o in ORDERS]
 
 
-def _compare_oracle(X, Y, cfg: EngineConfig):
+def _compare_oracle(ctx: PairContext):
     out = []
     for order in ORDERS:
-        gv = order_oracle(X, Y, order, cfg.oracle_n)
-        fwd, rev = _oracle_directions(gv)
-        cert = Certificate("dense-grid check of the definition",
-                           [Condition(f"oracle_{order}", gv.status,
-                                      f"n={gv.n}, margin {gv.margin:.3g}", None)])
-        out.append(OrderVerdict(order, _combine(fwd, rev), "numeric-fallback", cert))
+        gv = ctx.oracle(order)
+        cert = Certificate("dense-grid check of the definition", [_oracle_cond(order, gv)])
+        out.append(OrderVerdict(order, _combine(*_oracle_directions(gv)), "numeric-fallback", cert))
     return out
 
 

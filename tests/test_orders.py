@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from qorder.errors import ValidationError
+from qorder import deltas, orders
+from qorder.errors import QuadratureError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.orders import (
     BOTH_FAIL,
@@ -61,6 +64,47 @@ class TestWorkedTukeyPair:
         vals = {c.name: c.value for c in v.certificate.conditions}
         # role-swapped endpoint limit eta1*(1 - alpha1/alpha2) = 1 - 2.5/1.5
         assert vals["swapped.lim_centered_delta_0"] == pytest.approx(-2.0 / 3.0, rel=1e-6)
+
+
+def _forced_failure(*args):
+    raise QuadratureError("forced failure")
+
+
+class TestVerdictAssembly:
+    def test_both_runs_each_oracle_once(self, monkeypatch):
+        calls = Counter()
+        real = orders.order_oracle
+
+        def spy(X, Y, order, *args, **kw):
+            calls[order] += 1
+            return real(X, Y, order, *args, **kw)
+
+        monkeypatch.setattr(orders, "order_oracle", spy)
+        compare_all(X_TUKEY, Y_TUKEY, method="both")
+        assert calls == Counter(ORDERS)
+
+    def test_failed_dmrl_direction_falls_back_to_oracle(self, monkeypatch):
+        # an n-modal pair: the forward dmrl theorem reads delta_dmrl at the
+        # second mode (the worked pair's unimodal ratio never evaluates it)
+        X, Y = TukeyGeneralized(2, 1, 4), TukeyGeneralized(2, 1, 0.5)
+        expected = check_dmrl(X, Y).status
+        monkeypatch.setattr(deltas, "delta_dmrl", _forced_failure)
+        v = check_dmrl(X, Y)
+        names = [c.name for c in v.certificate.conditions]
+        assert "delta_dmrl_at_p2" not in names
+        assert names[-1] == "oracle_dmrl"
+        assert v.method == "numeric-fallback"
+        assert v.status == expected == BOTH_FAIL
+
+    def test_failed_direction_leaves_the_other_to_the_theorem(self, monkeypatch):
+        # worked pair: forward star reads the endpoint limits (analytic hints),
+        # reversed star evaluates delta at the ratio mode
+        monkeypatch.setattr(deltas, "delta", _forced_failure)
+        v = check_star(X_TUKEY, Y_TUKEY)
+        conds = {c.name: c.satisfied for c in v.certificate.conditions}
+        assert conds == {"lim_delta_0": True, "lim_delta_1": True, "oracle_star": None}
+        assert v.status == HOLDS
+        assert v.method == "numeric-fallback"
 
 
 class TestDegenerateAndErrorPaths:

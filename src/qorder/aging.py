@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import lower_cumulative
+from .oracle import order_oracle
 from .deltas import (
     centered_delta_limit,
     delta,
@@ -106,7 +106,8 @@ def _hazard_limit0(X) -> LimitValue:
 
 
 def _mrl_shape_fallback(X, grid):
-    sh = find_shape(lambda p: mrl_quantile(X, p), grid)
+    prof = X.profile(grid.n, grid.p_min)
+    sh = find_shape(lambda p: mrl_quantile(X, p), grid, prof.upper / (1.0 - prof.grid))
     return {
         CONSTANT: "Constant",
         INCREASING: "IMRL",
@@ -159,22 +160,6 @@ def wa_surrogate(X, p):
     return num / lower_weighted_integral(X, p)
 
 
-def _surrogate_fn(X):
-    """Grid-friendly wrapper for wa_surrogate: on an increasing array the
-    denominators come from one cumulative panel integration instead of a
-    separate adaptive quadrature per point."""
-
-    def fn(p):
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim == 0:
-            return wa_surrogate(X, float(arr))
-        num = -np.log1p(-arr) - arr
-        den = lower_cumulative(lambda q: q * X.quantile_density(q), arr)
-        return num / den
-
-    return fn
-
-
 _SURROGATE_NAMES = {
     CONSTANT: "Both",
     INCREASING: "IHRWA",
@@ -211,7 +196,9 @@ def classify_ihrwa(X, hazard: HazardShape | None = None, grid: GridConfig = Grid
     elif hazard.status == "Decreasing":
         corollary = "DHRWA"
     try:
-        sh = find_shape(_surrogate_fn(X), grid)
+        prof = X.profile(grid.n, grid.p_min)
+        num = -np.log1p(-prof.grid) - prof.grid  # integral of q/(1-q) over (0, p)
+        sh = find_shape(lambda p: wa_surrogate(X, p), grid, num / prof.lower)
         surrogate = _SURROGATE_NAMES.get(sh.classification, "Inconclusive")
     except TooOscillatoryError:
         surrogate = "Inconclusive"
@@ -277,8 +264,6 @@ def classify_ifra(X, hazard: HazardShape | None = None, grid: GridConfig = GridC
 
 
 def _ifra_oracle(X, grid):
-    from .oracle import order_oracle
-
     gv = order_oracle(X, _EXP, "star", grid.n)
     return {"Increasing": "IFRA", "Decreasing": "DFRA", "Constant": "Both"}.get(
         gv.status, "Neither"

@@ -19,9 +19,8 @@ from . import dsl
 from .empirical import SampleSet, convexity_scan, load_samples, qq_transform
 from .errors import ParseError, QorderError, ValidationError
 from .models import Govindarajulu, TukeyGeneralized, UnitExponential
-from .oracle import logit_grid, lower_cumulative, upper_cumulative
 from .orders import INCONCLUSIVE, EngineConfig, PairContext, compare_all, theorem_status
-from .shape import GridConfig, ratio_qd, tukey_unimodal_region
+from .shape import GridConfig, tukey_unimodal_region
 
 __all__ = ["main", "parse_spec", "dumps"]
 
@@ -162,26 +161,15 @@ def run_compare(args):
 
 
 def _compare_curves(X, Y, path, n):
-    grid = logit_grid(min(n, 1024), 1e-4)
-    ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
-    uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), grid)
-    fx = np.array([float(X.quantile(p)) for p in grid])
-    gy = np.array([float(Y.quantile(p)) for p in grid])
-    rows = []
-    for i, p in enumerate(grid):
-        r = float(ratio_qd(X, Y, p))
-        rows.append(
-            (
-                float(p),
-                r,
-                fx[i] * r - gy[i],
-                fx[i] / X.mean - gy[i] / Y.mean,
-                gy[i] / fx[i] if fx[i] != 0.0 else math.inf,
-                ux[i] / fx[i] if fx[i] > 0.0 else math.inf,
-                uy[i] / gy[i] if gy[i] > 0.0 else math.inf,
-            )
-        )
-    _write_csv(path, ["p", "ratio_qd", "delta", "delta_ps", "quantile_ratio", "eps_x", "eps_y"], rows)
+    px, py = X.profile(min(n, 1024), 1e-4), Y.profile(min(n, 1024), 1e-4)
+    ux, uy, fx, gy = px.upper, py.upper, px.q, py.q
+    r = py.qd / px.qd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = (px.grid, r, fx * r - gy, fx / X.mean - gy / Y.mean,
+                np.where(fx != 0.0, gy / fx, math.inf),
+                np.where(fx > 0.0, ux / fx, math.inf), np.where(gy > 0.0, uy / gy, math.inf))
+    _write_csv(path, ["p", "ratio_qd", "delta", "delta_ps", "quantile_ratio", "eps_x", "eps_y"],
+               zip(*cols))
 
 
 def run_aging(args):
@@ -203,16 +191,10 @@ def run_aging(args):
 
 
 def _aging_curves(X, path, n):
-    grid = logit_grid(min(n, 1024), 1e-4)
-    ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
-    lx = lower_cumulative(lambda q: q * X.quantile_density(q), grid)
-    rows = []
-    for i, p in enumerate(grid):
-        hz = float(aging_mod.hazard_quantile(X, p))
-        mrl = ux[i] / (1.0 - p)
-        surrogate = (-math.log1p(-p) - p) / lx[i]
-        rows.append((float(p), hz, mrl, surrogate))
-    _write_csv(path, ["p", "hazard", "mrl", "wa_surrogate"], rows)
+    prof = X.profile(min(n, 1024), 1e-4)
+    p, ux, lx = prof.grid, prof.upper, prof.lower
+    _write_csv(path, ["p", "hazard", "mrl", "wa_surrogate"],
+               zip(p, aging_mod.hazard_quantile(X, p), ux / (1.0 - p), (-np.log1p(-p) - p) / lx))
 
 
 def run_empirical(args):

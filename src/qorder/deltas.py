@@ -20,6 +20,7 @@ from .limits import (
     delta_tail_hint,
     limit_at,
 )
+from .models import lower_integrand, upper_integrand
 from .oracle import quadrature
 from .shape import ratio_qd
 
@@ -53,12 +54,12 @@ def finite_mean(X) -> float:
 
 def lower_weighted_integral(X, p):
     """Integral of q * quantile_density_X(q) over (0, p)."""
-    return quadrature(lambda q: q * X.quantile_density(q), 0.0, float(p), rel_tol=_QUAD_TOL)
+    return quadrature(lower_integrand(X), 0.0, float(p), rel_tol=_QUAD_TOL)
 
 
 def upper_weighted_integral(X, p):
     """Integral of (1-q) * quantile_density_X(q) over (p, 1)."""
-    return quadrature(lambda q: (1.0 - q) * X.quantile_density(q), float(p), 1.0, rel_tol=_QUAD_TOL)
+    return quadrature(upper_integrand(X), float(p), 1.0, rel_tol=_QUAD_TOL)
 
 
 def delta(X, Y, p):

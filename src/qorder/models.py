@@ -14,19 +14,24 @@ from __future__ import annotations
 
 import abc
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import oracle
 from .errors import DomainError, ModelIntegrityError, ValidationError
 
 __all__ = [
+    "GridProfile",
     "QuantileModel",
     "TukeyGeneralized",
     "Govindarajulu",
     "UnitExponential",
     "check_p",
+    "lower_integrand",
+    "upper_integrand",
 ]
 
 
@@ -46,6 +51,16 @@ def check_p(p):
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError(f"probability argument must lie strictly inside (0,1), got {p!r}")
     return arr
+
+
+def lower_integrand(X):
+    """q -> q*qd_X(q), integrated over (0, p) by the qmit order."""
+    return lambda q: q * X.quantile_density(q)
+
+
+def upper_integrand(X):
+    """q -> (1-q)*qd_X(q), integrated over (p, 1) by dmrl, ps and nbue."""
+    return lambda q: (1.0 - q) * X.quantile_density(q)
 
 
 def _match(p, value):
@@ -102,13 +117,31 @@ class QuantileModel(abc.ABC):
     @cached_property
     def mean(self) -> float:
         """E[X] = integral of the quantile function over (0,1)."""
-        from .oracle import quadrature
+        return oracle.quadrature(lambda q: self.quantile(q), 0.0, 1.0, rel_tol=1e-10)
 
-        return quadrature(lambda q: self.quantile(q), 0.0, 1.0, rel_tol=1e-10)
+    def profile(self, n, p_min) -> "GridProfile":
+        """This model's memo of values on logit_grid(n, p_min)."""
+        memo = self.__dict__.setdefault("_profiles", {})  # like mean, kept per instance
+        if (n, p_min) not in memo:
+            memo[n, p_min] = GridProfile(self, n, p_min)
+        return memo[n, p_min]
 
     # spec-string used by the CLI; subclasses override
     def label(self) -> str:
         return type(self).__name__
+
+
+class GridProfile:
+    """Q, qd, lower = int_0^p q*qd and upper = int_p^1 (1-q)*qd on logit_grid(n, p_min), each
+    computed on first use; it holds the model weakly, so the model's memo forms no cycle."""
+
+    def __init__(self, model, n, p_min):
+        self.model, self.grid = weakref.ref(model), oracle.logit_grid(n, p_min)
+
+    q = cached_property(lambda self: np.asarray(self.model().quantile(self.grid), float))
+    qd = cached_property(lambda self: np.asarray(self.model().quantile_density(self.grid), float))
+    lower = cached_property(lambda self: oracle.lower_cumulative(lower_integrand(self.model()), self.grid))
+    upper = cached_property(lambda self: oracle.upper_cumulative(upper_integrand(self.model()), self.grid))
 
 
 @dataclass(frozen=True)

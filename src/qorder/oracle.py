@@ -79,22 +79,12 @@ def logit_grid(n, p_min=1e-6):
     return 1.0 / (1.0 + np.exp(-t))
 
 
-def _eval(fn, grid):
-    try:
-        vals = np.asarray(fn(grid), dtype=float)
-        if vals.shape != grid.shape:
-            raise ValueError
-        return vals
-    except Exception:
-        return np.array([float(fn(p)) for p in grid])
-
-
 def _panel_integrals(fn, grid):
     """Gauss-Legendre 15 on every panel [grid[i], grid[i+1]]."""
     half = 0.5 * np.diff(grid)
     mid = 0.5 * (grid[:-1] + grid[1:])
     pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = _eval(fn, pts.ravel()).reshape(pts.shape)
+    vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
     return half * (vals @ _GL_WEIGHTS)
 
 
@@ -171,9 +161,9 @@ def _monotone_verdict(grid, vals, tol=ORACLE_REL_TOL):
 
 
 def grid_monotone(fn, n=4096, tol=ORACLE_REL_TOL, p_min=1e-6):
-    """Adjacent-pair monotonicity of fn on a logit-uniform grid."""
+    """Adjacent-pair monotonicity of a vectorized fn on a logit-uniform grid."""
     grid = logit_grid(n, p_min)
-    vals = _eval(fn, grid)
+    vals = np.asarray(fn(grid), dtype=float)
     if np.any(~np.isfinite(vals)):
         raise DomainError("function not finite on the working grid")
     return _monotone_verdict(grid, vals, tol)
@@ -194,28 +184,28 @@ def order_oracle(X, Y, order, n=4096, p_min=1e-6):
     verdict of the defining ratio; ps and nbue return a pointwise sign
     verdict (see GridVerdict).
     """
-    grid = logit_grid(n, p_min)
+    px, py = X.profile(n, p_min), Y.profile(n, p_min)
+    grid = px.grid
     if order == "convex":
-        return grid_monotone(lambda p: Y.quantile_density(p) / X.quantile_density(p), n, p_min=p_min)
+        vals = py.qd / px.qd
+        if np.any(~np.isfinite(vals)):
+            raise DomainError("function not finite on the working grid")
+        return _monotone_verdict(grid, vals)
     if order == "star":
-        fx = _eval(X.quantile, grid)
-        gy = _eval(Y.quantile, grid)
+        fx, gy = px.q, py.q
         if np.any(fx <= 0.0):
             raise DomainError("star oracle requires strictly positive quantiles of X")
         return _monotone_verdict(grid, gy / fx)
     if order == "qmit":
-        lx = lower_cumulative(lambda q: q * X.quantile_density(q), grid)
-        ly = lower_cumulative(lambda q: q * Y.quantile_density(q), grid)
+        lx, ly = px.lower, py.lower
         return _monotone_verdict(grid, ly / lx)
     if order not in ("dmrl", "ps", "nbue"):
         raise ValueError(f"unknown order {order!r}")
-    ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
-    uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), grid)
+    ux, uy = px.upper, py.upper
     if order == "dmrl":
         return _monotone_verdict(grid, uy / ux)
     if order == "ps":
-        fx = _eval(X.quantile, grid)
-        gy = _eval(Y.quantile, grid)
+        fx, gy = px.q, py.q
         if np.any(fx <= 0.0) or np.any(gy <= 0.0):
             raise DomainError("ps oracle requires strictly positive quantiles")
         eps_x, eps_y = ux / fx, uy / gy

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .limits import LimitValue
-from .oracle import GridVerdict, logit_grid, order_oracle
+from .oracle import GridVerdict, order_oracle
 from .shape import (
     CONSTANT,
     DECREASING,
@@ -181,7 +181,7 @@ def _flip_shape(sh: ShapeReport) -> ShapeReport:
 class PairContext:
     """Shared per-pair cache: ratio shape, limits, mode values, oracle runs."""
 
-    def __init__(self, X, Y, cfg: EngineConfig, _shape=None, _swap=None):
+    def __init__(self, X, Y, cfg: EngineConfig, _shape=None):
         for m, name in ((X, "X"), (Y, "Y")):
             if not getattr(m, "supports_theorem_paths", True):
                 raise ValidationError(
@@ -194,7 +194,6 @@ class PairContext:
                 )
         self.X, self.Y, self.cfg = X, Y, cfg
         self._shape = _shape
-        self._swap_ctx = _swap
         self._cache = {}
 
     # -- basic quantities ---------------------------------------------------
@@ -213,10 +212,9 @@ class PairContext:
         return self._shape
 
     def swap(self) -> "PairContext":
-        if self._swap_ctx is None:
-            sh = _flip_shape(self.shape())
-            self._swap_ctx = PairContext(self.Y, self.X, self.cfg, _shape=sh, _swap=self)
-        return self._swap_ctx
+        # one-way: a back-link would make a cycle that outlives the models
+        return self._memo(("swap",), lambda: PairContext(self.Y, self.X, self.cfg,
+                                                         _shape=_flip_shape(self.shape())))
 
     def _memo(self, key, fn):
         if key not in self._cache:
@@ -239,10 +237,9 @@ class PairContext:
         """True when G^-1 = c * F^-1 on the probe grid (delta identically 0)."""
 
         def probe():
-            grid = logit_grid(64, self.cfg.grid.p_min)
-            fx = np.asarray(self.X.quantile(grid), dtype=float)
-            gy = np.asarray(self.Y.quantile(grid), dtype=float)
-            c = gy[len(grid) // 2] / fx[len(grid) // 2]
+            fx = self.X.profile(64, self.cfg.grid.p_min).q
+            gy = self.Y.profile(64, self.cfg.grid.p_min).q
+            c = gy[32] / fx[32]  # at the probe's middle
             scale = np.max(np.abs(gy)) + abs(c) * np.max(np.abs(fx))
             return bool(np.max(np.abs(gy - c * fx)) <= 1e-9 * max(scale, 1e-300))
 
@@ -639,7 +636,7 @@ def check_ps(X, Y, cfg=None, ctx=None, star_verdict: OrderVerdict | None = None)
     return verdict
 
 
-def _nbue_from(verdicts: dict):
+def _nbue_from(ctx: PairContext, verdicts: dict, zero_left_support: bool):
     sources = [verdicts[o] for o in ("star", "dmrl", "ps")]
     fwd = any(v.status in (HOLDS, EQUIVALENT) for v in sources)
     rev = any(v.status in (HOLDS_REVERSED, EQUIVALENT) for v in sources)
@@ -647,6 +644,11 @@ def _nbue_from(verdicts: dict):
         Condition(f"{v.order}_status", v.status, "nbue follows from star, dmrl or ps", None)
         for v in sources
     ]
+    if (fwd or rev) and not zero_left_support:  # the implications need lifetimes starting at 0
+        deltas.finite_mean(ctx.X), deltas.finite_mean(ctx.Y)
+        conds.append(Condition("left_support_endpoint", max(ctx.X.support_lo, ctx.Y.support_lo),
+                               "= 0 for star, dmrl, ps => nbue", False))
+        return _finish(ctx, "nbue", "dense-grid check of the definition", None, None, conds)
     # there is no direct nbue decision procedure; a direction no stronger
     # order propagates stays undecided, never False
     return OrderVerdict("nbue", _combine(fwd or None, rev or None), "implication",
@@ -719,8 +721,8 @@ def _compare_theorem(ctx: PairContext):
     verdicts["dmrl"] = mean_guarded("dmrl", check_dmrl, X, Y, ctx=ctx)
     verdicts["star"] = check_star(X, Y, ctx=ctx)
     verdicts["ps"] = mean_guarded("ps", check_ps, X, Y, ctx=ctx, star_verdict=verdicts["star"])
-    verdicts["nbue"] = _nbue_from(verdicts)
     zero_left = abs(X.support_lo) <= 1e-12 and abs(Y.support_lo) <= 1e-12
+    verdicts["nbue"] = mean_guarded("nbue", _nbue_from, ctx, verdicts, zero_left)
     _check_implications(verdicts, zero_left)
     return [verdicts[o] for o in ORDERS]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, TooOscillatoryError
-from .oracle import logit_grid, _eval
+from .oracle import logit_grid
 
 __all__ = [
     "GridConfig",
@@ -120,10 +120,12 @@ def _refine_mode(fn, lo, hi, kind):
     return min(max(m, lo - 1e-9), hi + 1e-9)
 
 
-def find_shape(fn, cfg: GridConfig = GridConfig()):
-    """Segment fn on (0,1) into monotone pieces and type its modes."""
+def find_shape(fn, cfg: GridConfig = GridConfig(), values=None):
+    """Segment fn on (0,1) into monotone pieces and type its modes.  fn must be
+    vectorized unless ``values`` already holds its values on logit_grid(cfg.n,
+    cfg.p_min); fn is then called on scalars only, to refine the modes."""
     grid = logit_grid(cfg.n, cfg.p_min)
-    vals = _eval(fn, grid)
+    vals = np.asarray(fn(grid) if values is None else values, dtype=float)
     if np.any(~np.isfinite(vals)):
         raise DomainError("function not finite on the working grid")
     diffs = np.diff(vals)

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from qorder import aging
 from qorder.aging import (
     aging_report,
     classify_hazard,
@@ -11,7 +15,7 @@ from qorder.aging import (
     wa_surrogate,
 )
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
-from qorder.shape import ratio_qd
+from qorder.shape import GridConfig, find_shape, ratio_qd
 
 GOV = Govindarajulu(0, 2, 2)
 EXP = UnitExponential()
@@ -157,3 +161,42 @@ class TestReportSerialization:
         assert d["ifra_class"] == "Neither"
         assert d["hazard"]["status"] == "BT"
         assert isinstance(d["notes"], list)
+
+
+class TestGridProfileShapes:
+    @pytest.mark.parametrize("X, expected", [
+        (TukeyGeneralized(1.5, 1, 4.2), 2),  # mrl shape fallback and ihrwa surrogate
+        (TukeyGeneralized(1.5, 1, 4.8), 2),
+        (Govindarajulu(0, 2, 2), 1),  # ihrwa surrogate only
+    ])
+    def test_profile_values_match_the_scalar_reference(self, monkeypatch, X, expected):
+        cfg = GridConfig(n=512)
+        seen = []
+        real = aging.find_shape
+
+        def spy(fn, grid=GridConfig(), values=None):
+            rep = real(fn, grid, values)
+            if values is not None:
+                seen.append((fn, rep))
+            return rep
+
+        monkeypatch.setattr(aging, "find_shape", spy)
+        aging_report(X, cfg)
+        assert len(seen) == expected
+        for fn, rep in seen:
+            ref = find_shape(np.vectorize(lambda p: fn(float(p)), otypes=[float]), cfg)
+            assert rep.classification == ref.classification
+            assert [m.kind for m in rep.modes] == [m.kind for m in ref.modes]
+            for m, r in zip(rep.modes, ref.modes):
+                assert m.location == pytest.approx(r.location, abs=1e-8)
+
+    def test_report_lets_the_model_die_without_the_cyclic_collector(self):
+        X = TukeyGeneralized(1.5, 1, 4.5)
+        ref = weakref.ref(X)
+        gc.disable()
+        try:
+            aging_report(X)
+            del X
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -1,11 +1,29 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from qorder.aging import hazard_quantile
 from qorder.cli import dumps, main, parse_spec
 from qorder.empirical import SampleSet
 from qorder.errors import ParseError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
+from qorder.oracle import logit_grid, lower_cumulative, upper_cumulative
+from qorder.shape import ratio_qd
+
+
+def _curve_columns(path):
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(v) for v in line.split(",")] for line in lines]).T
+
+
+def _assert_close_to_pointwise(got, ref):
+    # array and per-point evaluation may round differently in the last bits
+    assert got.shape == ref.shape
+    for g, r in zip(got, ref):
+        scale = np.max(np.abs(r[np.isfinite(r)]))
+        np.testing.assert_allclose(g, r, rtol=0.0, atol=1e-12 * scale)
 
 
 class TestParseSpec:
@@ -90,6 +108,23 @@ class TestCompareCommand:
         assert header == ["p", "ratio_qd", "delta", "delta_ps",
                           "quantile_ratio", "eps_x", "eps_y"]
 
+    def test_curves_match_pointwise_reference(self, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        main(self.ARGS + ["--method", "theorem", "--curves", str(curves)])
+        capsys.readouterr()
+        X, Y = parse_spec(self.ARGS[2]), parse_spec(self.ARGS[4])
+        grid = logit_grid(1024, 1e-4)
+        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
+        uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), grid)
+        rows = []
+        for i, p in enumerate(grid):
+            fx, gy, r = float(X.quantile(p)), float(Y.quantile(p)), float(ratio_qd(X, Y, p))
+            rows.append((p, r, fx * r - gy, fx / X.mean - gy / Y.mean,
+                         gy / fx if fx != 0.0 else math.inf,
+                         ux[i] / fx if fx > 0.0 else math.inf,
+                         uy[i] / gy if gy > 0.0 else math.inf))
+        _assert_close_to_pointwise(_curve_columns(curves), np.array(rows).T)
+
 
 class TestAgingCommand:
     def test_worked_report(self, capsys, tmp_path):
@@ -103,6 +138,18 @@ class TestAgingCommand:
         assert rep["ifra_class"] == "Neither"
         header = curves.read_text().splitlines()[0].split(",")
         assert header == ["p", "hazard", "mrl", "wa_surrogate"]
+
+    def test_curves_match_pointwise_reference(self, capsys, tmp_path):
+        curves = tmp_path / "aging.csv"
+        main(["aging", "--x", "govindarajulu:0,2,2", "--curves", str(curves)])
+        capsys.readouterr()
+        X = Govindarajulu(0, 2, 2)
+        grid = logit_grid(1024, 1e-4)
+        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
+        lx = lower_cumulative(lambda q: q * X.quantile_density(q), grid)
+        ref = [(p, float(hazard_quantile(X, p)), ux[i] / (1.0 - p), (-math.log1p(-p) - p) / lx[i])
+               for i, p in enumerate(grid)]
+        _assert_close_to_pointwise(_curve_columns(curves), np.array(ref).T)
 
 
 class TestEmpiricalCommand:

@@ -1,5 +1,5 @@
-"""Source hygiene: no unused imports in the package, and the CLI reaches the
-engine only through public names."""
+"""Source hygiene: no unused imports in the package, and no module reaches
+into another through private names."""
 
 import ast
 from pathlib import Path
@@ -43,12 +43,20 @@ def test_no_unused_imports():
     assert problems == []
 
 
-def test_cli_imports_no_private_names():
-    private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(_tree(PKG / "cli.py"))
+def _private_imports(path):
+    """Underscore names imported from another qorder module."""
+    return [
+        f"{path.name}: {node.module}.{alias.name}"
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qorder"))
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert private == []
+
+
+def test_cli_imports_no_private_names():
+    assert _private_imports(PKG / "cli.py") == []
+
+
+def test_no_module_imports_private_names():
+    assert [p for path in sorted(PKG.glob("*.py")) for p in _private_imports(path)] == []

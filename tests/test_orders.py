@@ -1,9 +1,11 @@
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from qorder import deltas, orders
+from qorder import deltas, oracle, orders
 from qorder.errors import QuadratureError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.orders import (
@@ -105,6 +107,53 @@ class TestVerdictAssembly:
         assert conds == {"lim_delta_0": True, "lim_delta_1": True, "oracle_star": None}
         assert v.status == HOLDS
         assert v.method == "numeric-fallback"
+
+
+class TestSharedGridProfile:
+    def test_both_integrates_each_model_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("lower_cumulative", "upper_cumulative"):
+            real = getattr(oracle, name)
+
+            def spy(fn, grid, real=real, name=name):
+                calls[name] += 1
+                return real(fn, grid)
+
+            monkeypatch.setattr(oracle, name, spy)
+        # fresh instances: the module-level pair may carry profiles from other tests
+        compare_all(TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5), method="both")
+        assert calls == {"lower_cumulative": 2, "upper_cumulative": 2}
+
+    def test_models_die_without_the_cyclic_collector(self):
+        X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
+        ref = weakref.ref(X)
+        gc.disable()
+        try:
+            compare_all(X, Y, method="both")
+            del X
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestNbuePositiveLeftSupport:
+    X = Govindarajulu(0.152193, 1.70822, 2.94381)
+    Y = Govindarajulu(0, 1.3935, 2.75415)
+
+    @pytest.mark.parametrize("method", ["theorem", "both"])
+    def test_decided_by_the_grid_oracle(self, method):
+        # dmrl reads HoldsReversed, but dmrl => nbue needs lifetimes starting at 0
+        v = _by_order(compare_all(self.X, self.Y, method=method))
+        assert v["dmrl"].status == HOLDS_REVERSED
+        assert v["nbue"].status == HOLDS
+        if method == "theorem":
+            names = [c.name for c in v["nbue"].certificate.conditions]
+            assert names[-2:] == ["left_support_endpoint", "oracle_nbue"]
+            assert v["nbue"].method == "numeric-fallback"
+
+
+def _by_order(verdicts):
+    return {v.order: v for v in verdicts}
 
 
 class TestDegenerateAndErrorPaths:

@@ -8,6 +8,7 @@ verdict records the grid size used.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -73,10 +74,20 @@ def quadrature(fn, a, b, rel_tol=1e-8):
 
 
 def logit_grid(n, p_min=1e-6):
-    """n points in (0,1), uniform on the logit scale (dense near 0 and 1)."""
+    """n points in (0,1), uniform on the logit scale (dense near 0 and 1).
+
+    Built once per (n, p_min) and shared by every caller, so the array is
+    read-only."""
+    return _logit_grid(n, p_min)
+
+
+@functools.lru_cache(maxsize=32)
+def _logit_grid(n, p_min):
     lo = math.log(p_min / (1.0 - p_min))
     t = np.linspace(lo, -lo, n)
-    return 1.0 / (1.0 + np.exp(-t))
+    grid = 1.0 / (1.0 + np.exp(-t))
+    grid.flags.writeable = False
+    return grid
 
 
 def _panel_integrals(fn, grid):

@@ -10,6 +10,7 @@ re-deriving the hypotheses from the reciprocal ratio.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -203,12 +204,17 @@ class PairContext:
 
     def shape(self) -> ShapeReport:
         if self._shape is None:
+            g = self.cfg.grid
             try:
-                self._shape = find_shape(self.ratio, self.cfg.grid)
+                # the ratio's grid values are ratio_qd read off the two profiles
+                px, py = self.X.profile(g.n, g.p_min), self.Y.profile(g.n, g.p_min)
+                self._shape = find_shape(self.ratio, g, py.qd / px.qd)
             except QorderError as exc:  # deterministic: every later call would fail alike
-                self._shape = exc
+                self._shape = copy.copy(exc)
         if isinstance(self._shape, QorderError):
-            raise self._shape
+            # raise a copy: the stored failure must not get a traceback, whose
+            # frames refer back to this context (a cycle only the collector frees)
+            raise copy.copy(self._shape)
         return self._shape
 
     def swap(self) -> "PairContext":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, TooOscillatoryError
+from .errors import DomainError, TooOscillatoryError, ValidationError
 from .oracle import logit_grid
 
 __all__ = [
@@ -125,7 +125,15 @@ def find_shape(fn, cfg: GridConfig = GridConfig(), values=None):
     vectorized unless ``values`` already holds its values on logit_grid(cfg.n,
     cfg.p_min); fn is then called on scalars only, to refine the modes."""
     grid = logit_grid(cfg.n, cfg.p_min)
-    vals = np.asarray(fn(grid) if values is None else values, dtype=float)
+    if values is None:
+        vals = np.asarray(fn(grid), dtype=float)
+    else:
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != grid.shape:
+            raise ValidationError(
+                f"find_shape got {vals.size} values for the {grid.size}-point grid "
+                f"logit_grid({cfg.n}, {cfg.p_min:g})"
+            )
     if np.any(~np.isfinite(vals)):
         raise DomainError("function not finite on the working grid")
     diffs = np.diff(vals)
@@ -137,40 +145,32 @@ def find_shape(fn, cfg: GridConfig = GridConfig(), values=None):
     signs[diffs > flat_tol] = 1
     signs[diffs < -flat_tol] = -1
 
-    plateaus = []
-    run_start = None
-    for i, s in enumerate(signs):
-        if s == 0:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            if i - run_start >= 3:
-                plateaus.append((float(grid[run_start]), float(grid[i])))
-            run_start = None
-    if run_start is not None and len(signs) - run_start >= 3:
-        plateaus.append((float(grid[run_start]), float(grid[-1])))
+    # plateaus: runs of 3 or more flat panels, as (grid[start], grid[end of run])
+    edges = np.diff(np.concatenate(([0], (signs == 0).view(np.int8), [0])))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    long_runs = ends - starts >= 3
+    plateaus = list(zip(grid[starts[long_runs]].tolist(), grid[ends[long_runs]].tolist()))
 
-    sig_idx = np.nonzero(signs)[0]
+    sig_idx = np.flatnonzero(signs)
     if sig_idx.size == 0:
         return ShapeReport(CONSTANT, plateaus=plateaus)
 
-    # transitions between consecutive significant panels of opposite sign
-    brackets = []
-    prev = sig_idx[0]
-    for i in sig_idx[1:]:
-        if signs[i] != signs[prev]:
-            kind = "max" if signs[prev] > 0 else "min"
-            brackets.append((float(grid[prev]), float(grid[i + 1]), kind))
-        prev = i
-    if len(brackets) > cfg.max_modes:
+    # transitions between consecutive significant panels of opposite sign: a
+    # bracket runs from the start of the last panel of one sign to the end of
+    # the first panel of the other
+    sig = signs[sig_idx]
+    flips = np.flatnonzero(sig[1:] != sig[:-1])
+    lo, hi = grid[sig_idx[flips]], grid[sig_idx[flips + 1] + 1]
+    if flips.size > cfg.max_modes:
         raise TooOscillatoryError(
-            f"{len(brackets)} derivative sign changes exceed max_modes={cfg.max_modes}",
-            modes=[0.5 * (b[0] + b[1]) for b in brackets],
+            f"{flips.size} derivative sign changes exceed max_modes={cfg.max_modes}",
+            modes=(0.5 * (lo + hi)).tolist(),
         )
+    kinds = ["max" if s > 0 else "min" for s in sig[flips].tolist()]
+    modes = [Mode(_refine_mode(fn, a, b, kind), kind)
+             for a, b, kind in zip(lo.tolist(), hi.tolist(), kinds)]
 
-    modes = [Mode(_refine_mode(fn, lo, hi, kind), kind) for lo, hi, kind in brackets]
-
-    first_dir = "increasing" if signs[sig_idx[0]] > 0 else "decreasing"
+    first_dir = "increasing" if sig[0] > 0 else "decreasing"
     bounds = [0.0] + [m.location for m in modes] + [1.0]
     directions = [first_dir]
     for _ in modes:

@@ -30,6 +30,15 @@ class TestGrids:
         assert np.allclose(g + g[::-1], 1.0)
         assert np.all(np.diff(g) > 0)
 
+    def test_logit_grid_shared_and_read_only(self):
+        g = logit_grid(257, 1e-4)
+        assert logit_grid(257, 1e-4) is g
+        assert logit_grid(257, p_min=1e-4) is g
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0] = 0.5
+        assert np.all(np.diff(g) > 0)
+
     def test_grid_monotone_constant(self):
         v = grid_monotone(lambda p: np.full_like(np.asarray(p, dtype=float), 3.0))
         assert v.status == "Constant"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qorder import deltas, oracle, orders
-from qorder.errors import QuadratureError, ValidationError
+from qorder.cli import parse_spec
+from qorder.errors import QuadratureError, TooOscillatoryError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.orders import (
     BOTH_FAIL,
@@ -23,7 +24,7 @@ from qorder.orders import (
     compare_all,
     predict_quantile_ratio_shape,
 )
-from qorder.shape import tukey_unimodal_region
+from qorder.shape import find_shape, tukey_unimodal_region
 
 X_TUKEY = TukeyGeneralized(4, 1, 2.5)
 Y_TUKEY = TukeyGeneralized(1.5, 1, 1.5)
@@ -134,6 +135,60 @@ class TestSharedGridProfile:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestShapeFromProfiles:
+    @pytest.mark.parametrize("x, y", [
+        ("tukey:4,1,2.5", "tukey:1.5,1,1.5"),        # the worked pair, unimodal
+        ("tukey:2,1,4", "tukey:2,1,0.5"),            # n-modal
+        ("govindarajulu:0,2,2", "exp1"),             # the hazard quantile, unimodal min
+    ])
+    def test_equals_find_shape_on_the_ratio(self, x, y):
+        ctx = orders.PairContext(parse_spec(x), parse_spec(y), orders.EngineConfig())
+        assert ctx.shape() == find_shape(ctx.ratio, ctx.cfg.grid)
+
+    def test_both_evaluates_each_quantile_density_once_on_the_grid(self, monkeypatch):
+        calls = Counter()
+        real = TukeyGeneralized.quantile_density
+
+        def spy(self, p):
+            if np.ndim(p) == 1 and np.size(p) == 4096:
+                calls[id(self)] += 1
+            return real(self, p)
+
+        monkeypatch.setattr(TukeyGeneralized, "quantile_density", spy)
+        X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
+        compare_all(X, Y, method="both")
+        assert calls == {id(X): 1, id(Y): 1}
+
+    def test_stored_shape_failure_lets_the_models_die(self):
+        # the finite-difference qdf makes the ratio too oscillatory (stored), then
+        # the dmrl oracle's tail quadrature fails
+        X, Y = parse_spec("dsl:-s*log(1-p);s=2"), TukeyGeneralized(4, 1, 2.5)
+        ref = weakref.ref(X)
+        gc.disable()
+        try:
+            try:
+                compare_all(X, Y, method="theorem")
+            except QuadratureError:
+                pass
+            else:
+                pytest.fail("expected a QuadratureError")
+            del X
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_stored_failure_reraised_unchanged(self):
+        X = parse_spec("dsl:-s*log(1-p);s=2")
+        ctx = orders.PairContext(X, TukeyGeneralized(4, 1, 2.5), orders.EngineConfig())
+        seen = []
+        for shape in (lambda: find_shape(ctx.ratio, ctx.cfg.grid), ctx.shape, ctx.shape):
+            with pytest.raises(TooOscillatoryError) as info:
+                shape()
+            seen.append((str(info.value), info.value.modes))
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0][1]) > 16
 
 
 class TestNbuePositiveLeftSupport:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qorder.errors import DomainError, TooOscillatoryError
+from qorder.errors import DomainError, TooOscillatoryError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
+from qorder.oracle import logit_grid
 from qorder.shape import (
+    _FLAT_REL,
     CONSTANT,
     DECREASING,
     INCREASING,
@@ -13,6 +15,10 @@ from qorder.shape import (
     UNIMODAL_MAX,
     UNIMODAL_MIN,
     GridConfig,
+    Mode,
+    Segment,
+    ShapeReport,
+    _refine_mode,
     find_shape,
     ratio_qd,
     tukey_unimodal_region,
@@ -103,6 +109,142 @@ class TestFindShape:
     def test_grid_config_respected(self):
         rep = find_shape(lambda p: np.asarray(p), GridConfig(n=256))
         assert rep.classification == INCREASING
+
+
+    def test_values_from_a_larger_grid_rejected(self):
+        fn = lambda p: (np.asarray(p) - 0.3) ** 2
+        with pytest.raises(ValidationError, match=r"4096 values .* 512-point grid"):
+            find_shape(fn, GridConfig(n=512), values=fn(logit_grid(4096, 1e-6)))
+
+    def test_values_from_a_smaller_grid_rejected(self):
+        # unchecked, these read as a mode near p_min instead of at 0.3
+        fn = lambda p: (np.asarray(p) - 0.3) ** 2
+        with pytest.raises(ValidationError, match=r"512 values .* 4096-point grid"):
+            find_shape(fn, GridConfig(n=4096), values=fn(logit_grid(512, 1e-6)))
+
+
+def _find_shape_loops(fn, cfg, values):
+    """Reference: find_shape as it walked the panel signs in Python loops."""
+    grid = logit_grid(cfg.n, cfg.p_min)
+    vals = np.asarray(values, dtype=float)
+    diffs = np.diff(vals)
+    local = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
+    flat_tol = _FLAT_REL * local
+    signs = np.zeros(len(diffs), dtype=int)
+    signs[diffs > flat_tol] = 1
+    signs[diffs < -flat_tol] = -1
+
+    plateaus = []
+    run_start = None
+    for i, s in enumerate(signs):
+        if s == 0:
+            if run_start is None:
+                run_start = i
+        elif run_start is not None:
+            if i - run_start >= 3:
+                plateaus.append((float(grid[run_start]), float(grid[i])))
+            run_start = None
+    if run_start is not None and len(signs) - run_start >= 3:
+        plateaus.append((float(grid[run_start]), float(grid[-1])))
+
+    sig_idx = np.nonzero(signs)[0]
+    if sig_idx.size == 0:
+        return ShapeReport(CONSTANT, plateaus=plateaus)
+
+    brackets = []
+    prev = sig_idx[0]
+    for i in sig_idx[1:]:
+        if signs[i] != signs[prev]:
+            kind = "max" if signs[prev] > 0 else "min"
+            brackets.append((float(grid[prev]), float(grid[i + 1]), kind))
+        prev = i
+    if len(brackets) > cfg.max_modes:
+        raise TooOscillatoryError(
+            f"{len(brackets)} derivative sign changes exceed max_modes={cfg.max_modes}",
+            modes=[0.5 * (b[0] + b[1]) for b in brackets],
+        )
+
+    modes = [Mode(_refine_mode(fn, lo, hi, kind), kind) for lo, hi, kind in brackets]
+
+    first_dir = "increasing" if signs[sig_idx[0]] > 0 else "decreasing"
+    bounds = [0.0] + [m.location for m in modes] + [1.0]
+    directions = [first_dir]
+    for _ in modes:
+        directions.append("decreasing" if directions[-1] == "increasing" else "increasing")
+    segments = [Segment(bounds[i], bounds[i + 1], directions[i]) for i in range(len(directions))]
+
+    if not modes:
+        cls = INCREASING if first_dir == "increasing" else DECREASING
+    elif len(modes) == 1:
+        cls = UNIMODAL_MAX if modes[0].kind == "max" else UNIMODAL_MIN
+    else:
+        cls = N_MODAL
+    return ShapeReport(cls, modes=modes, segments=segments, plateaus=plateaus)
+
+
+def _runs(*runs):
+    """Panel signs from (sign, length) runs."""
+    return np.concatenate([np.full(length, sign, dtype=int) for sign, length in runs])
+
+
+def _random_signs(rng):
+    """Runs of random sign and length; flat runs of length 1 to 4 straddle the
+    plateau threshold of 3."""
+    out = []
+    for _ in range(rng.integers(1, 24)):
+        sign = int(rng.integers(-1, 2))
+        out.append((sign, int(rng.integers(1, 5 if sign == 0 else 30))))
+    return _runs(*out)
+
+
+class TestSegmentationAgainstLoops:
+    """find_shape's array segmentation gives the loop reference's report bit for bit."""
+
+    @staticmethod
+    def _both(signs, max_modes=16):
+        # exact binary steps: a 0 sign is a zero difference, +-1 far above the flat tolerance
+        vals = 8.0 + np.concatenate(([0.0], np.cumsum(signs))) * 2.0**-10
+        cfg = GridConfig(n=vals.size, max_modes=max_modes)
+        grid = logit_grid(cfg.n, cfg.p_min)
+        fn = lambda p: np.interp(p, grid, vals)  # scalar-callable, for the mode refinement
+        out = []
+        for find in (find_shape, _find_shape_loops):
+            try:
+                out.append(find(fn, cfg, vals))
+            except TooOscillatoryError as exc:
+                out.append((str(exc), exc.modes))
+        return out
+
+    def test_seeded_random_patterns(self):
+        rng = np.random.default_rng(20260118)
+        raised = 0
+        for _ in range(300):
+            signs = _random_signs(rng)
+            new, ref = self._both(signs, max_modes=int(rng.integers(0, 20)))
+            assert new == ref, signs.tolist()
+            raised += isinstance(ref, tuple)
+        assert 0 < raised < 300  # both outcomes were exercised
+
+    @pytest.mark.parametrize("runs", [
+        [(0, 5), (1, 10), (-1, 10)],            # flat run at the start
+        [(1, 10), (0, 3), (-1, 4), (0, 2), (-1, 6)],  # flat runs in the middle
+        [(-1, 10), (1, 7), (0, 4)],             # flat run at the end
+        [(0, 3), (1, 1), (0, 3), (-1, 1), (0, 3)],  # flat at both ends and between
+        [(0, 40)],                              # all flat
+        [(0, 20), (1, 1), (0, 20)],             # a single significant panel
+        [(-1, 1)],
+    ])
+    def test_flat_runs(self, runs):
+        new, ref = self._both(_runs(*runs))
+        assert isinstance(ref, ShapeReport)
+        assert new == ref
+        assert new.plateaus == ref.plateaus
+
+    def test_too_many_flips(self):
+        signs = _runs(*[(s, 2) for s in [1, -1] * 12], (0, 3), (1, 1))
+        new, ref = self._both(signs, max_modes=16)
+        assert ref[0] == "24 derivative sign changes exceed max_modes=16"
+        assert new == ref
 
 
 class TestTukeyRegion:

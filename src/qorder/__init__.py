@@ -29,7 +29,6 @@ from .oracle import GridVerdict, grid_monotone, order_oracle, quadrature
 from .orders import (
     Certificate,
     Condition,
-    EngineConfig,
     OrderVerdict,
     check_convex,
     check_dmrl,

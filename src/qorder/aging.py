@@ -4,8 +4,10 @@ Every aging class used here is a transform-order comparison against the unit
 exponential in disguise: IFR is the convex order, DMRL the dmrl order, IHRWA
 the qmit order and IFRA the star order, all with Exp(1) as the reference.
 The classifiers below apply the corresponding corollaries directly on the
-hazard quantile function, and ``aging_report`` cross-checks each class against
-the order engine so the two routes can never silently drift apart.
+hazard quantile function, reading the endpoint limits, delta values and grid
+oracle runs of one ``PairContext(X, UnitExponential(), grid)``; ``aging_report``
+hands that same context to the order engine to cross-check each class, so the
+two routes can never silently drift apart.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import order_oracle
-from .deltas import (
-    centered_delta_limit,
-    delta,
-    delta_limit,
-    finite_mean,
-    lower_weighted_integral,
-    mrl_quantile,
-)
+from .deltas import finite_mean, lower_weighted_integral, mrl_quantile
 from .errors import InternalConsistencyError, TooOscillatoryError
 from .limits import LimitValue, limit_at, ratio_qd_tail
 from .models import UnitExponential
@@ -33,7 +27,7 @@ from .orders import (
     HOLDS,
     HOLDS_REVERSED,
     INCONCLUSIVE,
-    EngineConfig,
+    TOL,
     PairContext,
     check_convex,
     check_dmrl,
@@ -62,8 +56,6 @@ __all__ = [
     "wa_surrogate",
 ]
 
-_TOL = 1e-9
-
 _EXP = UnitExponential()
 
 
@@ -90,22 +82,29 @@ _HAZARD_NAMES = {
 }
 
 
-def classify_hazard(X, grid: GridConfig = GridConfig()) -> HazardShape:
-    """Shape of the hazard quantile function in reliability vocabulary."""
+def classify_hazard(ctx: PairContext) -> HazardShape:
+    """Shape of the hazard quantile function of ctx.X in reliability vocabulary.
+
+    The hazard quantile is ratio_qd(X, Exp(1)), whose shape ctx.shape() also
+    finds; it is segmented here on its own so that the convex cross-check in
+    ``aging_report`` compares two evaluations."""
+    X = ctx.X
     try:
-        sh = find_shape(lambda p: hazard_quantile(X, p), grid)
+        sh = find_shape(lambda p: hazard_quantile(X, p), ctx.cfg)
     except TooOscillatoryError as exc:
         return HazardShape("NModal", tuple((m, "?") for m in exc.modes))
     name = _HAZARD_NAMES.get(sh.classification, "NModal")
     return HazardShape(name, tuple((m.location, m.kind) for m in sh.modes))
 
 
-def _hazard_limit0(X) -> LimitValue:
-    hint = LimitValue.from_extended(ratio_qd_tail(X, _EXP, 0))
+def _hazard_limit0(ctx) -> LimitValue:
+    X = ctx.X
+    hint = LimitValue.from_extended(ratio_qd_tail(X, ctx.Y, 0))
     return limit_at(lambda p: hazard_quantile(X, p), 0, hint)
 
 
-def _mrl_shape_fallback(X, grid):
+def _mrl_shape_fallback(ctx):
+    X, grid = ctx.X, ctx.cfg
     prof = X.profile(grid.n, grid.p_min)
     sh = find_shape(lambda p: mrl_quantile(X, p), grid, prof.upper / (1.0 - prof.grid))
     return {
@@ -117,17 +116,14 @@ def _mrl_shape_fallback(X, grid):
     }.get(sh.classification, "Inconclusive")
 
 
-def classify_mrl(X, hazard: HazardShape | None = None, grid: GridConfig = GridConfig(),
-                 evidence: dict | None = None):
-    """Mean-residual-life class: DMRL, IMRL, BT, UBT or Constant.
+def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
+    """Mean-residual-life class of ctx.X: DMRL, IMRL, BT, UBT or Constant.
 
     For a BT/UBT hazard the endpoint criterion applies: the mrl is monotone
     exactly when lim_{p->0+} r(F^-1(p)) falls on the right side of 1/E[X];
     otherwise it inherits the opposite bathtub shape.
     """
-    hazard = hazard or classify_hazard(X, grid)
-    mu = finite_mean(X)
-    ev = evidence if evidence is not None else {}
+    mu = finite_mean(ctx.X)
     if hazard.status == "Constant":
         return "Constant"
     if hazard.status == "Increasing":
@@ -135,15 +131,15 @@ def classify_mrl(X, hazard: HazardShape | None = None, grid: GridConfig = GridCo
     if hazard.status == "Decreasing":
         return "IMRL"
     if hazard.status not in ("BT", "UBT"):
-        return _mrl_shape_fallback(X, grid)
-    lim = _hazard_limit0(X)
-    ev["hazard_limit_0"] = lim.to_dict()
-    ev["mean_reciprocal"] = 1.0 / mu
+        return _mrl_shape_fallback(ctx)
+    lim = _hazard_limit0(ctx)
+    evidence["hazard_limit_0"] = lim.to_dict()
+    evidence["mean_reciprocal"] = 1.0 / mu
     if not lim.is_determinate:
-        return _mrl_shape_fallback(X, grid)
+        return _mrl_shape_fallback(ctx)
     gap = lim.as_float() - 1.0 / mu
-    if abs(gap) <= _TOL:
-        return _mrl_shape_fallback(X, grid)
+    if abs(gap) <= TOL:
+        return _mrl_shape_fallback(ctx)
     if hazard.status == "BT":
         return "DMRL" if gap < 0.0 else "UBT"
     return "IMRL" if gap > 0.0 else "BT"
@@ -169,32 +165,30 @@ _SURROGATE_NAMES = {
 }
 
 
-def classify_ihrwa(X, hazard: HazardShape | None = None, grid: GridConfig = GridConfig(),
-                   evidence: dict | None = None):
-    """Hazard-rate-weighted-average class: IHRWA, DHRWA, BT, UBT or Both.
+def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
+    """Hazard-rate-weighted-average class of ctx.X: IHRWA, DHRWA, BT, UBT or Both.
 
     The corollary criterion is the limit at 1- of
     r(F^-1(p))*(F^-1(p)-E[X]) + log(1-p) + 1; the numeric surrogate shape is
     always computed as well and wins on conflict (recorded in the evidence).
     """
-    hazard = hazard or classify_hazard(X, grid)
-    ev = evidence if evidence is not None else {}
     if hazard.status == "Constant":
         return "Both"
     corollary = None
     if hazard.status in ("BT", "UBT"):
-        lim = centered_delta_limit(X, _EXP, 1)
-        ev["ihrwa_limit_1"] = lim.to_dict()
+        lim = ctx.centered_lim(1)
+        evidence["ihrwa_limit_1"] = lim.to_dict()
         if lim.is_determinate:
             v = lim.as_float()
             if hazard.status == "UBT":
-                corollary = "IHRWA" if v > _TOL else ("UBT" if v < -_TOL else None)
+                corollary = "IHRWA" if v > TOL else ("UBT" if v < -TOL else None)
             else:
-                corollary = "DHRWA" if v < -_TOL else ("BT" if v > _TOL else None)
+                corollary = "DHRWA" if v < -TOL else ("BT" if v > TOL else None)
     elif hazard.status == "Increasing":
         corollary = "IHRWA"  # IFR implies IHRWA
     elif hazard.status == "Decreasing":
         corollary = "DHRWA"
+    X, grid = ctx.X, ctx.cfg
     try:
         prof = X.profile(grid.n, grid.p_min)
         num = -np.log1p(-prof.grid) - prof.grid  # integral of q/(1-q) over (0, p)
@@ -202,12 +196,12 @@ def classify_ihrwa(X, hazard: HazardShape | None = None, grid: GridConfig = Grid
         surrogate = _SURROGATE_NAMES.get(sh.classification, "Inconclusive")
     except TooOscillatoryError:
         surrogate = "Inconclusive"
-    ev["ihrwa_corollary"] = corollary
-    ev["ihrwa_surrogate"] = surrogate
+    evidence["ihrwa_corollary"] = corollary
+    evidence["ihrwa_surrogate"] = surrogate
     if corollary is None:
         return surrogate
     if surrogate not in ("Inconclusive", corollary):
-        ev["ihrwa_conflict"] = (
+        evidence["ihrwa_conflict"] = (
             f"corollary says {corollary}, surrogate shape says {surrogate}; "
             "surrogate wins"
         )
@@ -216,7 +210,7 @@ def classify_ihrwa(X, hazard: HazardShape | None = None, grid: GridConfig = Grid
         # the endpoint criterion only rules out one monotone class here; the
         # bathtub-vs-upside-down call is genuinely settled by the surrogate,
         # so record that both routes were consulted
-        ev["ihrwa_arbitration"] = (
+        evidence["ihrwa_arbitration"] = (
             "endpoint criterion non-monotone; shape confirmed by the numeric surrogate"
         )
         if surrogate != "Inconclusive":
@@ -224,12 +218,9 @@ def classify_ihrwa(X, hazard: HazardShape | None = None, grid: GridConfig = Grid
     return corollary
 
 
-def classify_ifra(X, hazard: HazardShape | None = None, grid: GridConfig = GridConfig(),
-                  evidence: dict | None = None):
-    """Increasing/decreasing-failure-rate-in-average class via the sign of
+def classify_ifra(ctx: PairContext, hazard: HazardShape, evidence: dict):
+    """Increasing/decreasing-failure-rate-in-average class of ctx.X via the sign of
     A(p) = F^-1(p)*r(F^-1(p)) + log(1-p) at its endpoints and inner extremum."""
-    hazard = hazard or classify_hazard(X, grid)
-    ev = evidence if evidence is not None else {}
     if hazard.status == "Constant":
         return "Both"
     if hazard.status == "Increasing":
@@ -237,23 +228,23 @@ def classify_ifra(X, hazard: HazardShape | None = None, grid: GridConfig = GridC
     if hazard.status == "Decreasing":
         return "DFRA"
     if hazard.status not in ("BT", "UBT") or not hazard.modes:
-        return _ifra_oracle(X, grid)
-    lim0 = delta_limit(X, _EXP, 0)
-    lim1 = delta_limit(X, _EXP, 1)
+        return _ifra_oracle(ctx)
+    lim0 = ctx.delta_lim(0)
+    lim1 = ctx.delta_lim(1)
     pstar = hazard.modes[0][0]
-    a_star = delta(X, _EXP, pstar)
-    ev["ifra_limit_0"] = lim0.to_dict()
-    ev["ifra_limit_1"] = lim1.to_dict()
-    ev["ifra_value_at_pstar"] = a_star
+    a_star = ctx.delta(pstar)
+    evidence["ifra_limit_0"] = lim0.to_dict()
+    evidence["ifra_limit_1"] = lim1.to_dict()
+    evidence["ifra_value_at_pstar"] = a_star
     if not (lim0.is_determinate and lim1.is_determinate):
-        return _ifra_oracle(X, grid)
+        return _ifra_oracle(ctx)
     v0, v1 = lim0.as_float(), lim1.as_float()
     if hazard.status == "UBT":
-        ifra = v0 > -_TOL and v1 > -_TOL
-        dfra = a_star < _TOL
+        ifra = v0 > -TOL and v1 > -TOL
+        dfra = a_star < TOL
     else:
-        dfra = v0 < _TOL and v1 < _TOL
-        ifra = a_star > -_TOL
+        dfra = v0 < TOL and v1 < TOL
+        ifra = a_star > -TOL
     if ifra and dfra:
         return "Both"
     if ifra:
@@ -263,8 +254,8 @@ def classify_ifra(X, hazard: HazardShape | None = None, grid: GridConfig = GridC
     return "Neither"
 
 
-def _ifra_oracle(X, grid):
-    gv = order_oracle(X, _EXP, "star", grid.n)
+def _ifra_oracle(ctx):
+    gv = ctx.oracle("star")
     return {"Increasing": "IFRA", "Decreasing": "DFRA", "Constant": "Both"}.get(
         gv.status, "Neither"
     )
@@ -327,15 +318,14 @@ def _cross_check(notes, name, label, verdict, fwd, rev, both="Both", neither=("B
 
 def aging_report(X, grid: GridConfig = GridConfig()) -> AgingReport:
     """Full aging classification with order-engine cross-checks vs Exp(1)."""
-    hazard = classify_hazard(X, grid)
+    ctx = PairContext(X, _EXP, grid)
+    hazard = classify_hazard(ctx)
     evidence = {}
-    mrl = classify_mrl(X, hazard, grid, evidence)
-    ihrwa = classify_ihrwa(X, hazard, grid, evidence)
-    ifra = classify_ifra(X, hazard, grid, evidence)
+    mrl = classify_mrl(ctx, hazard, evidence)
+    ihrwa = classify_ihrwa(ctx, hazard, evidence)
+    ifra = classify_ifra(ctx, hazard, evidence)
     report = AgingReport(hazard, mrl, ihrwa, ifra, evidence)
 
-    cfg = EngineConfig(grid=grid, oracle_n=grid.n)
-    ctx = PairContext(X, _EXP, cfg)
     notes = report.notes
     _cross_check(notes, "hazard", {"Increasing": "IFR", "Decreasing": "DFR",
                                    "Constant": "Both"}.get(hazard.status, hazard.status),

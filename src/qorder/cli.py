@@ -9,6 +9,7 @@ verdict is Inconclusive.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -19,7 +20,7 @@ from . import dsl
 from .empirical import SampleSet, convexity_scan, load_samples, qq_transform
 from .errors import ParseError, QorderError, ValidationError
 from .models import Govindarajulu, TukeyGeneralized, UnitExponential
-from .orders import INCONCLUSIVE, EngineConfig, PairContext, compare_all, theorem_status
+from .orders import INCONCLUSIVE, PairContext, compare_all, theorem_status
 from .shape import GridConfig, tukey_unimodal_region
 
 __all__ = ["main", "parse_spec", "dumps"]
@@ -90,8 +91,6 @@ def dumps(obj, indent=0):
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -142,8 +141,7 @@ def _require_model(m, flag):
 def run_compare(args):
     X = _require_model(parse_spec(args.x), "--x")
     Y = _require_model(parse_spec(args.y), "--y")
-    cfg = EngineConfig(grid=GridConfig(n=args.grid), oracle_n=args.grid)
-    verdicts = compare_all(X, Y, cfg, method=args.method)
+    verdicts = compare_all(X, Y, GridConfig(n=args.grid), method=args.method)
     report = {
         "schema": 1,
         "command": "compare",
@@ -164,10 +162,9 @@ def _compare_curves(X, Y, path, n):
     px, py = X.profile(min(n, 1024), 1e-4), Y.profile(min(n, 1024), 1e-4)
     ux, uy, fx, gy = px.upper, py.upper, px.q, py.q
     r = py.qd / px.qd
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cols = (px.grid, r, fx * r - gy, fx / X.mean - gy / Y.mean,
-                np.where(fx != 0.0, gy / fx, math.inf),
-                np.where(fx > 0.0, ux / fx, math.inf), np.where(gy > 0.0, uy / gy, math.inf))
+    cols = (px.grid, r, fx * r - gy, fx / X.mean - gy / Y.mean,
+            np.where(fx != 0.0, gy / fx, math.inf),
+            np.where(fx > 0.0, ux / fx, math.inf), np.where(gy > 0.0, uy / gy, math.inf))
     _write_csv(path, ["p", "ratio_qd", "delta", "delta_ps", "quantile_ratio", "eps_x", "eps_y"],
                zip(*cols))
 
@@ -225,7 +222,7 @@ def run_sweep(args):
         raise ValidationError("--step must be positive")
     n1 = int(round((args.alpha1_max - args.alpha1_min) / args.step)) + 1
     n2 = int(round((args.alpha2_max - args.alpha2_min) / args.step)) + 1
-    cfg = EngineConfig(grid=GridConfig(n=args.grid), oracle_n=args.grid)
+    cfg = GridConfig(n=args.grid)
     rows = []
     for i in range(n1):
         a1 = args.alpha1_min + i * args.step
@@ -343,7 +340,9 @@ def main(argv=None):
         if args.lam2 is None:
             args.lam2 = args.eta2 + 1.0
     try:
-        return args.fn(args)
+        # a non-finite intermediate is reported through the result, not as a numpy warning
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except QorderError as exc:
         sys.stderr.write(f"qorder: error: {exc}\n")
         return 1

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .errors import DomainError, ModelIntegrityError, ValidationError
+from .errors import DomainError, ModelIntegrityError, NonFiniteMeanError, ValidationError
 
 __all__ = [
     "GridProfile",
@@ -187,8 +187,6 @@ class TukeyGeneralized(QuantileModel):
     def mean(self):
         # int p^a dp = int (1-p)^a dp = 1/(a+1), so the eta term cancels
         if self.alpha <= -1.0:
-            from .errors import NonFiniteMeanError
-
             raise NonFiniteMeanError("Tukey mean diverges for alpha <= -1")
         return self.lam
 

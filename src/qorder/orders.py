@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    HypothesisError,
     InternalConsistencyError,
     NonFiniteMeanError,
     QorderError,
@@ -52,7 +53,6 @@ __all__ = [
     "Condition",
     "Certificate",
     "OrderVerdict",
-    "EngineConfig",
     "check_convex",
     "check_star",
     "check_qmit",
@@ -73,13 +73,6 @@ EQUIVALENT = "Equivalent"
 INCONCLUSIVE = "Inconclusive"
 
 TOL = 1e-9  # weak inequalities at thresholds; within-tolerance routes to the oracle
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    grid: GridConfig = GridConfig()
-    oracle_n: int = 4096
-    tol: float = TOL
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,7 @@ class OrderVerdict:
         }
 
 
-def _tri(x, sense, tol=TOL):
+def _tri(x, sense):
     """Sign test with a dead zone: True/False, or None when within tolerance
     of the threshold (borderline) or indeterminate."""
     if isinstance(x, LimitValue):
@@ -140,14 +133,14 @@ def _tri(x, sense, tol=TOL):
     if math.isnan(x):
         return None
     if sense == ">=":
-        if x > tol:
+        if x > TOL:
             return True
-        if x < -tol:
+        if x < -TOL:
             return False
         return None
-    if x < -tol:
+    if x < -TOL:
         return True
-    if x > tol:
+    if x > TOL:
         return False
     return None
 
@@ -182,7 +175,7 @@ def _flip_shape(sh: ShapeReport) -> ShapeReport:
 class PairContext:
     """Shared per-pair cache: ratio shape, limits, mode values, oracle runs."""
 
-    def __init__(self, X, Y, cfg: EngineConfig, _shape=None):
+    def __init__(self, X, Y, cfg: GridConfig, _shape=None):
         for m, name in ((X, "X"), (Y, "Y")):
             if not getattr(m, "supports_theorem_paths", True):
                 raise ValidationError(
@@ -204,11 +197,10 @@ class PairContext:
 
     def shape(self) -> ShapeReport:
         if self._shape is None:
-            g = self.cfg.grid
             try:
                 # the ratio's grid values are ratio_qd read off the two profiles
-                px, py = self.X.profile(g.n, g.p_min), self.Y.profile(g.n, g.p_min)
-                self._shape = find_shape(self.ratio, g, py.qd / px.qd)
+                px, py = self._profiles()
+                self._shape = find_shape(self.ratio, self.cfg, py.qd / px.qd)
             except QorderError as exc:  # deterministic: every later call would fail alike
                 self._shape = copy.copy(exc)
         if isinstance(self._shape, QorderError):
@@ -216,6 +208,10 @@ class PairContext:
             # frames refer back to this context (a cycle only the collector frees)
             raise copy.copy(self._shape)
         return self._shape
+
+    def _profiles(self):
+        g = self.cfg
+        return self.X.profile(g.n, g.p_min), self.Y.profile(g.n, g.p_min)
 
     def swap(self) -> "PairContext":
         # one-way: a back-link would make a cycle that outlives the models
@@ -243,8 +239,8 @@ class PairContext:
         """True when G^-1 = c * F^-1 on the probe grid (delta identically 0)."""
 
         def probe():
-            fx = self.X.profile(64, self.cfg.grid.p_min).q
-            gy = self.Y.profile(64, self.cfg.grid.p_min).q
+            fx = self.X.profile(64, self.cfg.p_min).q
+            gy = self.Y.profile(64, self.cfg.p_min).q
             c = gy[32] / fx[32]  # at the probe's middle
             scale = np.max(np.abs(gy)) + abs(c) * np.max(np.abs(fx))
             return bool(np.max(np.abs(gy - c * fx)) <= 1e-9 * max(scale, 1e-300))
@@ -252,35 +248,42 @@ class PairContext:
         return self._memo(("prop",), probe)
 
     def quantile_ratio_shape(self) -> ShapeReport:
-        def build():
-            def qr(p):
-                fx = self.X.quantile(p)
-                if np.any(np.asarray(fx) <= 0.0):
-                    raise DomainError("quantile ratio needs strictly positive F^-1")
-                return self.Y.quantile(p) / fx
+        def positive(fx):
+            if np.any(np.asarray(fx) <= 0.0):
+                raise DomainError("quantile ratio needs strictly positive F^-1")
+            return fx
 
-            return find_shape(qr, self.cfg.grid)
+        def qr(p):
+            fx = positive(self.X.quantile(p))
+            return self.Y.quantile(p) / fx
+
+        def build():
+            # the grid values are qr read off the two profiles; qr refines the modes
+            px, py = self._profiles()
+            fx = positive(px.q)
+            return find_shape(qr, self.cfg, py.q / fx)
 
         return self._memo(("qshape",), build)
 
     def oracle(self, order) -> GridVerdict:
-        return self._memo(("oracle", order), lambda: order_oracle(self.X, self.Y, order, self.cfg.oracle_n))
+        g = self.cfg
+        return self._memo(("oracle", order), lambda: order_oracle(self.X, self.Y, order, g.n, g.p_min))
 
 
 # ---------------------------------------------------------------------------
 # condition helpers
 
 
-def _limit_cond(conds, name, lim: LimitValue, sense, tol):
-    sat = _tri(lim, sense, tol) if lim.is_determinate else None
+def _limit_cond(conds, name, lim: LimitValue, sense):
+    sat = _tri(lim, sense) if lim.is_determinate else None
     value = lim.as_float()
     conds.append(Condition(name, value if not math.isnan(value) else "indeterminate",
                            f"{sense} 0", sat))
     return sat
 
 
-def _value_cond(conds, name, value, sense, tol):
-    sat = _tri(value, sense, tol)
+def _value_cond(conds, name, value, sense):
+    sat = _tri(value, sense)
     conds.append(Condition(name, float(value), f"{sense} 0", sat))
     return sat
 
@@ -292,16 +295,15 @@ def _value_cond(conds, name, value, sense, tol):
 def _star_fwd(ctx: PairContext, conds, tag=""):
     sh = ctx.shape()
     cls = sh.classification
-    tol = ctx.cfg.tol
     if cls == CONSTANT:
-        return _value_cond(conds, tag + "delta_constant", ctx.delta(0.5), ">=", tol)
+        return _value_cond(conds, tag + "delta_constant", ctx.delta(0.5), ">=")
     if cls == INCREASING:
-        return _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), ">=", tol)
+        return _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), ">=")
     if cls == DECREASING:
-        return _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=", tol)
+        return _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=")
     if cls == UNIMODAL_MAX:
-        a = _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), ">=", tol)
-        b = _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=", tol)
+        a = _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), ">=")
+        b = _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=")
         return _and(a, b)
     if cls == UNIMODAL_MIN:
         return _star_rev(ctx.swap(), conds, tag + "swapped.")
@@ -310,29 +312,28 @@ def _star_fwd(ctx: PairContext, conds, tag=""):
         return _star_rev(ctx.swap(), conds, tag + "swapped.")
     modes = sh.modes
     n = len(modes)
-    checks = [_limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), ">=", tol)]
+    checks = [_limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), ">=")]
     for i in range(1, n, 2):  # even-indexed modes p_2, p_4, ... (1-based)
         checks.append(
-            _value_cond(conds, tag + f"delta_at_p{i + 1}", ctx.delta(modes[i].location), ">=", tol)
+            _value_cond(conds, tag + f"delta_at_p{i + 1}", ctx.delta(modes[i].location), ">=")
         )
     if n % 2 == 1:
-        checks.append(_limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=", tol))
+        checks.append(_limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">="))
     return _and(*checks)
 
 
 def _star_rev(ctx: PairContext, conds, tag=""):
     sh = ctx.shape()
     cls = sh.classification
-    tol = ctx.cfg.tol
     if cls == CONSTANT:
-        return _value_cond(conds, tag + "delta_constant", ctx.delta(0.5), "<=", tol)
+        return _value_cond(conds, tag + "delta_constant", ctx.delta(0.5), "<=")
     if cls == INCREASING:
-        return _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), "<=", tol)
+        return _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), "<=")
     if cls == DECREASING:
-        return _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), "<=", tol)
+        return _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), "<=")
     if cls == UNIMODAL_MAX:
         pstar = sh.modes[0].location
-        return _value_cond(conds, tag + "delta_at_pstar", ctx.delta(pstar), "<=", tol)
+        return _value_cond(conds, tag + "delta_at_pstar", ctx.delta(pstar), "<=")
     if cls == UNIMODAL_MIN:
         return _star_fwd(ctx.swap(), conds, tag + "swapped.")
     if sh.segments[0].direction == "decreasing":
@@ -341,10 +342,10 @@ def _star_rev(ctx: PairContext, conds, tag=""):
     n = len(modes)
     checks = []
     if n % 2 == 0:
-        checks.append(_limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), "<=", tol))
+        checks.append(_limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), "<="))
     for i in range(0, n, 2):  # p_1, p_3, ... (1-based odd)
         checks.append(
-            _value_cond(conds, tag + f"delta_at_p{i + 1}", ctx.delta(modes[i].location), "<=", tol)
+            _value_cond(conds, tag + f"delta_at_p{i + 1}", ctx.delta(modes[i].location), "<=")
         )
     return _and(*checks)
 
@@ -356,7 +357,6 @@ def _star_rev(ctx: PairContext, conds, tag=""):
 def _qmit_fwd(ctx: PairContext, conds, tag=""):
     sh = ctx.shape()
     cls = sh.classification
-    tol = ctx.cfg.tol
     if cls in (CONSTANT, INCREASING):
         conds.append(Condition(tag + "ratio_monotone", cls, "increasing ratio implies qmit", True))
         return True
@@ -375,11 +375,10 @@ def _qmit_fwd(ctx: PairContext, conds, tag=""):
                 tag + f"delta_qmit_at_p{i + 1}",
                 deltas.delta_qmit(ctx.X, ctx.Y, modes[i].location),
                 ">=",
-                tol,
             )
         )
     if n % 2 == 1:
-        checks.append(_limit_cond(conds, tag + "lim_centered_delta_1", ctx.centered_lim(1), ">=", tol))
+        checks.append(_limit_cond(conds, tag + "lim_centered_delta_1", ctx.centered_lim(1), ">="))
     return _and(*checks)
 
 
@@ -390,7 +389,6 @@ def _qmit_fwd(ctx: PairContext, conds, tag=""):
 def _dmrl_fwd(ctx: PairContext, conds, tag=""):
     sh = ctx.shape()
     cls = sh.classification
-    tol = ctx.cfg.tol
     if cls in (CONSTANT, INCREASING):
         conds.append(Condition(tag + "ratio_monotone", cls, "increasing ratio implies dmrl", True))
         return True
@@ -406,7 +404,7 @@ def _dmrl_fwd(ctx: PairContext, conds, tag=""):
         picks = range(0, n, 2)  # delta_dmrl at p_1, p_3, ...
     else:
         picks = range(1, n, 2)  # delta_dmrl at p_2, p_4, ...
-        checks.append(_limit_cond(conds, tag + "lim_centered_delta_0", ctx.centered_lim(0), ">=", tol))
+        checks.append(_limit_cond(conds, tag + "lim_centered_delta_0", ctx.centered_lim(0), ">="))
     for i in picks:
         checks.append(
             _value_cond(
@@ -414,7 +412,6 @@ def _dmrl_fwd(ctx: PairContext, conds, tag=""):
                 tag + f"delta_dmrl_at_p{i + 1}",
                 deltas.delta_dmrl(ctx.X, ctx.Y, modes[i].location),
                 ">=",
-                tol,
             )
         )
     return _and(*checks)
@@ -425,7 +422,6 @@ def _dmrl_fwd(ctx: PairContext, conds, tag=""):
 
 
 def _ps_fwd(ctx: PairContext, conds, star_fwd, tag=""):
-    tol = ctx.cfg.tol
     if star_fwd is True:
         conds.append(Condition(tag + "implied_by_star", "star holds", "star implies ps", True))
         return True
@@ -434,16 +430,15 @@ def _ps_fwd(ctx: PairContext, conds, star_fwd, tag=""):
         return _ps_rev(ctx.swap(), conds, None, tag + "swapped.")
     if sh.classification != UNIMODAL_MAX:
         return None
-    a = _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), "<=", tol)
-    b = _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=", tol)
-    c = _limit_cond(conds, tag + "lim_delta_ps_0", ctx.ps_lim0(), ">=", tol)
+    a = _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), "<=")
+    b = _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=")
+    c = _limit_cond(conds, tag + "lim_delta_ps_0", ctx.ps_lim0(), ">=")
     res = _and(a, b, c)
     # the case conditions are sufficient; their failure alone does not refute ps
     return True if res is True else None
 
 
 def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
-    tol = ctx.cfg.tol
     if star_rev is True:
         conds.append(Condition(tag + "implied_by_star", "star holds reversed", "star implies ps", True))
         return True
@@ -452,9 +447,9 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
         return _ps_fwd(ctx.swap(), conds, None, tag + "swapped.")
     if sh.classification != UNIMODAL_MAX:
         return None
-    lim0 = _tri(ctx.delta_lim(0), ">=", tol)
-    lim1 = _tri(ctx.delta_lim(1), "<=", tol)
-    ps0 = _tri(ctx.ps_lim0(), "<=", tol)
+    lim0 = _tri(ctx.delta_lim(0), ">=")
+    lim1 = _tri(ctx.delta_lim(1), "<=")
+    ps0 = _tri(ctx.ps_lim0(), "<=")
     # case a: delta starts non-negative, ends negative
     case_a = _and(lim0, lim1, ps0)
     conds.append(Condition(tag + "case_a(lim0>=0, lim1<0, ps0<=0)",
@@ -463,9 +458,9 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
     if case_a is True:
         return True
     # case b: both delta limits negative, positive spike at the ratio mode
-    neg0 = _tri(ctx.delta_lim(0), "<=", tol)
-    neg1 = _tri(ctx.delta_lim(1), "<=", tol)
-    spike = _tri(ctx.delta(sh.modes[0].location), ">=", tol)
+    neg0 = _tri(ctx.delta_lim(0), "<=")
+    neg1 = _tri(ctx.delta_lim(1), "<=")
+    spike = _tri(ctx.delta(sh.modes[0].location), ">=")
     pieces = [neg0, neg1, spike, ps0]
     if _and(*pieces) is True:
         qsh = ctx.quantile_ratio_shape()
@@ -473,7 +468,7 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
         if mins:
             p1 = mins[0].location
             eps_gap = deltas.eps(ctx.X, p1) - deltas.eps(ctx.Y, p1)
-            sat = _value_cond(conds, tag + "eps_X_minus_eps_Y_at_p1", eps_gap, ">=", tol)
+            sat = _value_cond(conds, tag + "eps_X_minus_eps_Y_at_p1", eps_gap, ">=")
             if sat is True:
                 conds.append(Condition(tag + "case_b", "satisfied", "sufficient for reversed ps", True))
                 return True
@@ -549,7 +544,8 @@ def _finish(ctx, order, theorem, fwd, rev, conds):
         gv = ctx.oracle(order)
         conds.append(_oracle_cond(order, gv, "grid monotonicity at "))
         of, orv = _oracle_directions(gv)
-        if gv.status != "Mixed" and gv.margin < ctx.cfg.tol and gv.status != "Constant":
+        # oracle margins are >= ORACLE_REL_TOL = TOL by construction: true only by last-bit rounding
+        if gv.status != "Mixed" and gv.margin < TOL and gv.status != "Constant":
             of = orv = None  # margin too thin to trust
         if fwd is None:
             fwd, method = of, "numeric-fallback"
@@ -566,7 +562,7 @@ def _equivalent_verdict(order, theorem):
 
 
 def _ctx(X, Y, cfg):
-    return PairContext(X, Y, cfg or EngineConfig())
+    return PairContext(X, Y, cfg or GridConfig())
 
 
 def check_convex(X, Y, cfg=None, ctx=None):
@@ -689,7 +685,7 @@ def _check_implications(verdicts: dict, zero_left_support: bool):
         raise InternalConsistencyError("implication diagram violated: " + "; ".join(problems))
 
 
-def compare_all(X, Y, cfg: EngineConfig | None = None, method: str = "theorem"):
+def compare_all(X, Y, cfg: GridConfig | None = None, method: str = "theorem"):
     """Run every order check on the pair and derive nbue by implication.
 
     method "theorem" runs the certified path (with its internal oracle
@@ -697,10 +693,9 @@ def compare_all(X, Y, cfg: EngineConfig | None = None, method: str = "theorem"):
     definitions, "both" runs the two and raises on any disagreement between
     determinate statuses.
     """
-    cfg = cfg or EngineConfig()
     if method not in ("theorem", "oracle", "both"):
         raise ValidationError(f"unknown method {method!r}")
-    ctx = PairContext(X, Y, cfg)
+    ctx = _ctx(X, Y, cfg)
     results = {}
     if method in ("theorem", "both"):
         results["theorem"] = _compare_theorem(ctx)
@@ -766,14 +761,12 @@ class QuantileRatioPrediction:
         return {"case": self.case, "directions": list(self.directions)}
 
 
-def predict_quantile_ratio_shape(X, Y, cfg: EngineConfig | None = None):
+def predict_quantile_ratio_shape(X, Y, cfg: GridConfig | None = None):
     """Predict the segmentation of G^-1/F^-1 from the endpoint limits of delta,
     assuming the quantile-density ratio is increasing-then-decreasing."""
     ctx = _ctx(X, Y, cfg)
     sh = ctx.shape()
     if sh.classification != UNIMODAL_MAX:
-        from .errors import HypothesisError
-
         raise HypothesisError(
             f"ratio shape is {sh.classification}; the case analysis needs a single maximum "
             "(use the n-modal mode-counting path instead)"

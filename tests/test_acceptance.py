@@ -21,7 +21,6 @@ from qorder.orders import (
     HOLDS_REVERSED,
     INCONCLUSIVE,
     ORDERS,
-    EngineConfig,
     check_star,
     compare_all,
 )
@@ -43,7 +42,7 @@ def _statuses(verdicts):
 
 def test_tukey_worked_example():
     t0 = time.perf_counter()
-    got = _statuses(compare_all(X_TUKEY, Y_TUKEY, EngineConfig(), method="both"))
+    got = _statuses(compare_all(X_TUKEY, Y_TUKEY, GridConfig(), method="both"))
     elapsed = time.perf_counter() - t0
     expected = {
         "convex": BOTH_FAIL,

@@ -15,10 +15,15 @@ from qorder.aging import (
     wa_surrogate,
 )
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
+from qorder.orders import PairContext
 from qorder.shape import GridConfig, find_shape, ratio_qd
 
 GOV = Govindarajulu(0, 2, 2)
 EXP = UnitExponential()
+
+
+def _ctx(X):
+    return PairContext(X, EXP, GridConfig())
 
 
 class TestHazardQuantile:
@@ -39,17 +44,17 @@ class TestHazardQuantile:
 
 class TestHazardShape:
     def test_govindarajulu_bathtub(self):
-        h = classify_hazard(GOV)
+        h = classify_hazard(_ctx(GOV))
         assert h.status == "BT"
         assert h.modes[0][0] == pytest.approx(1 / 3, abs=1e-6)
         assert h.modes[0][1] == "min"
 
     def test_exponential_constant(self):
-        assert classify_hazard(EXP).status == "Constant"
+        assert classify_hazard(_ctx(EXP)).status == "Constant"
 
     def test_monotone_for_small_beta(self):
-        assert classify_hazard(Govindarajulu(0, 2, 0.5)).status == "Increasing"
-        assert classify_hazard(Govindarajulu(0, 2, 1.0)).status == "Increasing"
+        assert classify_hazard(_ctx(Govindarajulu(0, 2, 0.5))).status == "Increasing"
+        assert classify_hazard(_ctx(Govindarajulu(0, 2, 1.0))).status == "Increasing"
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +122,8 @@ class TestSurrogate:
 
     def test_ihrwa_class_standalone_matches_report(self):
         ev = {}
-        assert classify_ihrwa(GOV, evidence=ev) == "BT"
+        ctx = _ctx(GOV)
+        assert classify_ihrwa(ctx, classify_hazard(ctx), ev) == "BT"
         assert ev["ihrwa_surrogate"] == "BT"
 
 
@@ -146,11 +152,37 @@ class TestImplicationChain:
 
     def test_mrl_classifier_consistent_with_report(self):
         for m in self.MODELS:
-            assert classify_mrl(m) == aging_report(m).mrl_class, m.label()
+            ctx = _ctx(m)
+            assert classify_mrl(ctx, classify_hazard(ctx), {}) == aging_report(m).mrl_class, m.label()
 
     def test_ifra_classifier_consistent_with_report(self):
         for m in self.MODELS:
-            assert classify_ifra(m) == aging_report(m).ifra_class, m.label()
+            ctx = _ctx(m)
+            assert classify_ifra(ctx, classify_hazard(ctx), {}) == aging_report(m).ifra_class, m.label()
+
+
+class TestOneContext:
+    def test_report_hands_one_context_to_classifiers_and_cross_checks(self, monkeypatch):
+        seen = []
+
+        def record(name):
+            real = getattr(aging, name)
+
+            def spy(*args, **kw):
+                seen.append((name, kw["ctx"] if "ctx" in kw else args[0]))
+                return real(*args, **kw)
+
+            monkeypatch.setattr(aging, name, spy)
+
+        names = [f"classify_{k}" for k in ("hazard", "mrl", "ihrwa", "ifra")]
+        names += [f"check_{o}" for o in ("convex", "dmrl", "qmit", "star")]
+        for name in names:
+            record(name)
+        aging_report(GOV)
+        assert sorted(name for name, _ in seen) == sorted(names)
+        ctx = seen[0][1]
+        assert isinstance(ctx, PairContext) and (ctx.X, ctx.Y) == (GOV, EXP)
+        assert all(c is ctx for _, c in seen)
 
 
 class TestReportSerialization:

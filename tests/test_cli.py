@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ class TestCompareCommand:
     def test_negative_support_exits_one(self, capsys):
         assert main(["compare", "--x", "tukey:1,2,3", "--y", "exp1"]) == 1
         assert "support" in capsys.readouterr().err
+
+    def test_no_numpy_warning_leaks(self, capsys):
+        # the ratio's grid values divide by zero; the report is the error line alone
+        argv = ["compare", "--x", "dsl:-s*log(1-p);s=0.675112",
+                "--y", "govindarajulu:0.779561,2.77642,1.11827"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 1
+        assert capsys.readouterr().err.startswith("qorder: error: ")
 
     def test_sample_input_refused(self, tmp_path, capsys):
         f = tmp_path / "s.csv"

@@ -1,5 +1,5 @@
-"""Source hygiene: no unused imports in the package, and no module reaches
-into another through private names."""
+"""Source hygiene: no unused imports in the package, no import inside a
+function, and no module reaches into another through private names."""
 
 import ast
 from pathlib import Path
@@ -39,6 +39,18 @@ def test_no_unused_imports():
         for path in sorted(PKG.glob("*.py"))
         if path.name != "__init__.py"  # its imports are the package's public names
         for line, name in _unused_imports(_tree(path))
+    ]
+    assert problems == []
+
+
+def test_no_function_level_imports():
+    problems = [
+        f"{path.name}:{node.lineno} in {fn.name}"
+        for path in sorted(PKG.glob("*.py"))
+        for fn in ast.walk(_tree(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert problems == []
 

@@ -7,7 +7,7 @@ import pytest
 
 from qorder import deltas, oracle, orders
 from qorder.cli import parse_spec
-from qorder.errors import QuadratureError, TooOscillatoryError, ValidationError
+from qorder.errors import DomainError, QuadratureError, TooOscillatoryError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.orders import (
     BOTH_FAIL,
@@ -24,7 +24,7 @@ from qorder.orders import (
     compare_all,
     predict_quantile_ratio_shape,
 )
-from qorder.shape import find_shape, tukey_unimodal_region
+from qorder.shape import GridConfig, find_shape, tukey_unimodal_region
 
 X_TUKEY = TukeyGeneralized(4, 1, 2.5)
 Y_TUKEY = TukeyGeneralized(1.5, 1, 1.5)
@@ -144,8 +144,8 @@ class TestShapeFromProfiles:
         ("govindarajulu:0,2,2", "exp1"),             # the hazard quantile, unimodal min
     ])
     def test_equals_find_shape_on_the_ratio(self, x, y):
-        ctx = orders.PairContext(parse_spec(x), parse_spec(y), orders.EngineConfig())
-        assert ctx.shape() == find_shape(ctx.ratio, ctx.cfg.grid)
+        ctx = orders.PairContext(parse_spec(x), parse_spec(y), GridConfig())
+        assert ctx.shape() == find_shape(ctx.ratio, ctx.cfg)
 
     def test_both_evaluates_each_quantile_density_once_on_the_grid(self, monkeypatch):
         calls = Counter()
@@ -181,14 +181,59 @@ class TestShapeFromProfiles:
 
     def test_stored_failure_reraised_unchanged(self):
         X = parse_spec("dsl:-s*log(1-p);s=2")
-        ctx = orders.PairContext(X, TukeyGeneralized(4, 1, 2.5), orders.EngineConfig())
+        ctx = orders.PairContext(X, TukeyGeneralized(4, 1, 2.5), GridConfig())
         seen = []
-        for shape in (lambda: find_shape(ctx.ratio, ctx.cfg.grid), ctx.shape, ctx.shape):
+        for shape in (lambda: find_shape(ctx.ratio, ctx.cfg), ctx.shape, ctx.shape):
             with pytest.raises(TooOscillatoryError) as info:
                 shape()
             seen.append((str(info.value), info.value.modes))
         assert seen[0] == seen[1] == seen[2]
         assert len(seen[0][1]) > 16
+
+
+class TestGridConfigDrivesEveryRoute:
+    def test_oracle_reads_the_configured_profiles_only(self):
+        X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
+        ctx = orders.PairContext(X, Y, GridConfig(n=512, p_min=1e-4))
+        for order in ORDERS:
+            assert ctx.oracle(order).n == 512
+        for m in (X, Y):
+            assert set(m.__dict__["_profiles"]) == {(512, 1e-4)}
+
+
+class TestQuantileRatioShapeFromProfiles:
+    # reversed ps, case b: the only route that reads the quantile-ratio shape
+    X, Y = "tukey:2.20268,1.5292,2.43994", "tukey:1.48892,0.885053,1.29627"
+
+    def test_equals_find_shape_on_the_quantile_ratio(self):
+        X, Y = parse_spec(self.X), parse_spec(self.Y)
+        ctx = orders.PairContext(X, Y, GridConfig())
+        assert ctx.quantile_ratio_shape() == find_shape(lambda p: Y.quantile(p) / X.quantile(p),
+                                                        GridConfig())
+
+    def test_both_evaluates_each_quantile_once_on_the_grid(self, monkeypatch):
+        calls = Counter()
+        real = TukeyGeneralized.quantile
+
+        def spy(self, p):
+            if np.ndim(p) == 1 and np.size(p) == 4096:
+                calls[id(self)] += 1
+            return real(self, p)
+
+        monkeypatch.setattr(TukeyGeneralized, "quantile", spy)
+        X, Y = parse_spec(self.X), parse_spec(self.Y)
+        verdicts = {v.order: v for v in compare_all(X, Y, method="both")}
+        assert "case_b" in [c.name for c in verdicts["ps"].certificate.conditions]
+        assert calls == {id(X): 1, id(Y): 1}
+
+    def test_non_positive_quantile_refused(self):
+        class Shifted(UnitExponential):  # claims support from 0, yet F^-1 < 0 near 0
+            def quantile(self, p):
+                return super().quantile(p) - 1e-3
+
+        ctx = orders.PairContext(Shifted(), UnitExponential(), GridConfig())
+        with pytest.raises(DomainError, match="strictly positive F"):
+            ctx.quantile_ratio_shape()
 
 
 class TestNbuePositiveLeftSupport:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deltas import finite_mean, lower_weighted_integral, mrl_quantile
+from .deltas import finite_mean, lower_weighted_integral
 from .errors import InternalConsistencyError, TooOscillatoryError
 from .limits import LimitValue, limit_at, ratio_qd_tail
 from .models import UnitExponential
@@ -42,6 +42,7 @@ from .shape import (
     UNIMODAL_MIN,
     GridConfig,
     find_shape,
+    shape_class,
 )
 
 __all__ = [
@@ -104,16 +105,14 @@ def _hazard_limit0(ctx) -> LimitValue:
 
 
 def _mrl_shape_fallback(ctx):
-    X, grid = ctx.X, ctx.cfg
-    prof = X.profile(grid.n, grid.p_min)
-    sh = find_shape(lambda p: mrl_quantile(X, p), grid, prof.upper / (1.0 - prof.grid))
+    prof = ctx.X.profile(ctx.cfg.n, ctx.cfg.p_min)
     return {
         CONSTANT: "Constant",
         INCREASING: "IMRL",
         DECREASING: "DMRL",
         UNIMODAL_MAX: "UBT",
         UNIMODAL_MIN: "BT",
-    }.get(sh.classification, "Inconclusive")
+    }.get(shape_class(prof.upper / (1.0 - prof.grid), ctx.cfg), "Inconclusive")
 
 
 def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
@@ -188,12 +187,10 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
         corollary = "IHRWA"  # IFR implies IHRWA
     elif hazard.status == "Decreasing":
         corollary = "DHRWA"
-    X, grid = ctx.X, ctx.cfg
     try:
-        prof = X.profile(grid.n, grid.p_min)
+        prof = ctx.X.profile(ctx.cfg.n, ctx.cfg.p_min)
         num = -np.log1p(-prof.grid) - prof.grid  # integral of q/(1-q) over (0, p)
-        sh = find_shape(lambda p: wa_surrogate(X, p), grid, num / prof.lower)
-        surrogate = _SURROGATE_NAMES.get(sh.classification, "Inconclusive")
+        surrogate = _SURROGATE_NAMES.get(shape_class(num / prof.lower, ctx.cfg), "Inconclusive")
     except TooOscillatoryError:
         surrogate = "Inconclusive"
     evidence["ihrwa_corollary"] = corollary
@@ -281,29 +278,18 @@ class AgingReport:
         }
 
 
-# class label -> acceptable order-engine statuses versus Exp(1)
-_CLASS_TO_STATUS = {
-    "forward": (HOLDS, EQUIVALENT),
-    "reversed": (HOLDS_REVERSED, EQUIVALENT),
-    "neither": (BOTH_FAIL,),
-    "both": (EQUIVALENT,),
+# class label -> the order-engine statuses versus Exp(1) it allows; a label
+# not listed here (Inconclusive) is not enforced
+_ALLOWED_STATUSES = {
+    **dict.fromkeys(("IFR", "DMRL", "IHRWA", "IFRA"), (HOLDS, EQUIVALENT)),
+    **dict.fromkeys(("DFR", "IMRL", "DHRWA", "DFRA"), (HOLDS_REVERSED, EQUIVALENT)),
+    **dict.fromkeys(("Both", "Constant"), (EQUIVALENT,)),
+    **dict.fromkeys(("BT", "UBT", "NModal", "Neither"), (BOTH_FAIL,)),
 }
 
 
-def _expected_statuses(label, fwd, rev, both, neither):
-    if label == both:
-        return _CLASS_TO_STATUS["both"]
-    if label == fwd:
-        return _CLASS_TO_STATUS["forward"]
-    if label == rev:
-        return _CLASS_TO_STATUS["reversed"]
-    if label in neither:
-        return _CLASS_TO_STATUS["neither"]
-    return None  # Inconclusive or shape-only label; nothing to enforce
-
-
-def _cross_check(notes, name, label, verdict, fwd, rev, both="Both", neither=("BT", "UBT", "Neither")):
-    expected = _expected_statuses(label, fwd, rev, both, neither)
+def _cross_check(notes, name, label, verdict):
+    expected = _ALLOWED_STATUSES.get(label)
     if expected is None or verdict.status == INCONCLUSIVE:
         notes.append(f"{name}: class {label}, order engine {verdict.status} (not enforced)")
         return
@@ -327,13 +313,10 @@ def aging_report(X, grid: GridConfig = GridConfig()) -> AgingReport:
     report = AgingReport(hazard, mrl, ihrwa, ifra, evidence)
 
     notes = report.notes
-    _cross_check(notes, "hazard", {"Increasing": "IFR", "Decreasing": "DFR",
-                                   "Constant": "Both"}.get(hazard.status, hazard.status),
-                 check_convex(X, _EXP, ctx=ctx), "IFR", "DFR",
-                 neither=("BT", "UBT", "NModal"))
-    _cross_check(notes, "mrl", mrl, check_dmrl(X, _EXP, ctx=ctx), "DMRL", "IMRL",
-                 both="Constant")
-    _cross_check(notes, "ihrwa", ihrwa, check_qmit(X, _EXP, ctx=ctx), "IHRWA", "DHRWA")
-    _cross_check(notes, "ifra", ifra, check_star(X, _EXP, ctx=ctx), "IFRA", "DFRA",
-                 neither=("Neither",))
+    hazard_label = {"Increasing": "IFR", "Decreasing": "DFR",
+                    "Constant": "Both"}.get(hazard.status, hazard.status)
+    _cross_check(notes, "hazard", hazard_label, check_convex(X, _EXP, ctx=ctx))
+    _cross_check(notes, "mrl", mrl, check_dmrl(X, _EXP, ctx=ctx))
+    _cross_check(notes, "ihrwa", ihrwa, check_qmit(X, _EXP, ctx=ctx))
+    _cross_check(notes, "ifra", ifra, check_star(X, _EXP, ctx=ctx))
     return report

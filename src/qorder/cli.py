@@ -40,6 +40,21 @@ def _floats(text, n, what):
         raise ParseError(f"{what}: non-numeric parameter in {text!r}") from exc
 
 
+def _bindings(clauses, what):
+    """{name: value} from ``name=value`` clauses; ``what`` names a clause in errors."""
+    out = {}
+    for clause in clauses:
+        if "=" not in clause:
+            raise ParseError(f"{what} {clause!r} is not name=value")
+        name, value = clause.split("=", 1)
+        name = name.strip()
+        try:
+            out[name] = float(value)
+        except ValueError as exc:
+            raise ParseError(f"dsl parameter {name}={value!r} is not numeric") from exc
+    return out
+
+
 def parse_spec(spec: str):
     """Build a model (or SampleSet) from a spec string.
 
@@ -59,21 +74,15 @@ def parse_spec(spec: str):
     if head == "csv":
         return load_samples(rest)
     if head == "dsl":
-        parts = rest.split(";")
-        qf, qdf, bindings = parts[0], None, {}
-        for part in parts[1:]:
-            if "=" not in part:
-                raise ParseError(f"dsl spec clause {part!r} is not name=value")
-            name, value = part.split("=", 1)
-            name = name.strip()
-            if name == "qdf":
+        qf, *clauses = rest.split(";")
+        qdf, params = None, []
+        for clause in clauses:
+            name, eq, value = clause.partition("=")
+            if eq and name.strip() == "qdf":
                 qdf = value
             else:
-                try:
-                    bindings[name] = float(value)
-                except ValueError as exc:
-                    raise ParseError(f"dsl parameter {name}={value!r} is not numeric") from exc
-        return dsl.as_quantile_model(qf, qdf, bindings)
+                params.append(clause)
+        return dsl.as_quantile_model(qf, qdf, _bindings(params, "dsl spec clause"))
     raise ParseError(f"unrecognized model spec {spec!r}")
 
 
@@ -138,10 +147,16 @@ def _require_model(m, flag):
     return m
 
 
+def _grid_config(n):
+    if n < 3:
+        raise ValidationError(f"--grid must be at least 3, got {n}")
+    return GridConfig(n=n)
+
+
 def run_compare(args):
     X = _require_model(parse_spec(args.x), "--x")
     Y = _require_model(parse_spec(args.y), "--y")
-    verdicts = compare_all(X, Y, GridConfig(n=args.grid), method=args.method)
+    verdicts = compare_all(X, Y, _grid_config(args.grid), method=args.method)
     report = {
         "schema": 1,
         "command": "compare",
@@ -171,7 +186,7 @@ def _compare_curves(X, Y, path, n):
 
 def run_aging(args):
     X = _require_model(parse_spec(args.x), "--x")
-    report_obj = aging_mod.aging_report(X, GridConfig(n=args.grid))
+    report_obj = aging_mod.aging_report(X, _grid_config(args.grid))
     report = {
         "schema": 1,
         "command": "aging",
@@ -220,9 +235,9 @@ def run_empirical(args):
 def run_sweep(args):
     if args.step <= 0.0:
         raise ValidationError("--step must be positive")
+    cfg = _grid_config(args.grid)
     n1 = int(round((args.alpha1_max - args.alpha1_min) / args.step)) + 1
     n2 = int(round((args.alpha2_max - args.alpha2_min) / args.step)) + 1
-    cfg = GridConfig(n=args.grid)
     rows = []
     for i in range(n1):
         a1 = args.alpha1_min + i * args.step
@@ -254,12 +269,7 @@ def run_sweep(args):
 
 
 def run_eval(args):
-    bindings = {}
-    for item in args.param or []:
-        if "=" not in item:
-            raise ValidationError(f"--param expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        bindings[name] = float(value)
+    bindings = _bindings(args.param or [], "--param")
     expr = dsl.parse(args.qf)
     report = {
         "schema": 1,

@@ -118,16 +118,14 @@ def mit_quantile(X, p):
     return lower_weighted_integral(X, p) / float(p)
 
 
-def delta_limit(X, Y, endpoint, force_numeric=False) -> LimitValue:
-    hint = None if force_numeric else delta_tail_hint(X, Y, endpoint)
-    return limit_at(lambda p: delta(X, Y, p), endpoint, hint)
+def delta_limit(X, Y, endpoint) -> LimitValue:
+    return limit_at(lambda p: delta(X, Y, p), endpoint, delta_tail_hint(X, Y, endpoint))
 
 
-def centered_delta_limit(X, Y, endpoint, force_numeric=False) -> LimitValue:
-    hint = None if force_numeric else centered_delta_tail_hint(X, Y, endpoint)
+def centered_delta_limit(X, Y, endpoint) -> LimitValue:
+    hint = centered_delta_tail_hint(X, Y, endpoint)
     return limit_at(lambda p: centered_delta(X, Y, p), endpoint, hint)
 
 
-def delta_ps_limit(X, Y, endpoint, force_numeric=False) -> LimitValue:
-    hint = None if force_numeric else delta_ps_tail_hint(X, Y, endpoint)
-    return limit_at(lambda p: delta_ps(X, Y, p), endpoint, hint)
+def delta_ps_limit(X, Y, endpoint) -> LimitValue:
+    return limit_at(lambda p: delta_ps(X, Y, p), endpoint, delta_ps_tail_hint(X, Y, endpoint))

@@ -309,11 +309,10 @@ def evaluate(expr: Expression, p, bindings=None):
 class DslModel(QuantileModel):
     """Quantile model backed by parsed expressions."""
 
-    def __init__(self, qf, qdf=None, bindings=None, source=None):
+    def __init__(self, qf, qdf=None, bindings=None):
         self._qf = qf
         self._qdf = qdf
         self._bindings = dict(bindings or {})
-        self._source = source or render(qf)
         self._validate()
 
     def _validate(self):
@@ -347,7 +346,7 @@ class DslModel(QuantileModel):
         return super().tail_quantile(end)
 
     def label(self):
-        parts = [f"dsl:{self._source}"]
+        parts = [f"dsl:{render(self._qf)}"]
         if self._qdf is not None:
             parts.append(f"qdf={render(self._qdf)}")
         parts.extend(f"{k}={v:g}" for k, v in sorted(self._bindings.items()))

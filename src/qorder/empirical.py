@@ -90,7 +90,7 @@ def qq_transform(SX: SampleSet, SY: SampleSet):
     ]
 
 
-def convexity_scan(points, min_run=None):
+def convexity_scan(points):
     """Classify the curvature pattern of a piecewise-linear curve.
 
     Looks at the signs of the second differences of y with respect to x and
@@ -122,7 +122,7 @@ def convexity_scan(points, min_run=None):
     signs[second > 1e-12 * scale] = 1
     signs[second < -1e-12 * scale] = -1
 
-    min_run = min_run or math.ceil(len(pts) / 20)
+    min_run = math.ceil(len(pts) / 20)
     runs = []
     for s in signs:
         if runs and runs[-1][0] == s:

@@ -50,17 +50,13 @@ class LimitValue:
         return LimitValue(INDETERMINATE, None, "extrapolation", list(diagnostics))
 
     @staticmethod
-    def from_extended(x, method="analytic-hint"):
+    def from_extended(x):
         """Build from an extended real (float, may be +-inf); None stays None."""
         if x is None:
             return None
         if math.isinf(x):
-            return LimitValue.infinite(1 if x > 0 else -1, method)
-        return LimitValue.finite(x, method)
-
-    @property
-    def is_finite(self):
-        return self.kind == FINITE
+            return LimitValue.infinite(1 if x > 0 else -1, "analytic-hint")
+        return LimitValue.finite(x, "analytic-hint")
 
     @property
     def is_determinate(self):

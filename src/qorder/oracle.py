@@ -141,8 +141,8 @@ class GridVerdict:
         }
 
 
-def _classify_signs(grid, deltas, scales, tol):
-    thr = tol * scales
+def _classify_signs(grid, deltas, scales):
+    thr = ORACLE_REL_TOL * scales
     pos = deltas > thr
     neg = deltas < -thr
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
@@ -164,27 +164,27 @@ def _classify_signs(grid, deltas, scales, tol):
     return status, margin, worst
 
 
-def _monotone_verdict(grid, vals, tol=ORACLE_REL_TOL):
+def _monotone_verdict(grid, vals):
     """Adjacent-pair monotonicity of the values vals taken on grid."""
     deltas = np.diff(vals)
     scales = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
-    return GridVerdict(*_classify_signs(grid[:-1], deltas, scales, tol), len(grid))
+    return GridVerdict(*_classify_signs(grid[:-1], deltas, scales), len(grid))
 
 
-def grid_monotone(fn, n=4096, tol=ORACLE_REL_TOL, p_min=1e-6):
+def grid_monotone(fn, n=4096, p_min=1e-6):
     """Adjacent-pair monotonicity of a vectorized fn on a logit-uniform grid."""
     grid = logit_grid(n, p_min)
     vals = np.asarray(fn(grid), dtype=float)
     if np.any(~np.isfinite(vals)):
         raise DomainError("function not finite on the working grid")
-    return _monotone_verdict(grid, vals, tol)
+    return _monotone_verdict(grid, vals)
 
 
-def grid_sign(grid, values, scales, tol=ORACLE_REL_TOL):
+def grid_sign(grid, values, scales):
     """Pointwise sign check: all-positive maps to "Increasing" (forward holds)."""
     values = np.asarray(values, dtype=float)
     scales = np.maximum(np.asarray(scales, dtype=float), 1e-300)
-    status, margin, worst = _classify_signs(grid, values, scales, tol)
+    status, margin, worst = _classify_signs(grid, values, scales)
     return GridVerdict(status, margin, worst, len(grid))
 
 

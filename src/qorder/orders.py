@@ -544,9 +544,6 @@ def _finish(ctx, order, theorem, fwd, rev, conds):
         gv = ctx.oracle(order)
         conds.append(_oracle_cond(order, gv, "grid monotonicity at "))
         of, orv = _oracle_directions(gv)
-        # oracle margins are >= ORACLE_REL_TOL = TOL by construction: true only by last-bit rounding
-        if gv.status != "Mixed" and gv.margin < TOL and gv.status != "Constant":
-            of = orv = None  # margin too thin to trust
         if fwd is None:
             fwd, method = of, "numeric-fallback"
         if rev is None:

@@ -1,7 +1,8 @@
 """Monotonicity segmentation of functions on (0,1).
 
 `find_shape` splits a function into monotone pieces by locating derivative
-sign changes on a logit-uniform grid and refining each one by bisection.  The
+sign changes on a logit-uniform grid and refining each one by bisection;
+`shape_class` gives the same classification from the grid scan alone.  The
 quantile-density ratio of two models, whose shape drives every theorem in the
 order engine, lives here as well.
 """
@@ -23,6 +24,7 @@ __all__ = [
     "ShapeReport",
     "ratio_qd",
     "find_shape",
+    "shape_class",
     "tukey_unimodal_region",
     "CONSTANT",
     "INCREASING",
@@ -120,20 +122,18 @@ def _refine_mode(fn, lo, hi, kind):
     return min(max(m, lo - 1e-9), hi + 1e-9)
 
 
-def find_shape(fn, cfg: GridConfig = GridConfig(), values=None):
-    """Segment fn on (0,1) into monotone pieces and type its modes.  fn must be
-    vectorized unless ``values`` already holds its values on logit_grid(cfg.n,
-    cfg.p_min); fn is then called on scalars only, to refine the modes."""
+def _scan(values, cfg):
+    """The grid scan of find_shape and shape_class: the grid, every panel's sign
+    (0 if flat), the significant panels' signs, the flips between consecutive
+    ones, and each flip's bracket (lo, hi) from the start of the last panel of
+    one sign to the end of the first panel of the other."""
     grid = logit_grid(cfg.n, cfg.p_min)
-    if values is None:
-        vals = np.asarray(fn(grid), dtype=float)
-    else:
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != grid.shape:
-            raise ValidationError(
-                f"find_shape got {vals.size} values for the {grid.size}-point grid "
-                f"logit_grid({cfg.n}, {cfg.p_min:g})"
-            )
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != grid.shape:
+        raise ValidationError(
+            f"find_shape got {vals.size} values for the {grid.size}-point grid "
+            f"logit_grid({cfg.n}, {cfg.p_min:g})"
+        )
     if np.any(~np.isfinite(vals)):
         raise DomainError("function not finite on the working grid")
     diffs = np.diff(vals)
@@ -145,19 +145,7 @@ def find_shape(fn, cfg: GridConfig = GridConfig(), values=None):
     signs[diffs > flat_tol] = 1
     signs[diffs < -flat_tol] = -1
 
-    # plateaus: runs of 3 or more flat panels, as (grid[start], grid[end of run])
-    edges = np.diff(np.concatenate(([0], (signs == 0).view(np.int8), [0])))
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    long_runs = ends - starts >= 3
-    plateaus = list(zip(grid[starts[long_runs]].tolist(), grid[ends[long_runs]].tolist()))
-
     sig_idx = np.flatnonzero(signs)
-    if sig_idx.size == 0:
-        return ShapeReport(CONSTANT, plateaus=plateaus)
-
-    # transitions between consecutive significant panels of opposite sign: a
-    # bracket runs from the start of the last panel of one sign to the end of
-    # the first panel of the other
     sig = signs[sig_idx]
     flips = np.flatnonzero(sig[1:] != sig[:-1])
     lo, hi = grid[sig_idx[flips]], grid[sig_idx[flips + 1] + 1]
@@ -166,23 +154,51 @@ def find_shape(fn, cfg: GridConfig = GridConfig(), values=None):
             f"{flips.size} derivative sign changes exceed max_modes={cfg.max_modes}",
             modes=(0.5 * (lo + hi)).tolist(),
         )
+    return grid, signs, sig, flips, lo, hi
+
+
+def _classify(sig, flips):
+    if sig.size == 0:
+        return CONSTANT
+    if flips.size == 0:
+        return INCREASING if sig[0] > 0 else DECREASING
+    if flips.size == 1:
+        return UNIMODAL_MAX if sig[flips[0]] > 0 else UNIMODAL_MIN
+    return N_MODAL
+
+
+def shape_class(values, cfg: GridConfig = GridConfig()):
+    """The classification find_shape(fn, cfg, values) gives, read off the
+    values on logit_grid(cfg.n, cfg.p_min) without refining any mode."""
+    _, _, sig, flips, _, _ = _scan(values, cfg)
+    return _classify(sig, flips)
+
+
+def find_shape(fn, cfg: GridConfig = GridConfig(), values=None):
+    """Segment fn on (0,1) into monotone pieces and type its modes.  fn must be
+    vectorized unless ``values`` already holds its values on logit_grid(cfg.n,
+    cfg.p_min); fn is then called on scalars only, to refine the modes."""
+    if values is None:
+        values = fn(logit_grid(cfg.n, cfg.p_min))
+    grid, signs, sig, flips, lo, hi = _scan(values, cfg)
+
+    # plateaus: runs of 3 or more flat panels, as (grid[start], grid[end of run])
+    edges = np.diff(np.concatenate(([0], (signs == 0).view(np.int8), [0])))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    long_runs = ends - starts >= 3
+    plateaus = list(zip(grid[starts[long_runs]].tolist(), grid[ends[long_runs]].tolist()))
+
+    cls = _classify(sig, flips)
+    if cls == CONSTANT:
+        return ShapeReport(CONSTANT, plateaus=plateaus)
     kinds = ["max" if s > 0 else "min" for s in sig[flips].tolist()]
     modes = [Mode(_refine_mode(fn, a, b, kind), kind)
              for a, b, kind in zip(lo.tolist(), hi.tolist(), kinds)]
 
-    first_dir = "increasing" if sig[0] > 0 else "decreasing"
+    directions = ("increasing", "decreasing") if sig[0] > 0 else ("decreasing", "increasing")
     bounds = [0.0] + [m.location for m in modes] + [1.0]
-    directions = [first_dir]
-    for _ in modes:
-        directions.append("decreasing" if directions[-1] == "increasing" else "increasing")
-    segments = [Segment(bounds[i], bounds[i + 1], directions[i]) for i in range(len(directions))]
-
-    if not modes:
-        cls = INCREASING if first_dir == "increasing" else DECREASING
-    elif len(modes) == 1:
-        cls = UNIMODAL_MAX if modes[0].kind == "max" else UNIMODAL_MIN
-    else:
-        cls = N_MODAL
+    segments = [Segment(a, b, directions[i % 2])
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     return ShapeReport(cls, modes=modes, segments=segments, plateaus=plateaus)
 
 

@@ -13,6 +13,7 @@ from qorder.aging import aging_report
 from qorder.deltas import delta, delta_limit, delta_ps, eps
 from qorder.empirical import SampleSet, qq_transform
 from qorder.errors import DomainError
+from qorder.limits import limit_at
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.orders import (
     BOTH_FAIL,
@@ -61,8 +62,8 @@ def test_tukey_worked_example():
 def test_closed_form_delta_limits():
     l0 = delta_limit(X_TUKEY, Y_TUKEY, 0)
     l1 = delta_limit(X_TUKEY, Y_TUKEY, 1)
-    n0 = delta_limit(X_TUKEY, Y_TUKEY, 0, force_numeric=True)
-    n1 = delta_limit(X_TUKEY, Y_TUKEY, 1, force_numeric=True)
+    n0 = limit_at(lambda p: delta(X_TUKEY, Y_TUKEY, p), 0)
+    n1 = limit_at(lambda p: delta(X_TUKEY, Y_TUKEY, p), 1)
     ok = (
         l0.method == "analytic-hint"
         and l1.method == "analytic-hint"

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qorder import aging
+from qorder import aging, deltas, oracle
 from qorder.aging import (
     aging_report,
     classify_hazard,
@@ -14,7 +14,9 @@ from qorder.aging import (
     hazard_quantile,
     wa_surrogate,
 )
+from qorder.deltas import mrl_quantile
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
+from qorder.oracle import logit_grid
 from qorder.orders import PairContext
 from qorder.shape import GridConfig, find_shape, ratio_qd
 
@@ -204,23 +206,41 @@ class TestGridProfileShapes:
     def test_profile_values_match_the_scalar_reference(self, monkeypatch, X, expected):
         cfg = GridConfig(n=512)
         seen = []
-        real = aging.find_shape
+        real = aging.shape_class
 
-        def spy(fn, grid=GridConfig(), values=None):
-            rep = real(fn, grid, values)
-            if values is not None:
-                seen.append((fn, rep))
-            return rep
+        def spy(values, grid=GridConfig()):
+            cls = real(values, grid)
+            seen.append((values, cls))
+            return cls
 
-        monkeypatch.setattr(aging, "find_shape", spy)
+        monkeypatch.setattr(aging, "shape_class", spy)
         aging_report(X, cfg)
         assert len(seen) == expected
-        for fn, rep in seen:
-            ref = find_shape(np.vectorize(lambda p: fn(float(p)), otypes=[float]), cfg)
-            assert rep.classification == ref.classification
-            assert [m.kind for m in rep.modes] == [m.kind for m in ref.modes]
-            for m, r in zip(rep.modes, ref.modes):
-                assert m.location == pytest.approx(r.location, abs=1e-8)
+        # the mrl fallback, when it runs, comes before the ihrwa surrogate
+        refs = [mrl_quantile, wa_surrogate][-expected:]
+        grid = logit_grid(cfg.n, cfg.p_min)
+        for (values, cls), ref in zip(seen, refs):
+            scalar = np.vectorize(lambda p, ref=ref: ref(X, float(p)), otypes=[float])
+            assert values[::37] == pytest.approx(scalar(grid[::37]), rel=1e-6)
+            assert cls == find_shape(scalar, cfg).classification
+
+    def test_surrogate_runs_no_quadrature_beyond_the_profile(self, monkeypatch):
+        X = Govindarajulu(0, 0.53, 1.17)  # fresh: no profile built yet
+        ctx = _ctx(X)
+        hazard = classify_hazard(ctx)
+        assert hazard.status == "BT"
+        calls = []
+        real = oracle.quadrature
+
+        def spy(*args, **kw):
+            calls.append(args[1:3])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(oracle, "quadrature", spy)
+        monkeypatch.setattr(deltas, "quadrature", spy)
+        classify_ihrwa(ctx, hazard, {})
+        # only the head of the profile's lower cumulative integral
+        assert calls == [(0.0, float(logit_grid(ctx.cfg.n, ctx.cfg.p_min)[0]))]
 
     def test_report_lets_the_model_die_without_the_cyclic_collector(self):
         X = TukeyGeneralized(1.5, 1, 4.5)

@@ -221,3 +221,39 @@ class TestEvalCommand:
     def test_parse_error_exit(self, capsys):
         assert main(["eval", "--qf", "p +", "--at", "0.5"]) == 1
         assert "syntax error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param", ["s=abc", "s"])
+    def test_bad_param_is_one_error_line(self, capsys, param):
+        assert main(["eval", "--qf", "s*p", "--param", param, "--at", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qorder: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_param_errors_match_the_dsl_spec(self, capsys):
+        main(["eval", "--qf", "s*p", "--param", "s=abc", "--at", "0.5"])
+        err = capsys.readouterr().err
+        with pytest.raises(ParseError) as exc:
+            parse_spec("dsl:s*p;s=abc")
+        assert err == f"qorder: error: {exc.value}\n"
+
+
+class TestGridOption:
+    @pytest.mark.parametrize("grid", ["-5", "0", "1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--x", "tukey:4,1,2.5", "--y", "tukey:1.5,1,1.5"],
+        ["aging", "--x", "govindarajulu:0,2,2"],
+    ])
+    def test_too_small_grid_rejected(self, capsys, argv, grid):
+        assert main(argv + ["--grid", grid]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"qorder: error: --grid must be at least 3, got {grid}\n"
+
+    @pytest.mark.parametrize("grid", ["-5", "0", "2"])
+    def test_too_small_sweep_grid_writes_no_csv(self, tmp_path, capsys, grid):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--alpha1-min", "2.5", "--alpha1-max", "2.5",
+                     "--alpha2-min", "1.5", "--alpha2-max", "1.5",
+                     "--grid", grid, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"qorder: error: --grid must be at least 3, got {grid}\n"
+        assert not out.exists()

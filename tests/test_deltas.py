@@ -31,8 +31,8 @@ class TestDelta:
         assert lim.as_float() == pytest.approx(0.5, rel=1e-12)
 
     def test_limits_by_extrapolation(self):
-        lim0 = deltas.delta_limit(X_TUKEY, Y_TUKEY, 0, force_numeric=True)
-        lim1 = deltas.delta_limit(X_TUKEY, Y_TUKEY, 1, force_numeric=True)
+        lim0 = limit_at(lambda p: deltas.delta(X_TUKEY, Y_TUKEY, p), 0)
+        lim1 = limit_at(lambda p: deltas.delta(X_TUKEY, Y_TUKEY, p), 1)
         assert lim0.method == "extrapolation"
         assert lim0.as_float() == pytest.approx(1.3, rel=1e-3)
         assert lim1.as_float() == pytest.approx(0.5, rel=1e-3)

@@ -20,6 +20,7 @@ from qorder.shape import (
     ShapeReport,
     _refine_mode,
     find_shape,
+    shape_class,
     ratio_qd,
     tukey_unimodal_region,
 )
@@ -115,12 +116,24 @@ class TestFindShape:
         fn = lambda p: (np.asarray(p) - 0.3) ** 2
         with pytest.raises(ValidationError, match=r"4096 values .* 512-point grid"):
             find_shape(fn, GridConfig(n=512), values=fn(logit_grid(4096, 1e-6)))
+        with pytest.raises(ValidationError, match=r"4096 values .* 512-point grid"):
+            shape_class(fn(logit_grid(4096, 1e-6)), GridConfig(n=512))
 
     def test_values_from_a_smaller_grid_rejected(self):
         # unchecked, these read as a mode near p_min instead of at 0.3
         fn = lambda p: (np.asarray(p) - 0.3) ** 2
         with pytest.raises(ValidationError, match=r"512 values .* 4096-point grid"):
             find_shape(fn, GridConfig(n=4096), values=fn(logit_grid(512, 1e-6)))
+        with pytest.raises(ValidationError, match=r"512 values .* 4096-point grid"):
+            shape_class(fn(logit_grid(512, 1e-6)), GridConfig(n=4096))
+
+    def test_non_finite_values_rejected(self):
+        values = np.linspace(1.0, 2.0, 512)
+        values[100] = math.nan
+        for classify in (lambda: find_shape(None, GridConfig(n=512), values),
+                         lambda: shape_class(values, GridConfig(n=512))):
+            with pytest.raises(DomainError, match="not finite on the working grid"):
+                classify()
 
 
 def _find_shape_loops(fn, cfg, values):
@@ -213,6 +226,12 @@ class TestSegmentationAgainstLoops:
                 out.append(find(fn, cfg, vals))
             except TooOscillatoryError as exc:
                 out.append((str(exc), exc.modes))
+        try:
+            cls = shape_class(vals, cfg)
+        except TooOscillatoryError as exc:
+            cls = (str(exc), exc.modes)
+        ref = out[1]
+        assert cls == (ref.classification if isinstance(ref, ShapeReport) else ref)
         return out
 
     def test_seeded_random_patterns(self):

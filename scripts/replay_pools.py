@@ -1,9 +1,10 @@
 """Replay the benchmark's input pools against two source trees and list what differs.
 
-    python3 scripts/replay_pools.py OLD_TREE NEW_TREE [--every K] [--jobs J]
+    python3 scripts/replay_pools.py OLD_TREE NEW_TREE [--pool NAME ...] [--every K] [--jobs J]
 
 Every argv of each pool ``perfbench/reference/*.json`` (every K-th argv of
-each pool with ``--every K``) runs once per tree,
+each pool with ``--every K``; only the pools named by the repeatable
+``--pool NAME``, such as ``--pool dsl --pool sweep``) runs once per tree,
 in a fresh interpreter with that tree's ``src`` on ``PYTHONPATH`` and BLAS
 pinned to one thread, as ``qorder.cli.main(argv + ["--out", FILE])`` in an
 empty working directory.  A fresh process per call matters: Python prints a
@@ -73,18 +74,27 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", type=Path, help="source tree of the reference side")
     ap.add_argument("new", type=Path, help="source tree of the changed side")
+    ap.add_argument("--pool", action="append", metavar="NAME",
+                    help="replay only this pool (repeatable; default: every pool)")
     ap.add_argument("--every", type=int, default=1, help="replay every K-th argv of each pool")
     ap.add_argument("--jobs", type=int, default=1, help="argvs replayed at once (default 1)")
     args = ap.parse_args(argv)
     if args.every < 1 or not 1 <= args.jobs <= 8:
         ap.error("--every must be >= 1 and --jobs between 1 and 8")
+    paths = sorted(POOLS.glob("*.json"))
+    unknown = sorted(set(args.pool or ()) - {path.stem for path in paths})
+    if unknown:
+        ap.error(f"no pool named {', '.join(unknown)}; "
+                 f"pools: {', '.join(path.stem for path in paths)}")
+    if args.pool:
+        paths = [path for path in paths if path.stem in args.pool]
     old, new = args.old.resolve(), args.new.resolve()
     for tree in (old, new):
         if not (tree / "src" / "qorder").is_dir():
             ap.error(f"no src/qorder under {tree}")
 
     differing = total = 0
-    for path in sorted(POOLS.glob("*.json")):
+    for path in paths:
         workload = path.stem
         argvs = pool_argvs(path, args.every)
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

@@ -19,7 +19,7 @@ from . import aging as aging_mod
 from . import dsl
 from .empirical import SampleSet, convexity_scan, load_samples, qq_transform
 from .errors import ParseError, QorderError, ValidationError
-from .models import Govindarajulu, TukeyGeneralized, UnitExponential
+from .models import Govindarajulu, TukeyGeneralized, UnitExponential, check_p
 from .orders import INCONCLUSIVE, PairContext, compare_all, theorem_status
 from .shape import GridConfig, tukey_unimodal_region
 
@@ -235,6 +235,10 @@ def run_empirical(args):
 def run_sweep(args):
     if args.step <= 0.0:
         raise ValidationError("--step must be positive")
+    for k in (1, 2):
+        lo, hi = getattr(args, f"alpha{k}_min"), getattr(args, f"alpha{k}_max")
+        if hi < lo:
+            raise ValidationError(f"--alpha{k}-max {hi:g} is below --alpha{k}-min {lo:g}")
     cfg = _grid_config(args.grid)
     n1 = int(round((args.alpha1_max - args.alpha1_min) / args.step)) + 1
     n2 = int(round((args.alpha2_max - args.alpha2_min) / args.step)) + 1
@@ -271,17 +275,18 @@ def run_sweep(args):
 def run_eval(args):
     bindings = _bindings(args.param or [], "--param")
     expr = dsl.parse(args.qf)
+    at = check_p(args.at)
     report = {
         "schema": 1,
         "command": "eval",
         "qf": dsl.render(expr),
         "at": args.at,
-        "value": dsl.evaluate(expr, args.at, bindings),
+        "value": dsl.evaluate(expr, at, bindings),
     }
     if args.qdf:
         qdf = dsl.parse(args.qdf)
         report["qdf"] = dsl.render(qdf)
-        report["qdf_value"] = dsl.evaluate(qdf, args.at, bindings)
+        report["qdf_value"] = dsl.evaluate(qdf, at, bindings)
     sys.stdout.write(dumps(report) + "\n")
     return 0
 

@@ -10,6 +10,9 @@ Grammar (no implicit multiplication):
 
 ``p`` is the probability variable; any other identifier is a parameter that
 must be bound at evaluation time.  Functions: log, exp, sqrt, abs.
+
+Each expression is compiled once into a tree of closures (``compile``);
+``evaluate`` compiles and calls in one step.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "Call",
     "parse",
     "render",
+    "compile",
     "evaluate",
     "as_quantile_model",
     "DslModel",
@@ -244,62 +248,123 @@ def render(expr: Expression) -> str:
     raise TypeError(f"not an Expression: {expr!r}")
 
 
-def _domain(cond, expr, what):
-    if np.any(cond):
-        raise DomainError(f"{what} in subexpression '{render(expr)}'")
+# Domain tests, one table per evaluation mode: a scalar call compares plain
+# numbers, an array call reduces with np.any.  Both raise on the same values.
+_SCALAR_TESTS = {
+    "log": lambda x: x <= 0.0,
+    "sqrt": lambda x: x < 0.0,
+    "/": lambda b: b == 0.0,
+    "zero^neg": lambda a, b: a == 0.0 and b < 0.0,
+    "neg^frac": lambda a, b: a < 0.0 and b != np.floor(b),
+}
+_ARRAY_TESTS = {
+    "log": lambda x: np.any(np.asarray(x) <= 0.0),
+    "sqrt": lambda x: np.any(np.asarray(x) < 0.0),
+    "/": lambda b: np.any(np.asarray(b) == 0.0),
+    "zero^neg": lambda a, b: np.any((np.asarray(a) == 0.0) & (np.asarray(b) < 0.0)),
+    "neg^frac": lambda a, b: np.any((np.asarray(a) < 0.0) & (np.asarray(b) != np.floor(b))),
+}
+_CHECKED_CALLS = {"log": (np.log, "log of a non-positive value"),
+                  "sqrt": (np.sqrt, "sqrt of a negative value")}
+
+
+def _domain_error(node, what):
+    return DomainError(f"{what} in subexpression '{render(node)}'")
+
+
+def _compile(node, bindings, tests):
+    """A closure p -> value of ``node``; children run left to right, then the
+    node's own domain test, then its numpy ufunc or Python operator."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda p: value
+    if isinstance(node, Var):
+        name = node.name
+        if name == "p":
+            return lambda p: p
+        if name not in bindings:
+            def unbound(p):
+                raise ValidationError(f"unbound parameter {name!r}")
+            return unbound
+        raw = bindings[name]
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            return lambda p: float(raw)  # raises when evaluated, in evaluation order
+        return lambda p: value
+    if isinstance(node, Neg):
+        child = _compile(node.child, bindings, tests)
+        return lambda p: -child(p)
+    if isinstance(node, Call):
+        arg = _compile(node.arg, bindings, tests)
+        if node.fn == "exp":
+            return lambda p: np.exp(arg(p))
+        if node.fn == "abs":
+            return lambda p: np.abs(arg(p))
+        ufunc, what = _CHECKED_CALLS[node.fn]
+        bad = tests[node.fn]
+
+        def call(p):
+            x = arg(p)
+            if bad(x):
+                raise _domain_error(node, what)
+            return ufunc(x)
+        return call
+    if isinstance(node, Bin):
+        left = _compile(node.left, bindings, tests)
+        right = _compile(node.right, bindings, tests)
+        if node.op == "+":
+            return lambda p: left(p) + right(p)
+        if node.op == "-":
+            return lambda p: left(p) - right(p)
+        if node.op == "*":
+            return lambda p: left(p) * right(p)
+        if node.op == "/":
+            zero = tests["/"]
+
+            def divide(p):
+                a, b = left(p), right(p)
+                if zero(b):
+                    raise _domain_error(node, "division by zero")
+                return a / b
+            return divide
+        zero_neg, neg_frac = tests["zero^neg"], tests["neg^frac"]
+
+        def power(p):
+            a, b = left(p), right(p)
+            if zero_neg(a, b):
+                raise _domain_error(node, "zero raised to a negative power")
+            if neg_frac(a, b):
+                raise _domain_error(node, "negative base with non-integer exponent")
+            return np.power(a, b)
+        return power
+    raise TypeError(f"not an Expression: {node!r}")
+
+
+def compile(expr: Expression, bindings=None):
+    """Compile ``expr`` once into a callable p -> value (scalar or array p).
+
+    Parameters are looked up in ``bindings`` now; an unbound one raises
+    ValidationError when the callable runs, in evaluation order.  Values equal
+    a walk of the tree bit for bit: every node applies the same ufunc or
+    operator to the same operand types.
+    """
+    bindings = bindings or {}
+    scalar_fn = _compile(expr, bindings, _SCALAR_TESTS)
+    array_fn = _compile(expr, bindings, _ARRAY_TESTS)
+
+    def compiled(p):
+        if type(p) is float or np.isscalar(p) or (isinstance(p, np.ndarray) and p.ndim == 0):
+            return float(scalar_fn(np.float64(p)))
+        out = array_fn(np.asarray(p, dtype=float))
+        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(p)).copy() \
+            if np.shape(out) != np.shape(p) else out
+    return compiled
 
 
 def evaluate(expr: Expression, p, bindings=None):
     """Evaluate at probability p (scalar or array) with parameter bindings."""
-    bindings = bindings or {}
-
-    def ev(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            if node.name == "p":
-                return np.asarray(p, dtype=float)
-            if node.name not in bindings:
-                raise ValidationError(f"unbound parameter {node.name!r}")
-            return float(bindings[node.name])
-        if isinstance(node, Neg):
-            return -ev(node.child)
-        if isinstance(node, Call):
-            arg = ev(node.arg)
-            if node.fn == "log":
-                _domain(np.asarray(arg) <= 0.0, node, "log of a non-positive value")
-                return np.log(arg)
-            if node.fn == "exp":
-                return np.exp(arg)
-            if node.fn == "sqrt":
-                _domain(np.asarray(arg) < 0.0, node, "sqrt of a negative value")
-                return np.sqrt(arg)
-            return np.abs(arg)
-        if isinstance(node, Bin):
-            a, b = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                _domain(np.asarray(b) == 0.0, node, "division by zero")
-                return a / b
-            # power
-            bb = np.asarray(b)
-            aa = np.asarray(a)
-            _domain((aa == 0.0) & (bb < 0.0), node, "zero raised to a negative power")
-            _domain((aa < 0.0) & (bb != np.floor(bb)), node,
-                    "negative base with non-integer exponent")
-            return np.power(a, b)
-        raise TypeError(f"not an Expression: {node!r}")
-
-    out = ev(expr)
-    if np.isscalar(p) or (isinstance(p, np.ndarray) and np.ndim(p) == 0):
-        return float(out)
-    return np.broadcast_to(np.asarray(out, dtype=float), np.shape(p)).copy() \
-        if np.shape(out) != np.shape(p) else out
+    return compile(expr, bindings)(p)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +378,13 @@ class DslModel(QuantileModel):
         self._qf = qf
         self._qdf = qdf
         self._bindings = dict(bindings or {})
+        self._qf_fn = compile(qf, self._bindings)
+        self._qdf_fn = None if qdf is None else compile(qdf, self._bindings)
         self._validate()
 
     def _validate(self):
         grid = np.linspace(1.0 / 1025.0, 1024.0 / 1025.0, 1024)
-        vals = evaluate(self._qf, grid, self._bindings)
+        vals = self._qf_fn(grid)
         bad = np.nonzero(np.diff(vals) <= 0.0)[0]
         if bad.size:
             i = int(bad[0])
@@ -327,19 +394,19 @@ class DslModel(QuantileModel):
             )
 
     def quantile(self, p):
-        return evaluate(self._qf, check_p(p), self._bindings)
+        return self._qf_fn(check_p(p))
 
     def quantile_density(self, p):
         p = check_p(p)
-        if self._qdf is not None:
-            return evaluate(self._qdf, p, self._bindings)
+        if self._qdf_fn is not None:
+            return self._qdf_fn(p)
         h = 1e-6 * np.minimum(p, 1.0 - p)
-        upper = evaluate(self._qf, p + h, self._bindings)
-        lower = evaluate(self._qf, p - h, self._bindings)
+        upper = self._qf_fn(p + h)
+        lower = self._qf_fn(p - h)
         return (upper - lower) / (2.0 * h)
 
     def tail_quantile(self, end):
-        lim = limit_at(lambda q: evaluate(self._qf, q, self._bindings), end)
+        lim = limit_at(self._qf_fn, end)
         if lim.is_determinate:
             return lim.as_float()
         # fall back to a near-endpoint evaluation

@@ -205,6 +205,16 @@ class TestSweepCommand:
         assert cell["ratio_shape"] == "UnimodalMax"
         assert cell["star"] == "Holds"
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_reversed_alpha_range_writes_no_csv(self, tmp_path, capsys, k):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", f"--alpha{k}-min", "2", f"--alpha{k}-max", "1",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qorder: error: --alpha{k}-max 1 is below --alpha{k}-min 2\n"
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_simple(self, capsys):
@@ -217,6 +227,14 @@ class TestEvalCommand:
                      "--at", "0.5"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["value"] == pytest.approx(3 * 0.6931471805599453)
+
+    @pytest.mark.parametrize("at", ["1.5", "nan", "0", "-0.25"])
+    def test_probability_outside_the_open_interval_is_one_error_line(self, capsys, at):
+        assert main(["eval", "--qf", "p", "--qdf", "1", "--at", at]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("qorder: error: probability argument must lie strictly "
+                                f"inside (0,1), got {float(at)!r}\n")
 
     def test_parse_error_exit(self, capsys):
         assert main(["eval", "--qf", "p +", "--at", "0.5"]) == 1

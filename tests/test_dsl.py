@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qorder import dsl
 from qorder.dsl import Bin, Call, Neg, Num, Var, as_quantile_model, evaluate, parse, render
 from qorder.errors import DomainError, ParseError, ValidationError
 from qorder.models import TukeyGeneralized, UnitExponential
@@ -140,3 +141,165 @@ def test_support_endpoints_from_limits():
     m = as_quantile_model("p^2")
     assert m.tail_quantile(0) == pytest.approx(0.0, abs=1e-9)
     assert m.tail_quantile(1) == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# compiled closures against the tree walk they replace
+
+
+def _domain(cond, expr, what):
+    if np.any(cond):
+        raise DomainError(f"{what} in subexpression '{render(expr)}'")
+
+
+def _evaluate_tree(expr, p, bindings=None):
+    """Reference: evaluate as it walked the tree on every call."""
+    bindings = bindings or {}
+
+    def ev(node):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            if node.name == "p":
+                return np.asarray(p, dtype=float)
+            if node.name not in bindings:
+                raise ValidationError(f"unbound parameter {node.name!r}")
+            return float(bindings[node.name])
+        if isinstance(node, Neg):
+            return -ev(node.child)
+        if isinstance(node, Call):
+            arg = ev(node.arg)
+            if node.fn == "log":
+                _domain(np.asarray(arg) <= 0.0, node, "log of a non-positive value")
+                return np.log(arg)
+            if node.fn == "exp":
+                return np.exp(arg)
+            if node.fn == "sqrt":
+                _domain(np.asarray(arg) < 0.0, node, "sqrt of a negative value")
+                return np.sqrt(arg)
+            return np.abs(arg)
+        a, b = ev(node.left), ev(node.right)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            _domain(np.asarray(b) == 0.0, node, "division by zero")
+            return a / b
+        bb, aa = np.asarray(b), np.asarray(a)
+        _domain((aa == 0.0) & (bb < 0.0), node, "zero raised to a negative power")
+        _domain((aa < 0.0) & (bb != np.floor(bb)), node, "negative base with non-integer exponent")
+        return np.power(a, b)
+
+    out = ev(expr)
+    if np.isscalar(p) or (isinstance(p, np.ndarray) and np.ndim(p) == 0):
+        return float(out)
+    return np.broadcast_to(np.asarray(out, dtype=float), np.shape(p)).copy() \
+        if np.shape(out) != np.shape(p) else out
+
+
+# the benchmark pool's expression families, each quantile with its qdf
+_POOL_EXPRESSIONS = [
+    ("s*(-log(1-p))^(1/k)", dict(s=2.42016, k=1.99702)),
+    ("s/k*(-log(1-p))^(1/k-1)/(1-p)", dict(s=2.42016, k=1.99702)),
+    ("s*(-log(1-p))^(1/k)", dict(s=0.790962, k=0.61)),
+    ("s/k*(-log(1-p))^(1/k-1)/(1-p)", dict(s=0.790962, k=0.61)),
+    ("s*(p/(1-p))^(1/b)", dict(s=1.37, b=3.2)),
+    ("s/b*(p/(1-p))^(1/b-1)/(1-p)^2", dict(s=1.37, b=3.2)),
+    ("s*(p/(1-p))^(1/b)", dict(s=0.5, b=0.8)),
+    ("s/b*(p/(1-p))^(1/b-1)/(1-p)^2", dict(s=0.5, b=0.8)),
+    ("-s*log(1-p)", dict(s=2.0)),
+    ("s/(1-p)", dict(s=2.0)),
+    # the ufuncs no pool family uses
+    ("exp(s*p) + sqrt(p)*abs(p-0.5)", dict(s=3.7)),
+]
+
+
+def _bits(value):
+    return type(value), np.asarray(value).tobytes()
+
+
+def _outcome(fn, *args):
+    """(exception type, message) or (value type, value bytes)."""
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _seeded_points(seed):
+    rng = np.random.default_rng(seed)
+    tiny = rng.uniform(0.0, 1e-15, 40)
+    points = np.concatenate([rng.uniform(0.0, 1.0, 400), tiny, 1.0 - tiny,
+                             [5e-324, 1e-300, 2.0**-53, 1.0 - 2.0**-53]])
+    return points[(points > 0.0) & (points < 1.0)]
+
+
+class TestCompiledAgainstTree:
+    @pytest.mark.parametrize("text,bindings", _POOL_EXPRESSIONS)
+    def test_bitwise_equal_on_scalar_and_array_points(self, text, bindings):
+        expr = parse(text)
+        fn = dsl.compile(expr, bindings)
+        points = _seeded_points(20261018)
+        defined = []
+        for p in points:
+            for x in (float(p), p):  # a Python float and an np.float64
+                outcome = _outcome(fn, x)
+                assert outcome == _outcome(_evaluate_tree, expr, x, bindings)
+            defined.append(outcome[0] is float)
+        assert _outcome(fn, points) == _outcome(_evaluate_tree, expr, points, bindings)
+        inner = points[defined]  # e.g. the Weibull qdf has 0^negative where 1-p rounds to 1
+        assert inner.size > 400
+        assert _bits(fn(inner)) == _bits(_evaluate_tree(expr, inner, bindings))
+        assert _bits(evaluate(expr, inner, bindings)) == _bits(fn(inner))
+
+    def test_constant_expression_broadcasts_like_the_tree(self):
+        expr, points = parse("2^3^2 - s"), _seeded_points(7)[:9].reshape(3, 3)
+        assert _bits(dsl.compile(expr, dict(s=1.0))(points)) == \
+            _bits(_evaluate_tree(expr, points, dict(s=1.0)))
+
+    @pytest.mark.parametrize("text,exc_type,message", [
+        ("log(p-1)", DomainError, "log of a non-positive value in subexpression 'log(p - 1)'"),
+        ("log(p-p)", DomainError, "log of a non-positive value in subexpression 'log(p - p)'"),
+        ("sqrt(p-1)", DomainError, "sqrt of a negative value in subexpression 'sqrt(p - 1)'"),
+        ("1/(p-p)", DomainError, "division by zero in subexpression '1 / (p - p)'"),
+        ("0^(-p)", DomainError, "zero raised to a negative power in subexpression '0 ^ (-p)'"),
+        ("(p-1)^0.5", DomainError,
+         "negative base with non-integer exponent in subexpression '(p - 1) ^ 0.5'"),
+        ("x+p", ValidationError, "unbound parameter 'x'"),
+        # left to right: the log fails before the unbound parameter is read
+        ("log(p-1)+q", DomainError, "log of a non-positive value in subexpression 'log(p - 1)'"),
+        ("q+log(p-1)", ValidationError, "unbound parameter 'q'"),
+    ])
+    def test_errors_match_for_scalar_and_array_p(self, text, exc_type, message):
+        expr = parse(text)
+        fn = dsl.compile(expr)  # an unbound parameter raises on the call, not here
+        for p in (0.25, np.float64(0.25), np.array([0.5, 0.25])):
+            assert _outcome(fn, p) == (exc_type, message)
+            assert _outcome(_evaluate_tree, expr, p) == (exc_type, message)
+
+    def test_integer_exponent_of_negative_base_is_allowed(self):
+        expr = parse("(p-0.5)^3")
+        for p in (0.25, np.array([0.25, 0.75])):
+            assert _bits(dsl.compile(expr)(p)) == _bits(_evaluate_tree(expr, p))
+
+
+class TestCompiledOnce:
+    def test_model_compiles_at_construction_only(self, monkeypatch):
+        calls = []
+        compile_ = dsl.compile
+
+        def spy(expr, bindings=None):
+            calls.append(expr)
+            return compile_(expr, bindings)
+
+        monkeypatch.setattr(dsl, "compile", spy)
+        m = as_quantile_model("s*(-log(1-p))^(1/k)", qdf="s/k*(-log(1-p))^(1/k-1)/(1-p)",
+                              bindings=dict(s=1.0, k=2.0))
+        assert calls == [parse("s*(-log(1-p))^(1/k)"), parse("s/k*(-log(1-p))^(1/k-1)/(1-p)")]
+        for p in np.linspace(0.005, 0.995, 50):
+            m.quantile(float(p))
+            m.quantile_density(float(p))
+        assert len(calls) == 2

@@ -13,7 +13,7 @@ from .errors import (
     ValidationError,
 )
 from .models import Govindarajulu, QuantileModel, TukeyGeneralized, UnitExponential
-from .shape import GridConfig, Mode, Segment, ShapeReport, find_shape, ratio_qd, shape_class, tukey_unimodal_region
+from .shape import Mode, Segment, ShapeReport, find_shape, ratio_qd, shape_class, tukey_unimodal_region
 from .limits import LimitValue, limit_at
 from .deltas import (
     centered_delta,
@@ -30,6 +30,7 @@ from .orders import (
     Certificate,
     Condition,
     OrderVerdict,
+    PairContext,
     check_convex,
     check_dmrl,
     check_ps,

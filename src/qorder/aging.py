@@ -5,7 +5,7 @@ exponential in disguise: IFR is the convex order, DMRL the dmrl order, IHRWA
 the qmit order and IFRA the star order, all with Exp(1) as the reference.
 The classifiers below apply the corresponding corollaries directly on the
 hazard quantile function, reading the endpoint limits, delta values and grid
-oracle runs of one ``PairContext(X, UnitExponential(), grid)``; ``aging_report``
+oracle runs of one ``PairContext(X, UnitExponential(), n)``; ``aging_report``
 hands that same context to the order engine to cross-check each class, so the
 two routes can never silently drift apart.
 """
@@ -40,7 +40,7 @@ from .shape import (
     INCREASING,
     UNIMODAL_MAX,
     UNIMODAL_MIN,
-    GridConfig,
+    P_MIN,
     find_shape,
     shape_class,
 )
@@ -91,7 +91,7 @@ def classify_hazard(ctx: PairContext) -> HazardShape:
     ``aging_report`` compares two evaluations."""
     X = ctx.X
     try:
-        sh = find_shape(lambda p: hazard_quantile(X, p), ctx.cfg)
+        sh = find_shape(lambda p: hazard_quantile(X, p), ctx.n)
     except TooOscillatoryError as exc:
         return HazardShape("NModal", tuple((m, "?") for m in exc.modes))
     name = _HAZARD_NAMES.get(sh.classification, "NModal")
@@ -105,14 +105,14 @@ def _hazard_limit0(ctx) -> LimitValue:
 
 
 def _mrl_shape_fallback(ctx):
-    prof = ctx.X.profile(ctx.cfg.n, ctx.cfg.p_min)
+    prof = ctx.X.profile(ctx.n, P_MIN)
     return {
         CONSTANT: "Constant",
         INCREASING: "IMRL",
         DECREASING: "DMRL",
         UNIMODAL_MAX: "UBT",
         UNIMODAL_MIN: "BT",
-    }.get(shape_class(prof.upper / (1.0 - prof.grid), ctx.cfg), "Inconclusive")
+    }.get(shape_class(prof.upper / (1.0 - prof.grid), ctx.n), "Inconclusive")
 
 
 def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
@@ -188,9 +188,9 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
     elif hazard.status == "Decreasing":
         corollary = "DHRWA"
     try:
-        prof = ctx.X.profile(ctx.cfg.n, ctx.cfg.p_min)
+        prof = ctx.X.profile(ctx.n, P_MIN)
         num = -np.log1p(-prof.grid) - prof.grid  # integral of q/(1-q) over (0, p)
-        surrogate = _SURROGATE_NAMES.get(shape_class(num / prof.lower, ctx.cfg), "Inconclusive")
+        surrogate = _SURROGATE_NAMES.get(shape_class(num / prof.lower, ctx.n), "Inconclusive")
     except TooOscillatoryError:
         surrogate = "Inconclusive"
     evidence["ihrwa_corollary"] = corollary
@@ -302,9 +302,9 @@ def _cross_check(notes, name, label, verdict):
     notes.append(f"{name}: class {label} agrees with {verdict.order}={verdict.status}")
 
 
-def aging_report(X, grid: GridConfig = GridConfig()) -> AgingReport:
+def aging_report(X, n=4096) -> AgingReport:
     """Full aging classification with order-engine cross-checks vs Exp(1)."""
-    ctx = PairContext(X, _EXP, grid)
+    ctx = PairContext(X, _EXP, n)
     hazard = classify_hazard(ctx)
     evidence = {}
     mrl = classify_mrl(ctx, hazard, evidence)
@@ -315,8 +315,8 @@ def aging_report(X, grid: GridConfig = GridConfig()) -> AgingReport:
     notes = report.notes
     hazard_label = {"Increasing": "IFR", "Decreasing": "DFR",
                     "Constant": "Both"}.get(hazard.status, hazard.status)
-    _cross_check(notes, "hazard", hazard_label, check_convex(X, _EXP, ctx=ctx))
-    _cross_check(notes, "mrl", mrl, check_dmrl(X, _EXP, ctx=ctx))
-    _cross_check(notes, "ihrwa", ihrwa, check_qmit(X, _EXP, ctx=ctx))
-    _cross_check(notes, "ifra", ifra, check_star(X, _EXP, ctx=ctx))
+    _cross_check(notes, "hazard", hazard_label, check_convex(ctx))
+    _cross_check(notes, "mrl", mrl, check_dmrl(ctx))
+    _cross_check(notes, "ihrwa", ihrwa, check_qmit(ctx))
+    _cross_check(notes, "ifra", ifra, check_star(ctx))
     return report

@@ -21,7 +21,7 @@ from .empirical import SampleSet, convexity_scan, load_samples, qq_transform
 from .errors import ParseError, QorderError, ValidationError
 from .models import Govindarajulu, TukeyGeneralized, UnitExponential, check_p
 from .orders import INCONCLUSIVE, PairContext, compare_all, theorem_status
-from .shape import GridConfig, tukey_unimodal_region
+from .shape import tukey_unimodal_region
 
 __all__ = ["main", "parse_spec", "dumps"]
 
@@ -147,16 +147,10 @@ def _require_model(m, flag):
     return m
 
 
-def _grid_config(n):
-    if n < 3:
-        raise ValidationError(f"--grid must be at least 3, got {n}")
-    return GridConfig(n=n)
-
-
 def run_compare(args):
     X = _require_model(parse_spec(args.x), "--x")
     Y = _require_model(parse_spec(args.y), "--y")
-    verdicts = compare_all(X, Y, _grid_config(args.grid), method=args.method)
+    verdicts = compare_all(X, Y, args.grid, method=args.method)
     report = {
         "schema": 1,
         "command": "compare",
@@ -186,7 +180,7 @@ def _compare_curves(X, Y, path, n):
 
 def run_aging(args):
     X = _require_model(parse_spec(args.x), "--x")
-    report_obj = aging_mod.aging_report(X, _grid_config(args.grid))
+    report_obj = aging_mod.aging_report(X, args.grid)
     report = {
         "schema": 1,
         "command": "aging",
@@ -233,13 +227,16 @@ def run_empirical(args):
 
 
 def run_sweep(args):
+    for dest in ("alpha1_min", "alpha1_max", "alpha2_min", "alpha2_max", "step"):
+        value = getattr(args, dest)
+        if not math.isfinite(value):
+            raise ValidationError(f"--{dest.replace('_', '-')} must be finite, got {value:g}")
     if args.step <= 0.0:
         raise ValidationError("--step must be positive")
     for k in (1, 2):
         lo, hi = getattr(args, f"alpha{k}_min"), getattr(args, f"alpha{k}_max")
         if hi < lo:
             raise ValidationError(f"--alpha{k}-max {hi:g} is below --alpha{k}-min {lo:g}")
-    cfg = _grid_config(args.grid)
     n1 = int(round((args.alpha1_max - args.alpha1_min) / args.step)) + 1
     n2 = int(round((args.alpha2_max - args.alpha2_min) / args.step)) + 1
     rows = []
@@ -254,7 +251,7 @@ def run_sweep(args):
             except QorderError:
                 region = None
             try:
-                ctx = PairContext(X, Y, cfg)
+                ctx = PairContext(X, Y, args.grid)
             except QorderError:
                 statuses = ("Error",) * 4
             else:
@@ -355,6 +352,8 @@ def main(argv=None):
         if args.lam2 is None:
             args.lam2 = args.eta2 + 1.0
     try:
+        if getattr(args, "grid", 3) < 3:  # compare, aging and sweep
+            raise ValidationError(f"--grid must be at least 3, got {args.grid}")
         # a non-finite intermediate is reported through the result, not as a numpy warning
         with np.errstate(all="ignore"):
             return args.fn(args)

@@ -385,6 +385,10 @@ class DslModel(QuantileModel):
     def _validate(self):
         grid = np.linspace(1.0 / 1025.0, 1024.0 / 1025.0, 1024)
         vals = self._qf_fn(grid)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(f"quantile expression is not finite: qf({grid[i]:.6f}) = {vals[i]:.9g}")
         bad = np.nonzero(np.diff(vals) <= 0.0)[0]
         if bad.size:
             i = int(bad[0])

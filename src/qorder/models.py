@@ -63,6 +63,13 @@ def upper_integrand(X):
     return lambda q: (1.0 - q) * X.quantile_density(q)
 
 
+def _require_finite(model, family):
+    """Reject a non-finite parameter, which every later check (a comparison) would let pass."""
+    for name, value in vars(model).items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{family} requires a finite {name}, got {value!r}")
+
+
 def _match(p, value):
     # scalar in -> float out, array in -> array out
     if type(p) is float or np.isscalar(p) or (isinstance(p, np.ndarray) and p.ndim == 0):
@@ -153,6 +160,7 @@ class TukeyGeneralized(QuantileModel):
     alpha: float
 
     def __post_init__(self):
+        _require_finite(self, "Tukey family")
         if self.eta == 0.0:
             raise ValidationError("Tukey family requires eta != 0")
         if self.eta * self.alpha <= 0.0:
@@ -203,6 +211,7 @@ class Govindarajulu(QuantileModel):
     beta: float
 
     def __post_init__(self):
+        _require_finite(self, "Govindarajulu")
         if self.theta < 0.0:
             raise ValidationError("Govindarajulu requires theta >= 0")
         if self.sigma <= 0.0:

@@ -34,7 +34,7 @@ from .shape import (
     N_MODAL,
     UNIMODAL_MAX,
     UNIMODAL_MIN,
-    GridConfig,
+    P_MIN,
     Mode,
     Segment,
     ShapeReport,
@@ -53,6 +53,7 @@ __all__ = [
     "Condition",
     "Certificate",
     "OrderVerdict",
+    "PairContext",
     "check_convex",
     "check_star",
     "check_qmit",
@@ -173,9 +174,9 @@ def _flip_shape(sh: ShapeReport) -> ShapeReport:
 
 
 class PairContext:
-    """Shared per-pair cache: ratio shape, limits, mode values, oracle runs."""
+    """Shared per-pair cache on logit_grid(n, P_MIN): ratio shape, limits, mode values, oracle runs."""
 
-    def __init__(self, X, Y, cfg: GridConfig, _shape=None):
+    def __init__(self, X, Y, n=4096, _shape=None):
         for m, name in ((X, "X"), (Y, "Y")):
             if not getattr(m, "supports_theorem_paths", True):
                 raise ValidationError(
@@ -186,7 +187,7 @@ class PairContext:
                     f"{name} has negative support (lo={m.support_lo:g}); "
                     "the transform-order results assume non-negative variables"
                 )
-        self.X, self.Y, self.cfg = X, Y, cfg
+        self.X, self.Y, self.n = X, Y, n
         self._shape = _shape
         self._cache = {}
 
@@ -200,7 +201,7 @@ class PairContext:
             try:
                 # the ratio's grid values are ratio_qd read off the two profiles
                 px, py = self._profiles()
-                self._shape = find_shape(self.ratio, self.cfg, py.qd / px.qd)
+                self._shape = find_shape(self.ratio, self.n, py.qd / px.qd)
             except QorderError as exc:  # deterministic: every later call would fail alike
                 self._shape = copy.copy(exc)
         if isinstance(self._shape, QorderError):
@@ -210,12 +211,11 @@ class PairContext:
         return self._shape
 
     def _profiles(self):
-        g = self.cfg
-        return self.X.profile(g.n, g.p_min), self.Y.profile(g.n, g.p_min)
+        return self.X.profile(self.n, P_MIN), self.Y.profile(self.n, P_MIN)
 
     def swap(self) -> "PairContext":
         # one-way: a back-link would make a cycle that outlives the models
-        return self._memo(("swap",), lambda: PairContext(self.Y, self.X, self.cfg,
+        return self._memo(("swap",), lambda: PairContext(self.Y, self.X, self.n,
                                                          _shape=_flip_shape(self.shape())))
 
     def _memo(self, key, fn):
@@ -239,8 +239,8 @@ class PairContext:
         """True when G^-1 = c * F^-1 on the probe grid (delta identically 0)."""
 
         def probe():
-            fx = self.X.profile(64, self.cfg.p_min).q
-            gy = self.Y.profile(64, self.cfg.p_min).q
+            fx = self.X.profile(64, P_MIN).q
+            gy = self.Y.profile(64, P_MIN).q
             c = gy[32] / fx[32]  # at the probe's middle
             scale = np.max(np.abs(gy)) + abs(c) * np.max(np.abs(fx))
             return bool(np.max(np.abs(gy - c * fx)) <= 1e-9 * max(scale, 1e-300))
@@ -261,13 +261,12 @@ class PairContext:
             # the grid values are qr read off the two profiles; qr refines the modes
             px, py = self._profiles()
             fx = positive(px.q)
-            return find_shape(qr, self.cfg, py.q / fx)
+            return find_shape(qr, self.n, py.q / fx)
 
         return self._memo(("qshape",), build)
 
     def oracle(self, order) -> GridVerdict:
-        g = self.cfg
-        return self._memo(("oracle", order), lambda: order_oracle(self.X, self.Y, order, g.n, g.p_min))
+        return self._memo(("oracle", order), lambda: order_oracle(self.X, self.Y, order, self.n, P_MIN))
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +557,7 @@ def _equivalent_verdict(order, theorem):
     return OrderVerdict(order, EQUIVALENT, "theorem", cert)
 
 
-def _ctx(X, Y, cfg):
-    return PairContext(X, Y, cfg or GridConfig())
-
-
-def check_convex(X, Y, cfg=None, ctx=None):
-    ctx = ctx or _ctx(X, Y, cfg)
+def check_convex(ctx: PairContext):
     if ctx.proportional():
         return _equivalent_verdict("convex", "constant quantile-density ratio")
     conds = []
@@ -588,10 +582,9 @@ _THEOREMS = {
 }
 
 
-def _check(order, X, Y, cfg, ctx):
-    ctx = ctx or _ctx(X, Y, cfg)
+def _check(order, ctx: PairContext):
     if order in ("qmit", "dmrl"):  # their conditions integrate against the means
-        deltas.finite_mean(X), deltas.finite_mean(Y)
+        deltas.finite_mean(ctx.X), deltas.finite_mean(ctx.Y)
     if ctx.proportional():
         return _equivalent_verdict(order, "proportional quantiles")
     conds = []
@@ -599,29 +592,26 @@ def _check(order, X, Y, cfg, ctx):
     return _finish(ctx, order, _THEOREMS[order], fwd, rev, conds)
 
 
-def check_star(X, Y, cfg=None, ctx=None):
-    return _check("star", X, Y, cfg, ctx)
+def check_star(ctx: PairContext):
+    return _check("star", ctx)
 
 
-def check_qmit(X, Y, cfg=None, ctx=None):
-    return _check("qmit", X, Y, cfg, ctx)
+def check_qmit(ctx: PairContext):
+    return _check("qmit", ctx)
 
 
-def check_dmrl(X, Y, cfg=None, ctx=None):
-    return _check("dmrl", X, Y, cfg, ctx)
+def check_dmrl(ctx: PairContext):
+    return _check("dmrl", ctx)
 
 
-def check_ps(X, Y, cfg=None, ctx=None, star_verdict: OrderVerdict | None = None):
-    ctx = ctx or _ctx(X, Y, cfg)
-    ex, ey = deltas.finite_mean(X), deltas.finite_mean(Y)
+def check_ps(ctx: PairContext, star: OrderVerdict):
+    ex, ey = deltas.finite_mean(ctx.X), deltas.finite_mean(ctx.Y)
     if ex <= 0.0 or ey <= 0.0:
         raise DomainError("ps order requires strictly positive means")
     if ctx.proportional():
         return _equivalent_verdict("ps", "proportional quantiles (EPS is scale invariant)")
-    if star_verdict is None:
-        star_verdict = check_star(X, Y, ctx=ctx)
-    star_fwd = star_verdict.status in (HOLDS, EQUIVALENT)
-    star_rev = star_verdict.status in (HOLDS_REVERSED, EQUIVALENT)
+    star_fwd = star.status in (HOLDS, EQUIVALENT)
+    star_rev = star.status in (HOLDS_REVERSED, EQUIVALENT)
     conds = []
     try:
         fwd = _ps_fwd(ctx, conds, star_fwd)
@@ -682,7 +672,7 @@ def _check_implications(verdicts: dict, zero_left_support: bool):
         raise InternalConsistencyError("implication diagram violated: " + "; ".join(problems))
 
 
-def compare_all(X, Y, cfg: GridConfig | None = None, method: str = "theorem"):
+def compare_all(X, Y, n=4096, method: str = "theorem"):
     """Run every order check on the pair and derive nbue by implication.
 
     method "theorem" runs the certified path (with its internal oracle
@@ -692,7 +682,7 @@ def compare_all(X, Y, cfg: GridConfig | None = None, method: str = "theorem"):
     """
     if method not in ("theorem", "oracle", "both"):
         raise ValidationError(f"unknown method {method!r}")
-    ctx = _ctx(X, Y, cfg)
+    ctx = PairContext(X, Y, n)
     results = {}
     if method in ("theorem", "both"):
         results["theorem"] = _compare_theorem(ctx)
@@ -704,22 +694,20 @@ def compare_all(X, Y, cfg: GridConfig | None = None, method: str = "theorem"):
 
 
 def _compare_theorem(ctx: PairContext):
-    X, Y, cfg = ctx.X, ctx.Y, ctx.cfg
-    verdicts = {}
-    verdicts["convex"] = check_convex(X, Y, ctx=ctx)
+    verdicts = {"convex": check_convex(ctx)}
 
-    def mean_guarded(name, fn, *args, **kw):
+    def mean_guarded(name, fn, *args):
         try:
-            return fn(*args, **kw)
+            return fn(*args)
         except NonFiniteMeanError as exc:
             cert = Certificate("not run", [Condition("finite_mean", "missing", str(exc), False)])
             return OrderVerdict(name, INCONCLUSIVE, "theorem", cert)
 
-    verdicts["qmit"] = mean_guarded("qmit", check_qmit, X, Y, ctx=ctx)
-    verdicts["dmrl"] = mean_guarded("dmrl", check_dmrl, X, Y, ctx=ctx)
-    verdicts["star"] = check_star(X, Y, ctx=ctx)
-    verdicts["ps"] = mean_guarded("ps", check_ps, X, Y, ctx=ctx, star_verdict=verdicts["star"])
-    zero_left = abs(X.support_lo) <= 1e-12 and abs(Y.support_lo) <= 1e-12
+    verdicts["qmit"] = mean_guarded("qmit", check_qmit, ctx)
+    verdicts["dmrl"] = mean_guarded("dmrl", check_dmrl, ctx)
+    verdicts["star"] = check_star(ctx)
+    verdicts["ps"] = mean_guarded("ps", check_ps, ctx, verdicts["star"])
+    zero_left = abs(ctx.X.support_lo) <= 1e-12 and abs(ctx.Y.support_lo) <= 1e-12
     verdicts["nbue"] = mean_guarded("nbue", _nbue_from, ctx, verdicts, zero_left)
     _check_implications(verdicts, zero_left)
     return [verdicts[o] for o in ORDERS]
@@ -758,10 +746,9 @@ class QuantileRatioPrediction:
         return {"case": self.case, "directions": list(self.directions)}
 
 
-def predict_quantile_ratio_shape(X, Y, cfg: GridConfig | None = None):
+def predict_quantile_ratio_shape(ctx: PairContext):
     """Predict the segmentation of G^-1/F^-1 from the endpoint limits of delta,
     assuming the quantile-density ratio is increasing-then-decreasing."""
-    ctx = _ctx(X, Y, cfg)
     sh = ctx.shape()
     if sh.classification != UNIMODAL_MAX:
         raise HypothesisError(

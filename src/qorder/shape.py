@@ -18,7 +18,8 @@ from .errors import DomainError, TooOscillatoryError, ValidationError
 from .oracle import logit_grid
 
 __all__ = [
-    "GridConfig",
+    "P_MIN",
+    "MAX_MODES",
     "Mode",
     "Segment",
     "ShapeReport",
@@ -46,11 +47,9 @@ N_MODAL = "NModal"
 _FLAT_REL = 1e-13
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    n: int = 4096
-    p_min: float = 1e-6
-    max_modes: int = 16
+# the engine's grid is logit_grid(n, P_MIN); past MAX_MODES sign changes a function is too oscillatory
+P_MIN = 1e-6
+MAX_MODES = 16
 
 
 @dataclass(frozen=True)
@@ -122,17 +121,17 @@ def _refine_mode(fn, lo, hi, kind):
     return min(max(m, lo - 1e-9), hi + 1e-9)
 
 
-def _scan(values, cfg):
+def _scan(values, n):
     """The grid scan of find_shape and shape_class: the grid, every panel's sign
     (0 if flat), the significant panels' signs, the flips between consecutive
     ones, and each flip's bracket (lo, hi) from the start of the last panel of
     one sign to the end of the first panel of the other."""
-    grid = logit_grid(cfg.n, cfg.p_min)
+    grid = logit_grid(n, P_MIN)
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.shape:
         raise ValidationError(
             f"find_shape got {vals.size} values for the {grid.size}-point grid "
-            f"logit_grid({cfg.n}, {cfg.p_min:g})"
+            f"logit_grid({n}, {P_MIN:g})"
         )
     if np.any(~np.isfinite(vals)):
         raise DomainError("function not finite on the working grid")
@@ -149,9 +148,9 @@ def _scan(values, cfg):
     sig = signs[sig_idx]
     flips = np.flatnonzero(sig[1:] != sig[:-1])
     lo, hi = grid[sig_idx[flips]], grid[sig_idx[flips + 1] + 1]
-    if flips.size > cfg.max_modes:
+    if flips.size > MAX_MODES:
         raise TooOscillatoryError(
-            f"{flips.size} derivative sign changes exceed max_modes={cfg.max_modes}",
+            f"{flips.size} derivative sign changes exceed max_modes={MAX_MODES}",
             modes=(0.5 * (lo + hi)).tolist(),
         )
     return grid, signs, sig, flips, lo, hi
@@ -167,20 +166,20 @@ def _classify(sig, flips):
     return N_MODAL
 
 
-def shape_class(values, cfg: GridConfig = GridConfig()):
-    """The classification find_shape(fn, cfg, values) gives, read off the
-    values on logit_grid(cfg.n, cfg.p_min) without refining any mode."""
-    _, _, sig, flips, _, _ = _scan(values, cfg)
+def shape_class(values, n=4096):
+    """The classification find_shape(fn, n, values) gives, read off the
+    values on logit_grid(n, P_MIN) without refining any mode."""
+    _, _, sig, flips, _, _ = _scan(values, n)
     return _classify(sig, flips)
 
 
-def find_shape(fn, cfg: GridConfig = GridConfig(), values=None):
+def find_shape(fn, n=4096, values=None):
     """Segment fn on (0,1) into monotone pieces and type its modes.  fn must be
-    vectorized unless ``values`` already holds its values on logit_grid(cfg.n,
-    cfg.p_min); fn is then called on scalars only, to refine the modes."""
+    vectorized unless ``values`` already holds its values on logit_grid(n,
+    P_MIN); fn is then called on scalars only, to refine the modes."""
     if values is None:
-        values = fn(logit_grid(cfg.n, cfg.p_min))
-    grid, signs, sig, flips, lo, hi = _scan(values, cfg)
+        values = fn(logit_grid(n, P_MIN))
+    grid, signs, sig, flips, lo, hi = _scan(values, n)
 
     # plateaus: runs of 3 or more flat panels, as (grid[start], grid[end of run])
     edges = np.diff(np.concatenate(([0], (signs == 0).view(np.int8), [0])))

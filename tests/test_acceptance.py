@@ -22,10 +22,11 @@ from qorder.orders import (
     HOLDS_REVERSED,
     INCONCLUSIVE,
     ORDERS,
+    PairContext,
     check_star,
     compare_all,
 )
-from qorder.shape import GridConfig, ratio_qd, tukey_unimodal_region
+from qorder.shape import ratio_qd, tukey_unimodal_region
 
 X_TUKEY = TukeyGeneralized(4, 1, 2.5)
 Y_TUKEY = TukeyGeneralized(1.5, 1, 1.5)
@@ -43,7 +44,7 @@ def _statuses(verdicts):
 
 def test_tukey_worked_example():
     t0 = time.perf_counter()
-    got = _statuses(compare_all(X_TUKEY, Y_TUKEY, GridConfig(), method="both"))
+    got = _statuses(compare_all(X_TUKEY, Y_TUKEY, method="both"))
     elapsed = time.perf_counter() - t0
     expected = {
         "convex": BOTH_FAIL,
@@ -126,7 +127,8 @@ def test_closed_form_star_condition():
         if abs(lhs - rhs) < 1e-6:
             continue  # borderline draw; the inequality is strict
         cells += 1
-        v = check_star(TukeyGeneralized(lam1, eta1, a1), TukeyGeneralized(lam2, eta2, a2))
+        X, Y = TukeyGeneralized(lam1, eta1, a1), TukeyGeneralized(lam2, eta2, a2)
+        v = check_star(PairContext(X, Y))
         holds = v.status in (HOLDS, EQUIVALENT)
         if holds != (lhs > rhs):
             ok = False

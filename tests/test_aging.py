@@ -18,14 +18,14 @@ from qorder.deltas import mrl_quantile
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
 from qorder.orders import PairContext
-from qorder.shape import GridConfig, find_shape, ratio_qd
+from qorder.shape import P_MIN, find_shape, ratio_qd
 
 GOV = Govindarajulu(0, 2, 2)
 EXP = UnitExponential()
 
 
 def _ctx(X):
-    return PairContext(X, EXP, GridConfig())
+    return PairContext(X, EXP)
 
 
 class TestHazardQuantile:
@@ -171,7 +171,7 @@ class TestOneContext:
             real = getattr(aging, name)
 
             def spy(*args, **kw):
-                seen.append((name, kw["ctx"] if "ctx" in kw else args[0]))
+                seen.append((name, args[0]))
                 return real(*args, **kw)
 
             monkeypatch.setattr(aging, name, spy)
@@ -204,25 +204,25 @@ class TestGridProfileShapes:
         (Govindarajulu(0, 2, 2), 1),  # ihrwa surrogate only
     ])
     def test_profile_values_match_the_scalar_reference(self, monkeypatch, X, expected):
-        cfg = GridConfig(n=512)
+        n = 512
         seen = []
         real = aging.shape_class
 
-        def spy(values, grid=GridConfig()):
-            cls = real(values, grid)
+        def spy(values, n=4096):
+            cls = real(values, n)
             seen.append((values, cls))
             return cls
 
         monkeypatch.setattr(aging, "shape_class", spy)
-        aging_report(X, cfg)
+        aging_report(X, n)
         assert len(seen) == expected
         # the mrl fallback, when it runs, comes before the ihrwa surrogate
         refs = [mrl_quantile, wa_surrogate][-expected:]
-        grid = logit_grid(cfg.n, cfg.p_min)
+        grid = logit_grid(n, P_MIN)
         for (values, cls), ref in zip(seen, refs):
             scalar = np.vectorize(lambda p, ref=ref: ref(X, float(p)), otypes=[float])
             assert values[::37] == pytest.approx(scalar(grid[::37]), rel=1e-6)
-            assert cls == find_shape(scalar, cfg).classification
+            assert cls == find_shape(scalar, n).classification
 
     def test_surrogate_runs_no_quadrature_beyond_the_profile(self, monkeypatch):
         X = Govindarajulu(0, 0.53, 1.17)  # fresh: no profile built yet
@@ -240,7 +240,7 @@ class TestGridProfileShapes:
         monkeypatch.setattr(deltas, "quadrature", spy)
         classify_ihrwa(ctx, hazard, {})
         # only the head of the profile's lower cumulative integral
-        assert calls == [(0.0, float(logit_grid(ctx.cfg.n, ctx.cfg.p_min)[0]))]
+        assert calls == [(0.0, float(logit_grid(ctx.n, P_MIN)[0]))]
 
     def test_report_lets_the_model_die_without_the_cyclic_collector(self):
         X = TukeyGeneralized(1.5, 1, 4.5)

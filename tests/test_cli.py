@@ -215,6 +215,39 @@ class TestSweepCommand:
         assert captured.err == f"qorder: error: --alpha{k}-max 1 is below --alpha{k}-min 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha1-min", "nan"), ("--alpha2-max", "nan"), ("--step", "nan"),
+        ("--alpha1-max", "inf"), ("--alpha2-min", "inf"), ("--step", "inf"),
+    ])
+    def test_non_finite_range_writes_no_csv(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", flag, value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qorder: error: {flag} must be finite, got {value}\n"
+        assert not out.exists()
+
+
+class TestNonFiniteModelInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--x", "tukey:nan,1,2", "--y", "exp1", "--method", "theorem"],
+         "Tukey family requires a finite lam, got nan"),
+        (["compare", "--x", "govindarajulu:nan,1,1", "--y", "exp1"],
+         "Govindarajulu requires a finite theta, got nan"),
+        (["compare", "--x", "tukey:inf,1,2", "--y", "tukey:2,1,2"],
+         "Tukey family requires a finite lam, got inf"),
+        (["compare", "--x", "dsl:exp(1000*p)", "--y", "exp1"],
+         "quantile expression is not finite: qf(0.710244) = inf"),
+        (["aging", "--x", "tukey:1,1,nan"], "Tukey family requires a finite alpha, got nan"),
+        (["aging", "--x", "govindarajulu:0,inf,1"], "Govindarajulu requires a finite sigma, got inf"),
+    ])
+    def test_is_one_error_line(self, capsys, argv, message):
+        # otherwise it passes every comparison check after it, and the engine certifies verdicts
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qorder: error: {message}\n"
+
 
 class TestEvalCommand:
     def test_simple(self, capsys):

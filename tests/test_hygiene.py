@@ -1,7 +1,9 @@
 """Source hygiene: no unused imports in the package, no import inside a
-function, and no module reaches into another through private names."""
+function, no module reaches into another through private names, and every
+public name a module lists in ``__all__`` exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "qorder"
@@ -72,3 +74,13 @@ def test_cli_imports_no_private_names():
 
 def test_no_module_imports_private_names():
     assert [p for path in sorted(PKG.glob("*.py")) for p in _private_imports(path)] == []
+
+
+def test_every_name_in_all_is_bound():
+    missing = []
+    for path in sorted(PKG.glob("*.py")):
+        name = "qorder" if path.stem == "__init__" else f"qorder.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                    if not hasattr(module, attr)]
+    assert missing == []

@@ -16,6 +16,7 @@ from qorder.orders import (
     HOLDS_REVERSED,
     INCONCLUSIVE,
     ORDERS,
+    PairContext,
     check_convex,
     check_dmrl,
     check_ps,
@@ -24,7 +25,7 @@ from qorder.orders import (
     compare_all,
     predict_quantile_ratio_shape,
 )
-from qorder.shape import GridConfig, find_shape, tukey_unimodal_region
+from qorder.shape import P_MIN, find_shape, tukey_unimodal_region
 
 X_TUKEY = TukeyGeneralized(4, 1, 2.5)
 Y_TUKEY = TukeyGeneralized(1.5, 1, 1.5)
@@ -52,18 +53,23 @@ class TestWorkedTukeyPair:
         compare_all(X_TUKEY, Y_TUKEY, method="both")
 
     def test_star_certificate_limits(self):
-        v = check_star(X_TUKEY, Y_TUKEY)
+        v = check_star(PairContext(X_TUKEY, Y_TUKEY))
         vals = {c.name: c.value for c in v.certificate.conditions}
         assert vals["lim_delta_0"] == pytest.approx(1.3, rel=1e-9)
         assert vals["lim_delta_1"] == pytest.approx(0.5, rel=1e-9)
 
     def test_qmit_fails_via_endpoint_condition(self):
-        v = check_qmit(X_TUKEY, Y_TUKEY)
+        v = check_qmit(PairContext(X_TUKEY, Y_TUKEY))
         vals = {c.name: c.value for c in v.certificate.conditions}
         assert vals["lim_centered_delta_1"] == pytest.approx(-0.4, rel=1e-6)
 
+    def test_ps_takes_the_star_verdict(self):
+        ctx = PairContext(X_TUKEY, Y_TUKEY)
+        v = check_ps(ctx, check_star(ctx))
+        assert (v.status, v.method) == (HOLDS, "implication")
+
     def test_dmrl_reversed_fails_via_swap(self):
-        v = check_dmrl(X_TUKEY, Y_TUKEY)
+        v = check_dmrl(PairContext(X_TUKEY, Y_TUKEY))
         vals = {c.name: c.value for c in v.certificate.conditions}
         # role-swapped endpoint limit eta1*(1 - alpha1/alpha2) = 1 - 2.5/1.5
         assert vals["swapped.lim_centered_delta_0"] == pytest.approx(-2.0 / 3.0, rel=1e-6)
@@ -90,9 +96,9 @@ class TestVerdictAssembly:
         # an n-modal pair: the forward dmrl theorem reads delta_dmrl at the
         # second mode (the worked pair's unimodal ratio never evaluates it)
         X, Y = TukeyGeneralized(2, 1, 4), TukeyGeneralized(2, 1, 0.5)
-        expected = check_dmrl(X, Y).status
+        expected = check_dmrl(PairContext(X, Y)).status
         monkeypatch.setattr(deltas, "delta_dmrl", _forced_failure)
-        v = check_dmrl(X, Y)
+        v = check_dmrl(PairContext(X, Y))
         names = [c.name for c in v.certificate.conditions]
         assert "delta_dmrl_at_p2" not in names
         assert names[-1] == "oracle_dmrl"
@@ -103,7 +109,7 @@ class TestVerdictAssembly:
         # worked pair: forward star reads the endpoint limits (analytic hints),
         # reversed star evaluates delta at the ratio mode
         monkeypatch.setattr(deltas, "delta", _forced_failure)
-        v = check_star(X_TUKEY, Y_TUKEY)
+        v = check_star(PairContext(X_TUKEY, Y_TUKEY))
         conds = {c.name: c.satisfied for c in v.certificate.conditions}
         assert conds == {"lim_delta_0": True, "lim_delta_1": True, "oracle_star": None}
         assert v.status == HOLDS
@@ -144,8 +150,8 @@ class TestShapeFromProfiles:
         ("govindarajulu:0,2,2", "exp1"),             # the hazard quantile, unimodal min
     ])
     def test_equals_find_shape_on_the_ratio(self, x, y):
-        ctx = orders.PairContext(parse_spec(x), parse_spec(y), GridConfig())
-        assert ctx.shape() == find_shape(ctx.ratio, ctx.cfg)
+        ctx = PairContext(parse_spec(x), parse_spec(y))
+        assert ctx.shape() == find_shape(ctx.ratio, ctx.n)
 
     def test_both_evaluates_each_quantile_density_once_on_the_grid(self, monkeypatch):
         calls = Counter()
@@ -181,9 +187,9 @@ class TestShapeFromProfiles:
 
     def test_stored_failure_reraised_unchanged(self):
         X = parse_spec("dsl:-s*log(1-p);s=2")
-        ctx = orders.PairContext(X, TukeyGeneralized(4, 1, 2.5), GridConfig())
+        ctx = PairContext(X, TukeyGeneralized(4, 1, 2.5))
         seen = []
-        for shape in (lambda: find_shape(ctx.ratio, ctx.cfg), ctx.shape, ctx.shape):
+        for shape in (lambda: find_shape(ctx.ratio, ctx.n), ctx.shape, ctx.shape):
             with pytest.raises(TooOscillatoryError) as info:
                 shape()
             seen.append((str(info.value), info.value.modes))
@@ -191,14 +197,14 @@ class TestShapeFromProfiles:
         assert len(seen[0][1]) > 16
 
 
-class TestGridConfigDrivesEveryRoute:
+class TestGridSizeDrivesEveryRoute:
     def test_oracle_reads_the_configured_profiles_only(self):
         X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
-        ctx = orders.PairContext(X, Y, GridConfig(n=512, p_min=1e-4))
+        ctx = PairContext(X, Y, 512)
         for order in ORDERS:
             assert ctx.oracle(order).n == 512
         for m in (X, Y):
-            assert set(m.__dict__["_profiles"]) == {(512, 1e-4)}
+            assert set(m.__dict__["_profiles"]) == {(512, P_MIN)}
 
 
 class TestQuantileRatioShapeFromProfiles:
@@ -207,9 +213,8 @@ class TestQuantileRatioShapeFromProfiles:
 
     def test_equals_find_shape_on_the_quantile_ratio(self):
         X, Y = parse_spec(self.X), parse_spec(self.Y)
-        ctx = orders.PairContext(X, Y, GridConfig())
-        assert ctx.quantile_ratio_shape() == find_shape(lambda p: Y.quantile(p) / X.quantile(p),
-                                                        GridConfig())
+        ctx = PairContext(X, Y)
+        assert ctx.quantile_ratio_shape() == find_shape(lambda p: Y.quantile(p) / X.quantile(p))
 
     def test_both_evaluates_each_quantile_once_on_the_grid(self, monkeypatch):
         calls = Counter()
@@ -231,7 +236,7 @@ class TestQuantileRatioShapeFromProfiles:
             def quantile(self, p):
                 return super().quantile(p) - 1e-3
 
-        ctx = orders.PairContext(Shifted(), UnitExponential(), GridConfig())
+        ctx = PairContext(Shifted(), UnitExponential())
         with pytest.raises(DomainError, match="strictly positive F"):
             ctx.quantile_ratio_shape()
 
@@ -270,13 +275,13 @@ class TestDegenerateAndErrorPaths:
     def test_negative_support_refused(self):
         shifted = TukeyGeneralized(0.0, 1.0, 2.5)
         with pytest.raises(ValidationError):
-            check_star(shifted, Y_TUKEY)
+            check_star(PairContext(shifted, Y_TUKEY))
 
     def test_sample_backed_model_refused(self):
         from qorder.empirical import SampleSet
 
         with pytest.raises(ValidationError):
-            check_convex(SampleSet((1.0, 2.0, 3.0)), EXP)
+            check_convex(PairContext(SampleSet((1.0, 2.0, 3.0)), EXP))
 
 
 class TestMonotoneRatioPairs:
@@ -374,7 +379,8 @@ class TestClosedFormStarCondition:
             rhs = (lam2 + eta2) * 2 * eta1
             if abs(lhs - rhs) < 1e-6:
                 continue
-            v = check_star(TukeyGeneralized(lam1, eta1, a1), TukeyGeneralized(lam2, eta2, a2))
+            X, Y = TukeyGeneralized(lam1, eta1, a1), TukeyGeneralized(lam2, eta2, a2)
+            v = check_star(PairContext(X, Y))
             holds = v.status in (HOLDS, EQUIVALENT)
             assert holds == (lhs > rhs), (lam1, eta1, a1, lam2, eta2, a2, v.status)
 
@@ -418,7 +424,7 @@ class TestTheoremOracleAgreement:
 
 class TestPrediction:
     def test_tukey_pair_case_1(self):
-        pred = predict_quantile_ratio_shape(X_TUKEY, Y_TUKEY)
+        pred = predict_quantile_ratio_shape(PairContext(X_TUKEY, Y_TUKEY))
         assert pred.case == "1"
         assert pred.directions == ("increasing",)
 
@@ -426,14 +432,14 @@ class TestPrediction:
         from qorder.errors import HypothesisError
 
         with pytest.raises(HypothesisError):
-            predict_quantile_ratio_shape(Govindarajulu(0, 2, 2), EXP)
+            predict_quantile_ratio_shape(PairContext(Govindarajulu(0, 2, 2), EXP))
 
     def test_case_2_shape(self):
         # swap the worked pair: delta limits change sign, ratio has one min,
         # so predict on a pair whose limits are (+, -): reversed star via 2
         X = TukeyGeneralized(1.2, 1.0, 2.5)
         Y = TukeyGeneralized(3.0, 1.0, 1.5)
-        pred = predict_quantile_ratio_shape(X, Y)
+        pred = predict_quantile_ratio_shape(PairContext(X, Y))
         assert pred.case in ("2", "4a", "4b", "3", "1")  # consistency with oracle below
         from qorder.shape import find_shape
 

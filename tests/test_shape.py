@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qorder import shape
 from qorder.errors import DomainError, TooOscillatoryError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
@@ -14,7 +15,7 @@ from qorder.shape import (
     N_MODAL,
     UNIMODAL_MAX,
     UNIMODAL_MIN,
-    GridConfig,
+    P_MIN,
     Mode,
     Segment,
     ShapeReport,
@@ -108,37 +109,37 @@ class TestFindShape:
             assert ma.location == pytest.approx(mb.location, abs=1e-9)
 
     def test_grid_config_respected(self):
-        rep = find_shape(lambda p: np.asarray(p), GridConfig(n=256))
+        rep = find_shape(lambda p: np.asarray(p), 256)
         assert rep.classification == INCREASING
 
 
     def test_values_from_a_larger_grid_rejected(self):
         fn = lambda p: (np.asarray(p) - 0.3) ** 2
         with pytest.raises(ValidationError, match=r"4096 values .* 512-point grid"):
-            find_shape(fn, GridConfig(n=512), values=fn(logit_grid(4096, 1e-6)))
+            find_shape(fn, 512, values=fn(logit_grid(4096, 1e-6)))
         with pytest.raises(ValidationError, match=r"4096 values .* 512-point grid"):
-            shape_class(fn(logit_grid(4096, 1e-6)), GridConfig(n=512))
+            shape_class(fn(logit_grid(4096, 1e-6)), 512)
 
     def test_values_from_a_smaller_grid_rejected(self):
         # unchecked, these read as a mode near p_min instead of at 0.3
         fn = lambda p: (np.asarray(p) - 0.3) ** 2
         with pytest.raises(ValidationError, match=r"512 values .* 4096-point grid"):
-            find_shape(fn, GridConfig(n=4096), values=fn(logit_grid(512, 1e-6)))
+            find_shape(fn, 4096, values=fn(logit_grid(512, 1e-6)))
         with pytest.raises(ValidationError, match=r"512 values .* 4096-point grid"):
-            shape_class(fn(logit_grid(512, 1e-6)), GridConfig(n=4096))
+            shape_class(fn(logit_grid(512, 1e-6)), 4096)
 
     def test_non_finite_values_rejected(self):
         values = np.linspace(1.0, 2.0, 512)
         values[100] = math.nan
-        for classify in (lambda: find_shape(None, GridConfig(n=512), values),
-                         lambda: shape_class(values, GridConfig(n=512))):
+        for classify in (lambda: find_shape(None, 512, values),
+                         lambda: shape_class(values, 512)):
             with pytest.raises(DomainError, match="not finite on the working grid"):
                 classify()
 
 
-def _find_shape_loops(fn, cfg, values):
+def _find_shape_loops(fn, n, values):
     """Reference: find_shape as it walked the panel signs in Python loops."""
-    grid = logit_grid(cfg.n, cfg.p_min)
+    grid = logit_grid(n, P_MIN)
     vals = np.asarray(values, dtype=float)
     diffs = np.diff(vals)
     local = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
@@ -171,9 +172,9 @@ def _find_shape_loops(fn, cfg, values):
             kind = "max" if signs[prev] > 0 else "min"
             brackets.append((float(grid[prev]), float(grid[i + 1]), kind))
         prev = i
-    if len(brackets) > cfg.max_modes:
+    if len(brackets) > shape.MAX_MODES:
         raise TooOscillatoryError(
-            f"{len(brackets)} derivative sign changes exceed max_modes={cfg.max_modes}",
+            f"{len(brackets)} derivative sign changes exceed max_modes={shape.MAX_MODES}",
             modes=[0.5 * (b[0] + b[1]) for b in brackets],
         )
 
@@ -214,32 +215,32 @@ class TestSegmentationAgainstLoops:
     """find_shape's array segmentation gives the loop reference's report bit for bit."""
 
     @staticmethod
-    def _both(signs, max_modes=16):
+    def _both(monkeypatch, signs, max_modes=16):
         # exact binary steps: a 0 sign is a zero difference, +-1 far above the flat tolerance
         vals = 8.0 + np.concatenate(([0.0], np.cumsum(signs))) * 2.0**-10
-        cfg = GridConfig(n=vals.size, max_modes=max_modes)
-        grid = logit_grid(cfg.n, cfg.p_min)
+        monkeypatch.setattr(shape, "MAX_MODES", max_modes)
+        grid = logit_grid(vals.size, P_MIN)
         fn = lambda p: np.interp(p, grid, vals)  # scalar-callable, for the mode refinement
         out = []
         for find in (find_shape, _find_shape_loops):
             try:
-                out.append(find(fn, cfg, vals))
+                out.append(find(fn, vals.size, vals))
             except TooOscillatoryError as exc:
                 out.append((str(exc), exc.modes))
         try:
-            cls = shape_class(vals, cfg)
+            cls = shape_class(vals, vals.size)
         except TooOscillatoryError as exc:
             cls = (str(exc), exc.modes)
         ref = out[1]
         assert cls == (ref.classification if isinstance(ref, ShapeReport) else ref)
         return out
 
-    def test_seeded_random_patterns(self):
+    def test_seeded_random_patterns(self, monkeypatch):
         rng = np.random.default_rng(20260118)
         raised = 0
         for _ in range(300):
             signs = _random_signs(rng)
-            new, ref = self._both(signs, max_modes=int(rng.integers(0, 20)))
+            new, ref = self._both(monkeypatch, signs, max_modes=int(rng.integers(0, 20)))
             assert new == ref, signs.tolist()
             raised += isinstance(ref, tuple)
         assert 0 < raised < 300  # both outcomes were exercised
@@ -253,15 +254,15 @@ class TestSegmentationAgainstLoops:
         [(0, 20), (1, 1), (0, 20)],             # a single significant panel
         [(-1, 1)],
     ])
-    def test_flat_runs(self, runs):
-        new, ref = self._both(_runs(*runs))
+    def test_flat_runs(self, monkeypatch, runs):
+        new, ref = self._both(monkeypatch, _runs(*runs))
         assert isinstance(ref, ShapeReport)
         assert new == ref
         assert new.plateaus == ref.plateaus
 
-    def test_too_many_flips(self):
+    def test_too_many_flips(self, monkeypatch):
         signs = _runs(*[(s, 2) for s in [1, -1] * 12], (0, 3), (1, 1))
-        new, ref = self._both(signs, max_modes=16)
+        new, ref = self._both(monkeypatch, signs, max_modes=16)
         assert ref[0] == "24 derivative sign changes exceed max_modes=16"
         assert new == ref
 

@@ -233,12 +233,17 @@ def run_sweep(args):
             raise ValidationError(f"--{dest.replace('_', '-')} must be finite, got {value:g}")
     if args.step <= 0.0:
         raise ValidationError("--step must be positive")
+    counts = []
     for k in (1, 2):
         lo, hi = getattr(args, f"alpha{k}_min"), getattr(args, f"alpha{k}_max")
         if hi < lo:
             raise ValidationError(f"--alpha{k}-max {hi:g} is below --alpha{k}-min {lo:g}")
-    n1 = int(round((args.alpha1_max - args.alpha1_min) / args.step)) + 1
-    n2 = int(round((args.alpha2_max - args.alpha2_min) / args.step)) + 1
+        steps = (hi - lo) / args.step
+        if not math.isfinite(steps):
+            raise ValidationError(f"--alpha{k} range {lo:g}..{hi:g} at --step {args.step:g} "
+                                  "gives a non-finite number of cells")
+        counts.append(int(round(steps)) + 1)
+    n1, n2 = counts
     rows = []
     for i in range(n1):
         a1 = args.alpha1_min + i * args.step
@@ -343,9 +348,14 @@ def _build_parser():
     return parser
 
 
+_parser = None  # built on the first call of main and reused: parse_args returns a fresh Namespace
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     if args.command == "sweep":
         if args.lam1 is None:
             args.lam1 = args.eta1 + 1.0

@@ -55,12 +55,20 @@ def check_p(p):
 
 def lower_integrand(X):
     """q -> q*qd_X(q), integrated over (0, p) by the qmit order."""
-    return lambda q: q * X.quantile_density(q)
+    return _lower(X.quantile_density)
 
 
 def upper_integrand(X):
     """q -> (1-q)*qd_X(q), integrated over (p, 1) by dmrl, ps and nbue."""
-    return lambda q: (1.0 - q) * X.quantile_density(q)
+    return _upper(X.quantile_density)
+
+
+def _lower(qd):
+    return lambda q: q * qd(q)
+
+
+def _upper(qd):
+    return lambda q: (1.0 - q) * qd(q)
 
 
 def _require_finite(model, family):
@@ -140,15 +148,34 @@ class QuantileModel(abc.ABC):
 
 class GridProfile:
     """Q, qd, lower = int_0^p q*qd and upper = int_p^1 (1-q)*qd on logit_grid(n, p_min), each
-    computed on first use; it holds the model weakly, so the model's memo forms no cycle."""
+    computed on first use; it holds the model weakly, so the model's memo forms no cycle.
+
+    lower and upper share one evaluation of qd on the grid's panel nodes: the first of
+    them to reach the nodes keeps the values, the second takes and drops them."""
 
     def __init__(self, model, n, p_min):
         self.model, self.grid = weakref.ref(model), oracle.logit_grid(n, p_min)
+        self._node_qd = None
 
     q = cached_property(lambda self: np.asarray(self.model().quantile(self.grid), float))
     qd = cached_property(lambda self: np.asarray(self.model().quantile_density(self.grid), float))
-    lower = cached_property(lambda self: oracle.lower_cumulative(lower_integrand(self.model()), self.grid))
-    upper = cached_property(lambda self: oracle.upper_cumulative(upper_integrand(self.model()), self.grid))
+    lower = cached_property(lambda self: oracle.lower_cumulative(_lower(self._shared_qd()), self.grid))
+    upper = cached_property(lambda self: oracle.upper_cumulative(_upper(self._shared_qd()), self.grid))
+
+    def _shared_qd(self):
+        """The model's quantile density, evaluated on the panel nodes at most once."""
+        X, nodes = self.model(), oracle._panel_nodes(self.grid)[1]
+
+        def qd(p):
+            if p is not nodes:  # the head or tail quadrature
+                return X.quantile_density(p)
+            if self._node_qd is None:
+                self._node_qd = X.quantile_density(nodes)
+                return self._node_qd
+            vals, self._node_qd = self._node_qd, None
+            return vals
+
+        return qd
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,21 +82,43 @@ def logit_grid(n, p_min=1e-6):
     return _logit_grid(n, p_min)
 
 
+# id of each live shared grid -> its (half-widths, nodes); an entry goes with its
+# grid, so an id is never read for another array
+_NODES = {}
+
+
 @functools.lru_cache(maxsize=32)
 def _logit_grid(n, p_min):
     lo = math.log(p_min / (1.0 - p_min))
     t = np.linspace(lo, -lo, n)
     grid = 1.0 / (1.0 + np.exp(-t))
     grid.flags.writeable = False
+    geometry = _build_panel_nodes(grid)
+    for arr in geometry:
+        arr.flags.writeable = False
+    _NODES[id(grid)] = geometry
+    weakref.finalize(grid, _NODES.pop, id(grid), None)
     return grid
+
+
+def _build_panel_nodes(grid):
+    half = 0.5 * np.diff(grid)
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    return half, (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+
+
+def _panel_nodes(grid):
+    """Half-widths and the flat Gauss-Legendre 15 nodes of the panels [grid[i], grid[i+1]].
+
+    Built once with each shared logit_grid array and read-only like it; any
+    other grid gets fresh arrays."""
+    return _NODES.get(id(grid)) or _build_panel_nodes(grid)
 
 
 def _panel_integrals(fn, grid):
     """Gauss-Legendre 15 on every panel [grid[i], grid[i+1]]."""
-    half = 0.5 * np.diff(grid)
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
+    half, nodes = _panel_nodes(grid)
+    vals = np.asarray(fn(nodes), dtype=float).reshape(half.size, _GL_NODES.size)
     return half * (vals @ _GL_WEIGHTS)
 
 

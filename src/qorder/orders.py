@@ -177,6 +177,8 @@ class PairContext:
     """Shared per-pair cache on logit_grid(n, P_MIN): ratio shape, limits, mode values, oracle runs."""
 
     def __init__(self, X, Y, n=4096, _shape=None):
+        if n < 3:  # the ratio's shape needs two grid steps
+            raise ValidationError(f"grid size must be at least 3, got {n}")
         for m, name in ((X, "X"), (Y, "Y")):
             if not getattr(m, "supports_theorem_paths", True):
                 raise ValidationError(

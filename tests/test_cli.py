@@ -308,3 +308,68 @@ class TestGridOption:
                      "--grid", grid, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"qorder: error: --grid must be at least 3, got {grid}\n"
         assert not out.exists()
+
+
+class TestParserBuiltOnce:
+    ARGVS = [
+        ["compare", "--x", "tukey:4,1,2.5", "--y", "tukey:1.5,1,1.5", "--grid", "256"],
+        ["compare", "--x", "tukey:4,1,2.5", "--method", "sideways"],  # argparse exits
+        ["aging", "--x", "govindarajulu:0,2,2", "--grid", "256"],
+        ["sweep", "--alpha1-min", "2.4", "--alpha1-max", "2.5", "--alpha2-min", "1.5",
+         "--alpha2-max", "1.5", "--step", "0.1", "--grid", "64"],
+    ]
+
+    @staticmethod
+    def _run(argv, tmp_path, capsys):
+        out = tmp_path / ("rows.csv" if argv[0] == "sweep" else "report.json")
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        data = out.read_bytes() if out.exists() else None
+        if out.exists():
+            out.unlink()
+        return code, captured.err, data
+
+    def test_at_most_one_build_across_calls(self, monkeypatch, tmp_path, capsys):
+        from qorder import cli
+
+        calls = []
+        real = cli._build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1) or real())
+        for argv in self.ARGVS * 2:
+            self._run(argv, tmp_path, capsys)
+        assert len(calls) == 1
+
+    def test_reused_parser_gives_the_output_of_fresh_ones(self, monkeypatch, tmp_path, capsys):
+        from qorder import cli
+
+        monkeypatch.setattr(cli, "_parser", None)
+        reused = [self._run(argv, tmp_path, capsys) for argv in self.ARGVS]
+        fresh = []
+        for argv in self.ARGVS:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(self._run(argv, tmp_path, capsys))
+        assert reused == fresh
+        assert [r[0] for r in reused] == [0, ("exit", 2), 0, 0]
+        assert "invalid choice: 'sideways'" in reused[1][1]
+        assert [r[2] is not None for r in reused] == [True, False, True, True]
+
+
+class TestSweepCellCount:
+    @pytest.mark.parametrize("argv, message", [
+        (["--step", "1e-320"], "--alpha1 range 0.05..4.95 at --step 9.99989e-321"),
+        (["--alpha1-min=-1e308", "--alpha1-max", "1e308"],
+         "--alpha1 range -1e+308..1e+308 at --step 0.05"),
+        (["--alpha2-min=-1e308", "--alpha2-max", "1e308"],
+         "--alpha2 range -1e+308..1e+308 at --step 0.05"),
+    ])
+    def test_non_finite_count_writes_no_csv(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qorder: error: {message} gives a non-finite number of cells\n"
+        assert not out.exists()

@@ -1,0 +1,180 @@
+"""GridProfile's cumulative integrals: one quantile-density evaluation on the panel nodes.
+
+The reference below is the two-evaluation path the profile replaced: each
+integral builds its own panel nodes and evaluates the model on them.  The
+shared path must give the same bits, and the same error where it fails.
+"""
+
+import gc
+import weakref
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from qorder import oracle
+from qorder.aging import aging_report
+from qorder.cli import parse_spec
+from qorder.errors import ValidationError
+from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
+from qorder.orders import PairContext, compare_all
+from qorder.shape import P_MIN
+
+WEIBULL = "dsl:s*(-log(1-p))^(1/k);qdf=s/k*(-log(1-p))^(1/k-1)/(1-p);s={s};k={k}"
+LOGLOGISTIC = "dsl:s*(p/(1-p))^(1/b);qdf=s/b*(p/(1-p))^(1/b-1)/(1-p)^2;s={s};b={b}"
+SPECS = [
+    "tukey:4,1,2.5", "tukey:1.5,1,1.5", "tukey:2,1,0.5", "tukey:1,1,1", "tukey:3,2,4",
+    "govindarajulu:0,2,2", "govindarajulu:0,0.53,1.17", "govindarajulu:1,1,0.5",
+    "govindarajulu:0,1,1", "exp1",
+    WEIBULL.format(s=2.42016, k=1.99702), WEIBULL.format(s=1, k=0.7),
+    LOGLOGISTIC.format(s=2.08376, b=3.36564), LOGLOGISTIC.format(s=0.586315, b=2.59233),
+    "dsl:-s*log(1-p);s=2", "dsl:-s*log(1-p);s=1.84233",
+]
+GRIDS = [3, 64, 512, 4096]
+
+
+def _reference_panels(fn, grid):
+    half = 0.5 * np.diff(grid)
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    pts = mid[:, None] + half[:, None] * oracle._GL_NODES[None, :]
+    vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
+    return half * (vals @ oracle._GL_WEIGHTS)
+
+
+def _reference_lower(X, grid):
+    fn = lambda q: q * X.quantile_density(q)  # noqa: E731
+    head = oracle.quadrature(fn, 0.0, float(grid[0]), rel_tol=1e-10)
+    out = np.empty_like(grid)
+    out[0] = head
+    out[1:] = head + np.cumsum(_reference_panels(fn, grid))
+    return out
+
+
+def _reference_upper(X, grid):
+    fn = lambda q: (1.0 - q) * X.quantile_density(q)  # noqa: E731
+    tail = oracle.quadrature(fn, float(grid[-1]), 1.0, rel_tol=1e-10)
+    out = np.empty_like(grid)
+    out[-1] = tail
+    out[:-1] = tail + np.cumsum(_reference_panels(fn, grid)[::-1])[::-1]
+    return out
+
+
+def _outcome(fn, *args):
+    """("ok", bytes) of a float array, or ("error", type, message)."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the comparison is the point: any error must match
+        return ("error", type(exc), str(exc))
+    return ("ok", np.asarray(value, dtype=float).tobytes())
+
+
+class TestBitEqualToTheTwoEvaluationPath:
+    @pytest.mark.parametrize("n", GRIDS)
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("first", ["lower", "upper"])
+    def test_lower_and_upper(self, spec, n, first):
+        X = parse_spec(spec)
+        prof = X.profile(n, P_MIN)
+        second = "upper" if first == "lower" else "lower"
+        got = {name: _outcome(getattr, prof, name) for name in (first, second)}
+        ref = parse_spec(spec)
+        assert got["lower"] == _outcome(_reference_lower, ref, prof.grid)
+        assert got["upper"] == _outcome(_reference_upper, ref, prof.grid)
+
+    def test_a_failing_integral_raises_as_the_reference_does(self):
+        # (1-q)*qd and q*qd of a Tukey model with alpha <= -1 diverge at the endpoints
+        X, ref = TukeyGeneralized(0.0, -1.0, -1.5), TukeyGeneralized(0.0, -1.0, -1.5)
+        prof = X.profile(512, P_MIN)
+        for name, reference in (("upper", _reference_upper), ("lower", _reference_lower)):
+            got = _outcome(getattr, prof, name)
+            assert got[0] == "error"
+            assert got == _outcome(reference, ref, prof.grid)
+
+
+def _node_spy(monkeypatch, n=4096):
+    """Count, per model, the quantile_density calls on the panel-node array of grid n."""
+    size = (n - 1) * oracle._GL_NODES.size
+    calls, arrays = Counter(), {}
+    for cls in (TukeyGeneralized, Govindarajulu, UnitExponential):
+        real = cls.quantile_density
+
+        def spy(self, p, real=real):
+            if np.ndim(p) == 1 and np.size(p) == size:
+                calls[id(self)] += 1
+                arrays[id(self)] = p
+            return real(self, p)
+
+        monkeypatch.setattr(cls, "quantile_density", spy)
+    return calls, arrays
+
+
+class TestOneNodeEvaluation:
+    @pytest.mark.parametrize("x, y", [
+        ("tukey:4,1,2.5", "tukey:1.5,1,1.5"),
+        ("govindarajulu:0,2,2", "exp1"),
+    ])
+    def test_both_evaluates_each_model_once_on_the_nodes(self, monkeypatch, x, y):
+        calls, _ = _node_spy(monkeypatch)
+        X, Y = parse_spec(x), parse_spec(y)  # fresh: no profile memo from other tests
+        compare_all(X, Y, method="both")
+        assert "lower" in vars(X.profile(4096, P_MIN)) and "upper" in vars(X.profile(4096, P_MIN))
+        assert calls == {id(X): 1, id(Y): 1}
+
+    def test_aging_evaluates_the_model_once_on_the_nodes(self, monkeypatch):
+        calls, _ = _node_spy(monkeypatch)
+        X = Govindarajulu(0, 2, 2)
+        aging_report(X)
+        assert calls[id(X)] == 1
+
+    def test_profiles_on_one_grid_receive_one_read_only_node_array(self, monkeypatch):
+        _, arrays = _node_spy(monkeypatch, n=512)
+        X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
+        px, py = X.profile(512, P_MIN), Y.profile(512, P_MIN)
+        px.lower, py.upper
+        assert px.grid is py.grid
+        assert arrays[id(X)] is arrays[id(Y)]
+        assert not arrays[id(X)].flags.writeable
+        half, nodes = oracle._panel_nodes(px.grid)
+        assert nodes is arrays[id(X)] and not half.flags.writeable
+
+    def test_node_values_are_dropped_after_the_second_integral(self):
+        X = TukeyGeneralized(4, 1, 2.5)
+        prof = X.profile(512, P_MIN)
+        prof.lower
+        assert prof._node_qd is not None and prof._node_qd.size == 511 * oracle._GL_NODES.size
+        prof.upper
+        assert prof._node_qd is None
+
+    def test_other_grids_get_fresh_writable_nodes(self):
+        grid = np.linspace(0.1, 0.9, 9)
+        first, second = oracle._panel_nodes(grid)[1], oracle._panel_nodes(grid)[1]
+        assert first is not second and first.flags.writeable
+        np.testing.assert_array_equal(first, second)
+
+    def test_the_node_cache_entry_goes_with_its_grid(self):
+        grid = oracle._logit_grid.__wrapped__(7, P_MIN)  # built as a shared grid, but not cached
+        key, ref = id(grid), weakref.ref(grid)
+        assert oracle._panel_nodes(grid) is oracle._NODES[key]
+        del grid
+        gc.collect()
+        assert ref() is None and key not in oracle._NODES
+
+
+class TestGridSizeBelowThree:
+    @pytest.mark.parametrize("n", [2, 1, 0, -5])
+    def test_pair_context_rejects_it(self, n):
+        X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
+        with pytest.raises(ValidationError, match=f"^grid size must be at least 3, got {n}$"):
+            PairContext(X, Y, n)
+        for method in ("theorem", "oracle", "both"):
+            with pytest.raises(ValidationError, match="grid size must be at least 3"):
+                compare_all(X, Y, n, method=method)
+
+    def test_aging_report_rejects_it(self):
+        with pytest.raises(ValidationError, match="^grid size must be at least 3, got 2$"):
+            aging_report(Govindarajulu(0, 2, 2), 2)
+
+    def test_three_is_accepted(self):
+        assert len(compare_all(TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5), 3,
+                               method="theorem")) == 6
+

@@ -410,11 +410,12 @@ class DslModel(QuantileModel):
         return (upper - lower) / (2.0 * h)
 
     def tail_quantile(self, end):
-        lim = limit_at(self._qf_fn, end)
-        if lim.is_determinate:
-            return lim.as_float()
-        # fall back to a near-endpoint evaluation
-        return super().tail_quantile(end)
+        memo = self.__dict__.setdefault("_tails", {})  # like profile, kept per instance
+        if end not in memo:
+            lim = limit_at(self._qf_fn, end)
+            # an indeterminate limit falls back to a near-endpoint evaluation
+            memo[end] = lim.as_float() if lim.is_determinate else super().tail_quantile(end)
+        return memo[end]
 
     def label(self):
         parts = [f"dsl:{render(self._qf)}"]

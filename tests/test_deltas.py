@@ -248,4 +248,4 @@ class TestQuadratureContracts:
         assert quadrature(lambda q: q**-0.5, 0.0, 1.0) == pytest.approx(2.0, rel=1e-8)
 
     def test_sqrt_weight(self):
-        assert quadrature(lambda q: math.sqrt(q), 0.0, 1.0) == pytest.approx(2 / 3, rel=1e-10)
+        assert quadrature(lambda q: np.sqrt(q), 0.0, 1.0) == pytest.approx(2 / 3, rel=1e-10)

@@ -8,6 +8,7 @@ from qorder import dsl
 from qorder.dsl import Bin, Call, Neg, Num, Var, as_quantile_model, evaluate, parse, render
 from qorder.errors import DomainError, ParseError, ValidationError
 from qorder.models import TukeyGeneralized, UnitExponential
+from qorder.orders import compare_all
 
 
 def test_precedence_power_over_times():
@@ -303,3 +304,22 @@ class TestCompiledOnce:
             m.quantile(float(p))
             m.quantile_density(float(p))
         assert len(calls) == 2
+
+
+class TestTailQuantileMemo:
+    def test_one_limit_per_end_under_compare(self, monkeypatch):
+        calls = []
+        limit_at = dsl.limit_at
+
+        def spy(fn, end, *args, **kwargs):
+            calls.append(end)
+            return limit_at(fn, end, *args, **kwargs)
+
+        monkeypatch.setattr(dsl, "limit_at", spy)
+        X = as_quantile_model("s*(-log(1-p))^(1/k)", qdf="s/k*(-log(1-p))^(1/k-1)/(1-p)",
+                              bindings=dict(s=1.3, k=2.2))
+        verdicts = compare_all(X, UnitExponential(), method="both")
+        assert [v.status for v in verdicts] == ["Holds"] * 6
+        assert calls == [0]  # without the memo, compare asks for this limit three times
+        assert X.tail_quantile(0) == X.support_lo == pytest.approx(0.0, abs=1e-15)
+        assert calls == [0]

@@ -1,9 +1,13 @@
 """Source hygiene: no unused imports in the package, no import inside a
 function, no module reaches into another through private names, and every
-public name a module lists in ``__all__`` exists."""
+public name a module lists in ``__all__`` exists; importing the CLI loads no
+scipy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "qorder"
@@ -84,3 +88,12 @@ def test_every_name_in_all_is_bound():
         missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
                     if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_cli_import_loads_no_scipy():
+    # the quadrature is numpy only; importing scipy.integrate would triple start-up
+    code = "import sys, qorder.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

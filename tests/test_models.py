@@ -24,6 +24,40 @@ class TestCheckP:
         with pytest.raises(DomainError):
             check_p(np.array([0.5, 1.0]))
 
+    @staticmethod
+    def _three_reductions(p):
+        """check_p as it was written with three np.any reductions, for reference."""
+        if type(p) is float or type(p) is int:
+            if not 0.0 < p < 1.0:
+                raise DomainError(f"probability argument must lie strictly inside (0,1), got {p!r}")
+            return float(p)
+        arr = np.asarray(p, dtype=float)
+        if arr.size == 0:
+            return arr
+        if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+            raise DomainError(f"probability argument must lie strictly inside (0,1), got {p!r}")
+        return arr
+
+    @staticmethod
+    def _outcome(fn, p):
+        try:
+            out = fn(p)
+        except DomainError as exc:
+            return "raises", str(exc)
+        return type(out), np.shape(out), np.asarray(out).tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, 1.5,
+                                       0.5, 1e-300, 1.0 - 1e-16, 0, 1])
+    def test_min_max_rejects_what_three_reductions_rejected(self, value):
+        inputs = [value, np.float64(value), np.array(value), np.array([value]), [value],
+                  [0.5, value], np.array([[0.25, value], [0.5, 0.75]]), (value, 0.5)]
+        for p in inputs:
+            assert self._outcome(check_p, p) == self._outcome(self._three_reductions, p)
+
+    @pytest.mark.parametrize("p", [np.array([]), [], np.empty((0, 3)), np.linspace(0.01, 0.99, 21)])
+    def test_empty_and_plain_arrays_as_before(self, p):
+        assert self._outcome(check_p, p) == self._outcome(self._three_reductions, p)
+
 
 class TestTukey:
     def test_quantile_closed_form(self):

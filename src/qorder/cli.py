@@ -167,11 +167,21 @@ def run_compare(args):
     return 2 if any(v.status == INCONCLUSIVE for v in verdicts) else 0
 
 
+def _or_nan(read):
+    """read(), or nan when it fails: a curve never costs the report its verdicts."""
+    try:
+        return read()
+    except QorderError:
+        return math.nan
+
+
 def _compare_curves(X, Y, path, n):
     px, py = X.profile(min(n, 1024), 1e-4), Y.profile(min(n, 1024), 1e-4)
-    ux, uy, fx, gy = px.upper, py.upper, px.q, py.q
+    ux, uy = _or_nan(lambda: px.upper), _or_nan(lambda: py.upper)
+    mx, my = _or_nan(lambda: X.mean), _or_nan(lambda: Y.mean)
+    fx, gy = px.q, py.q
     r = py.qd / px.qd
-    cols = (px.grid, r, fx * r - gy, fx / X.mean - gy / Y.mean,
+    cols = (px.grid, r, fx * r - gy, fx / mx - gy / my,
             np.where(fx != 0.0, gy / fx, math.inf),
             np.where(fx > 0.0, ux / fx, math.inf), np.where(gy > 0.0, uy / gy, math.inf))
     _write_csv(path, ["p", "ratio_qd", "delta", "delta_ps", "quantile_ratio", "eps_x", "eps_y"],

@@ -153,32 +153,28 @@ class GridProfile:
     """Q, qd, lower = int_0^p q*qd and upper = int_p^1 (1-q)*qd on logit_grid(n, p_min), each
     computed on first use; it holds the model weakly, so the model's memo forms no cycle.
 
-    lower and upper share one evaluation of qd on the grid's panel nodes: the first of
-    them to reach the nodes keeps the values, the second takes and drops them."""
+    lower and upper share node_qd, the model's qd on the grid's panel nodes, evaluated once."""
 
     def __init__(self, model, n, p_min):
-        self.model, self.grid = weakref.ref(model), oracle.logit_grid(n, p_min)
-        self._node_qd = None
+        self._model, self.n, self.p_min = weakref.ref(model), n, p_min
+        self.grid, self.nodes = oracle.logit_grid(n, p_min), oracle.panel_nodes(n, p_min)
+
+    def model(self):
+        X = self._model()
+        if X is None:
+            raise ValidationError("the profile's model no longer exists; keep a reference to it")
+        return X
 
     q = cached_property(lambda self: np.asarray(self.model().quantile(self.grid), float))
     qd = cached_property(lambda self: np.asarray(self.model().quantile_density(self.grid), float))
-    lower = cached_property(lambda self: oracle.lower_cumulative(_lower(self._shared_qd()), self.grid))
-    upper = cached_property(lambda self: oracle.upper_cumulative(_upper(self._shared_qd()), self.grid))
+    node_qd = cached_property(lambda self: self.model().quantile_density(self.nodes))
+    lower = cached_property(lambda self: oracle.lower_cumulative(_lower(self._qd()), self.n, self.p_min))
+    upper = cached_property(lambda self: oracle.upper_cumulative(_upper(self._qd()), self.n, self.p_min))
 
-    def _shared_qd(self):
-        """The model's quantile density, evaluated on the panel nodes at most once."""
-        X, nodes = self.model(), oracle._panel_nodes(self.grid)[1]
-
-        def qd(p):
-            if p is not nodes:  # the head or tail quadrature
-                return X.quantile_density(p)
-            if self._node_qd is None:
-                self._node_qd = X.quantile_density(nodes)
-                return self._node_qd
-            vals, self._node_qd = self._node_qd, None
-            return vals
-
-        return qd
+    def _qd(self):
+        """The model's quantile density, read from node_qd on the panel nodes."""
+        X, nodes = self.model(), self.nodes
+        return lambda p: self.node_qd if p is nodes else X.quantile_density(p)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,11 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 
 __all__ = [
+    "P_MIN",
     "GridVerdict",
     "quadrature",
     "logit_grid",
+    "panel_nodes",
     "grid_monotone",
     "grid_sign",
     "lower_cumulative",
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 ORACLE_REL_TOL = 1e-9  # looser than quadrature tolerance by design
+P_MIN = 1e-6  # the engine's grid is logit_grid(n, P_MIN)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -436,69 +438,57 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def logit_grid(n, p_min=1e-6):
+def logit_grid(n, p_min=P_MIN):
     """n points in (0,1), uniform on the logit scale (dense near 0 and 1).
 
     Built once per (n, p_min) and shared by every caller, so the array is
     read-only."""
-    return _logit_grid(n, p_min)
+    return _logit_grid(n, p_min)[0]
 
 
-# id of each live shared grid -> its (half-widths, nodes); an entry goes with its
-# grid, so an id is never read for another array
-_NODES = {}
+def panel_nodes(n, p_min=P_MIN):
+    """The flat Gauss-Legendre 15 nodes of logit_grid(n, p_min)'s panels: shared, read-only."""
+    return _logit_grid(n, p_min)[2]
 
 
 @functools.lru_cache(maxsize=32)
 def _logit_grid(n, p_min):
+    """(grid, panel half-widths, panel nodes)."""
     lo = math.log(p_min / (1.0 - p_min))
     t = np.linspace(lo, -lo, n)
     grid = 1.0 / (1.0 + np.exp(-t))
-    grid.flags.writeable = False
-    geometry = _build_panel_nodes(grid)
-    for arr in geometry:
-        arr.flags.writeable = False
-    _NODES[id(grid)] = geometry
-    weakref.finalize(grid, _NODES.pop, id(grid), None)
-    return grid
-
-
-def _build_panel_nodes(grid):
     half = 0.5 * np.diff(grid)
     mid = 0.5 * (grid[:-1] + grid[1:])
-    return half, (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    for arr in (grid, half, nodes):
+        arr.flags.writeable = False
+    return grid, half, nodes
 
 
-def _panel_nodes(grid):
-    """Half-widths and the flat Gauss-Legendre 15 nodes of the panels [grid[i], grid[i+1]].
-
-    Built once with each shared logit_grid array and read-only like it; any
-    other grid gets fresh arrays."""
-    return _NODES.get(id(grid)) or _build_panel_nodes(grid)
-
-
-def _panel_integrals(fn, grid):
-    """Gauss-Legendre 15 on every panel [grid[i], grid[i+1]]."""
-    half, nodes = _panel_nodes(grid)
+def _panel_integrals(fn, n, p_min):
+    """Gauss-Legendre 15 on every panel of logit_grid(n, p_min)."""
+    _, half, nodes = _logit_grid(n, p_min)
     vals = np.asarray(fn(nodes), dtype=float).reshape(half.size, _GL_NODES.size)
     return half * (vals @ _GL_WEIGHTS)
 
 
-def lower_cumulative(fn, grid):
-    """I_k = integral of fn over (0, grid[k]) for an increasing grid."""
+def lower_cumulative(fn, n, p_min=P_MIN):
+    """I_k = integral of fn over (0, grid[k]) on grid = logit_grid(n, p_min)."""
+    grid = logit_grid(n, p_min)
     head = quadrature(fn, 0.0, float(grid[0]), rel_tol=1e-10)
     out = np.empty_like(grid)
     out[0] = head
-    out[1:] = head + np.cumsum(_panel_integrals(fn, grid))
+    out[1:] = head + np.cumsum(_panel_integrals(fn, n, p_min))
     return out
 
 
-def upper_cumulative(fn, grid):
-    """U_k = integral of fn over (grid[k], 1) for an increasing grid."""
+def upper_cumulative(fn, n, p_min=P_MIN):
+    """U_k = integral of fn over (grid[k], 1) on grid = logit_grid(n, p_min)."""
+    grid = logit_grid(n, p_min)
     tail = quadrature(fn, float(grid[-1]), 1.0, rel_tol=1e-10)
     out = np.empty_like(grid)
     out[-1] = tail
-    out[:-1] = tail + np.cumsum(_panel_integrals(fn, grid)[::-1])[::-1]
+    out[:-1] = tail + np.cumsum(_panel_integrals(fn, n, p_min)[::-1])[::-1]
     return out
 
 
@@ -556,9 +546,9 @@ def _monotone_verdict(grid, vals):
     return GridVerdict(*_classify_signs(grid[:-1], deltas, scales), len(grid))
 
 
-def grid_monotone(fn, n=4096, p_min=1e-6):
-    """Adjacent-pair monotonicity of a vectorized fn on a logit-uniform grid."""
-    grid = logit_grid(n, p_min)
+def grid_monotone(fn, n=4096):
+    """Adjacent-pair monotonicity of a vectorized fn on logit_grid(n, P_MIN)."""
+    grid = logit_grid(n)
     vals = np.asarray(fn(grid), dtype=float)
     if np.any(~np.isfinite(vals)):
         raise DomainError("function not finite on the working grid")
@@ -573,14 +563,14 @@ def grid_sign(grid, values, scales):
     return GridVerdict(status, margin, worst, len(grid))
 
 
-def order_oracle(X, Y, order, n=4096, p_min=1e-6):
+def order_oracle(X, Y, order, n=4096):
     """Grid-check the defining ratio/inequality of a transform order.
 
     Monotone-ratio orders (convex, star, qmit, dmrl) return the monotonicity
     verdict of the defining ratio; ps and nbue return a pointwise sign
     verdict (see GridVerdict).
     """
-    px, py = X.profile(n, p_min), Y.profile(n, p_min)
+    px, py = X.profile(n, P_MIN), Y.profile(n, P_MIN)
     grid = px.grid
     if order == "convex":
         vals = py.qd / px.qd

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +178,8 @@ class PairContext:
     """Shared per-pair cache on logit_grid(n, P_MIN): ratio shape, limits, mode values, oracle runs."""
 
     def __init__(self, X, Y, n=4096, _shape=None):
+        if not isinstance(n, numbers.Integral):
+            raise ValidationError(f"grid size must be an integer, got {n!r}")
         if n < 3:  # the ratio's shape needs two grid steps
             raise ValidationError(f"grid size must be at least 3, got {n}")
         for m, name in ((X, "X"), (Y, "Y")):
@@ -268,7 +271,7 @@ class PairContext:
         return self._memo(("qshape",), build)
 
     def oracle(self, order) -> GridVerdict:
-        return self._memo(("oracle", order), lambda: order_oracle(self.X, self.Y, order, self.n, P_MIN))
+        return self._memo(("oracle", order), lambda: order_oracle(self.X, self.Y, order, self.n))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, TooOscillatoryError, ValidationError
-from .oracle import logit_grid
+from .oracle import P_MIN, logit_grid
 
 __all__ = [
     "P_MIN",
@@ -47,8 +47,7 @@ N_MODAL = "NModal"
 _FLAT_REL = 1e-13
 
 
-# the engine's grid is logit_grid(n, P_MIN); past MAX_MODES sign changes a function is too oscillatory
-P_MIN = 1e-6
+# past MAX_MODES sign changes a function is too oscillatory; P_MIN, the grid's edge, is oracle's
 MAX_MODES = 16
 
 

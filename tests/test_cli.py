@@ -126,8 +126,8 @@ class TestCompareCommand:
         capsys.readouterr()
         X, Y = parse_spec(self.ARGS[2]), parse_spec(self.ARGS[4])
         grid = logit_grid(1024, 1e-4)
-        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
-        uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), grid)
+        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), 1024, 1e-4)
+        uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), 1024, 1e-4)
         rows = []
         for i, p in enumerate(grid):
             fx, gy, r = float(X.quantile(p)), float(Y.quantile(p)), float(ratio_qd(X, Y, p))
@@ -136,6 +136,24 @@ class TestCompareCommand:
                          ux[i] / fx if fx > 0.0 else math.inf,
                          uy[i] / gy if gy > 0.0 else math.inf))
         _assert_close_to_pointwise(_curve_columns(curves), np.array(rows).T)
+
+    def test_curves_with_a_failing_integral_keep_the_verdicts(self, tmp_path, capsys):
+        # Y's mean and its upper tail on (1 - 1e-4, 1) diverge; the verdicts do not need them
+        argv = ["compare", "--x", "tukey:2,1,0.5", "--y", "dsl:p/(1-p);qdf=1/(1-p)^2",
+                "--method", "theorem"]
+        assert main(argv) == 2
+        plain = capsys.readouterr()
+        curves = tmp_path / "curves.csv"
+        assert main(argv + ["--curves", str(curves)]) == 2
+        got = capsys.readouterr()
+        assert got.err == plain.err == ""
+        report = json.loads(got.out)
+        assert len(report["verdicts"]) == 6 and report["curves"] == str(curves)
+        assert report["verdicts"] == json.loads(plain.out)["verdicts"]
+        cols = _curve_columns(curves)
+        header = curves.read_text().splitlines()[0].split(",")
+        for name, col in zip(header, cols):
+            assert np.all(np.isnan(col)) == (name in ("delta_ps", "eps_y")), name
 
 
 class TestAgingCommand:
@@ -157,8 +175,8 @@ class TestAgingCommand:
         capsys.readouterr()
         X = Govindarajulu(0, 2, 2)
         grid = logit_grid(1024, 1e-4)
-        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), grid)
-        lx = lower_cumulative(lambda q: q * X.quantile_density(q), grid)
+        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), 1024, 1e-4)
+        lx = lower_cumulative(lambda q: q * X.quantile_density(q), 1024, 1e-4)
         ref = [(p, float(hazard_quantile(X, p)), ux[i] / (1.0 - p), (-math.log1p(-p) - p) / lx[i])
                for i, p in enumerate(grid)]
         _assert_close_to_pointwise(_curve_columns(curves), np.array(ref).T)

@@ -5,8 +5,7 @@ integral builds its own panel nodes and evaluates the model on them.  The
 shared path must give the same bits, and the same error where it fails.
 """
 
-import gc
-import weakref
+import re
 from collections import Counter
 
 import numpy as np
@@ -134,33 +133,41 @@ class TestOneNodeEvaluation:
         assert px.grid is py.grid
         assert arrays[id(X)] is arrays[id(Y)]
         assert not arrays[id(X)].flags.writeable
-        half, nodes = oracle._panel_nodes(px.grid)
-        assert nodes is arrays[id(X)] and not half.flags.writeable
+        assert oracle.panel_nodes(512, P_MIN) is arrays[id(X)] is px.nodes
 
-    def test_node_values_are_dropped_after_the_second_integral(self):
+
+class TestDeadModel:
+    def test_reading_a_profile_of_a_gone_model_raises(self):
+        prof = TukeyGeneralized(4, 1, 2.5).profile(512, P_MIN)  # nothing else holds the model
+        for name in ("q", "qd", "node_qd", "lower", "upper"):
+            with pytest.raises(ValidationError, match="^the profile's model no longer exists"):
+                getattr(prof, name)
+
+    def test_values_read_before_the_model_went_stay(self):
         X = TukeyGeneralized(4, 1, 2.5)
         prof = X.profile(512, P_MIN)
-        prof.lower
-        assert prof._node_qd is not None and prof._node_qd.size == 511 * oracle._GL_NODES.size
-        prof.upper
-        assert prof._node_qd is None
-
-    def test_other_grids_get_fresh_writable_nodes(self):
-        grid = np.linspace(0.1, 0.9, 9)
-        first, second = oracle._panel_nodes(grid)[1], oracle._panel_nodes(grid)[1]
-        assert first is not second and first.flags.writeable
-        np.testing.assert_array_equal(first, second)
-
-    def test_the_node_cache_entry_goes_with_its_grid(self):
-        grid = oracle._logit_grid.__wrapped__(7, P_MIN)  # built as a shared grid, but not cached
-        key, ref = id(grid), weakref.ref(grid)
-        assert oracle._panel_nodes(grid) is oracle._NODES[key]
-        del grid
-        gc.collect()
-        assert ref() is None and key not in oracle._NODES
+        q = prof.q
+        del X
+        assert prof.q is q
 
 
 class TestGridSizeBelowThree:
+    @pytest.mark.parametrize("n", [4096.0, 100.5, "512", None])
+    def test_a_grid_size_that_is_no_integer_is_rejected(self, n):
+        X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
+        message = f"^grid size must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValidationError, match=message):
+            PairContext(X, Y, n)
+        for method in ("theorem", "oracle", "both"):
+            with pytest.raises(ValidationError, match=message):
+                compare_all(X, Y, n, method=method)
+        with pytest.raises(ValidationError, match=message):
+            aging_report(Govindarajulu(0, 2, 2), n)
+
+    def test_numpy_integers_are_accepted(self):
+        assert PairContext(TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5),
+                           np.int64(64)).n == 64
+
     @pytest.mark.parametrize("n", [2, 1, 0, -5])
     def test_pair_context_rejects_it(self, n):
         X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)

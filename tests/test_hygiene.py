@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports in the package, no import inside a
-function, no module reaches into another through private names, and every
+function, no module reaches into another through private names (imported or
+read through the module object), and every
 public name a module lists in ``__all__`` exists; importing the CLI loads no
 scipy."""
 
@@ -72,12 +73,56 @@ def _private_imports(path):
     ]
 
 
+def _module_names(tree):
+    """Names a module binds to other qorder modules: ``from . import oracle``,
+    ``from . import aging as aging_mod``, ``import qorder.oracle``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level and not node.module) or node.module == "qorder"
+        ):
+            names |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] == "qorder"}
+    return names
+
+
+def _private_reads(path):
+    """Underscore names read through another qorder module's object, as ``oracle._x``."""
+    tree = _tree(path)
+    modules = _module_names(tree)
+    problems = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            continue
+        base = node.value
+        while isinstance(base, ast.Attribute):  # qorder.oracle._x
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in modules:
+            problems.append((node.lineno, f"{path.name}:{node.lineno} {ast.unparse(node)}"))
+    return [text for _, text in sorted(problems)]
+
+
 def test_cli_imports_no_private_names():
     assert _private_imports(PKG / "cli.py") == []
 
 
 def test_no_module_imports_private_names():
     assert [p for path in sorted(PKG.glob("*.py")) for p in _private_imports(path)] == []
+
+
+def test_no_module_reads_private_names_of_another():
+    assert [p for path in sorted(PKG.glob("*.py")) for p in _private_reads(path)] == []
+
+
+def test_a_private_read_through_a_module_object_is_caught(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("from . import oracle\nimport qorder.shape\nfrom .oracle import quadrature\n"
+                   "a = oracle._panel_nodes(x)\nb = qorder.shape._FLAT_REL\n"
+                   "c = oracle.__name__\nd = quadrature._x\ne = self._cache\n")
+    assert _private_reads(src) == ["probe.py:4 oracle._panel_nodes", "probe.py:5 qorder.shape._FLAT_REL"]
 
 
 def test_every_name_in_all_is_bound():

@@ -65,13 +65,13 @@ class TestGrids:
 class TestCumulatives:
     def test_lower_cumulative_closed_form(self):
         grid = logit_grid(512)
-        vals = lower_cumulative(lambda q: q / (1.0 - q), grid)
+        vals = lower_cumulative(lambda q: q / (1.0 - q), 512)
         expected = -np.log1p(-grid) - grid
         assert np.max(np.abs(vals - expected) / np.maximum(expected, 1e-12)) < 1e-9
 
     def test_upper_cumulative_closed_form(self):
         grid = logit_grid(512)
-        vals = upper_cumulative(lambda q: 1.0 - q, grid)
+        vals = upper_cumulative(lambda q: 1.0 - q, 512)
         expected = 0.5 * (1.0 - grid) ** 2
         assert np.max(np.abs(vals - expected) / expected) < 1e-8
 

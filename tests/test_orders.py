@@ -122,9 +122,9 @@ class TestSharedGridProfile:
         for name in ("lower_cumulative", "upper_cumulative"):
             real = getattr(oracle, name)
 
-            def spy(fn, grid, real=real, name=name):
+            def spy(fn, n, p_min, real=real, name=name):
                 calls[name] += 1
-                return real(fn, grid)
+                return real(fn, n, p_min)
 
             monkeypatch.setattr(oracle, name, spy)
         # fresh instances: the module-level pair may carry profiles from other tests

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -40,18 +41,31 @@ def _floats(text, n, what):
         raise ParseError(f"{what}: non-numeric parameter in {text!r}") from exc
 
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a DSL identifier
+
+
 def _bindings(clauses, what):
-    """{name: value} from ``name=value`` clauses; ``what`` names a clause in errors."""
+    """{name: value} from ``name=value`` clauses; ``what`` names a clause in errors.
+
+    Each name is a DSL identifier other than ``p``, bound once, to a finite value."""
     out = {}
     for clause in clauses:
         if "=" not in clause:
             raise ParseError(f"{what} {clause!r} is not name=value")
         name, value = clause.split("=", 1)
         name = name.strip()
+        if not _NAME_RE.fullmatch(name):
+            raise ParseError(f"{what} {clause!r} does not bind an identifier")
+        if name == "p":
+            raise ParseError(f"{what} {clause!r} binds p, the probability variable")
+        if name in out:
+            raise ParseError(f"dsl parameter {name} is bound twice")
         try:
             out[name] = float(value)
         except ValueError as exc:
             raise ParseError(f"dsl parameter {name}={value!r} is not numeric") from exc
+        if not math.isfinite(out[name]):
+            raise ParseError(f"dsl parameter {name}={value!r} is not finite")
     return out
 
 
@@ -79,6 +93,8 @@ def parse_spec(spec: str):
         for clause in clauses:
             name, eq, value = clause.partition("=")
             if eq and name.strip() == "qdf":
+                if qdf is not None:
+                    raise ParseError("dsl spec gives qdf twice")
                 qdf = value
             else:
                 params.append(clause)
@@ -119,16 +135,23 @@ def dumps(obj, indent=0):
     return dumps(str(obj))
 
 
+def _open_for_writing(path):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _emit(report, out):
     text = dumps(report) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open_for_writing(out) as fh:
             fh.write(text)
     sys.stdout.write(text)
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_for_writing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n")

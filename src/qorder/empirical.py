@@ -53,8 +53,13 @@ def load_samples(path) -> SampleSet:
     A single non-numeric first record is treated as a header; any later
     non-numeric record is an error reported with its record number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     records = [tok.strip() for line in text.splitlines() for tok in line.split(",")]
     records = [r for r in records if r != ""]
     if not records:

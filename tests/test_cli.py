@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -391,3 +392,82 @@ class TestSweepCellCount:
         assert captured.out == ""
         assert captured.err == f"qorder: error: {message} gives a non-finite number of cells\n"
         assert not out.exists()
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is one error line naming it, exit code 1."""
+
+    @staticmethod
+    def _files(tmp_path):
+        (tmp_path / "s.csv").write_text("1\n2\n3\n")
+        (tmp_path / "latin1.csv").write_bytes(b"caf\xe9\n1\n2\n")
+        (tmp_path / "dir").mkdir()
+        return tmp_path
+
+    @pytest.mark.parametrize("x, reason", [
+        ("missing.csv", "No such file or directory"),
+        ("dir", "Is a directory"),
+        ("latin1.csv", "not UTF-8 text (byte 3)"),
+    ])
+    def test_empirical_sample(self, tmp_path, capsys, x, reason):
+        d = self._files(tmp_path)
+        assert main(["empirical", "--x", str(d / x), "--y", str(d / "s.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qorder: error: {d / x}: {reason}\n"
+
+    def test_compare_csv_spec(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        assert main(["compare", "--x", f"csv:{path}", "--y", "exp1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qorder: error: {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--x", "tukey:4,1,2.5", "--y", "exp1", "--grid", "64", "--out"],
+        ["compare", "--x", "tukey:4,1,2.5", "--y", "exp1", "--grid", "64", "--curves"],
+        ["aging", "--x", "govindarajulu:0,2,2", "--grid", "64", "--out"],
+        ["aging", "--x", "govindarajulu:0,2,2", "--grid", "64", "--curves"],
+        ["sweep", "--alpha1-min", "2.5", "--alpha1-max", "2.5", "--alpha2-min", "1.5",
+         "--alpha2-max", "1.5", "--grid", "64", "--out"],
+    ])
+    def test_output_in_a_missing_directory(self, tmp_path, capsys, argv):
+        path = tmp_path / "no-such-dir" / "out.txt"
+        assert main(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qorder: error: {path}: No such file or directory\n"
+
+
+class TestDslBindings:
+    @pytest.mark.parametrize("spec, message", [
+        ("dsl:s*p;s=1;s=3", "dsl parameter s is bound twice"),
+        ("dsl:p;qdf=1;qdf=2", "dsl spec gives qdf twice"),
+        ("dsl:p;=3", "dsl spec clause '=3' does not bind an identifier"),
+        ("dsl:s*p;2s=3", "dsl spec clause '2s=3' does not bind an identifier"),
+        ("dsl:s*p;s t=3", "dsl spec clause 's t=3' does not bind an identifier"),
+        ("dsl:p;p=2", "dsl spec clause 'p=2' binds p, the probability variable"),
+        ("dsl:s*p;s=nan", "dsl parameter s='nan' is not finite"),
+        ("dsl:s*p;s=-inf", "dsl parameter s='-inf' is not finite"),
+    ])
+    def test_spec_rejects(self, spec, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_spec(spec)
+
+    @pytest.mark.parametrize("params, message", [
+        (["p=2"], "--param 'p=2' binds p, the probability variable"),
+        (["s=1", "s=3"], "dsl parameter s is bound twice"),
+        (["s=nan"], "dsl parameter s='nan' is not finite"),
+        (["=3"], "--param '=3' does not bind an identifier"),
+    ])
+    def test_eval_rejects(self, capsys, params, message):
+        argv = ["eval", "--qf", "s*p", "--at", "0.5"]
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qorder: error: {message}\n"
+
+    def test_spaces_around_a_name_are_allowed(self):
+        assert parse_spec("dsl:s*p; s =2").quantile(0.5) == 1.0

@@ -12,11 +12,11 @@ warning once per source line and process, so stderr depends on what ran
 before in the same process.
 
 An argv is printed when the two trees differ in the bytes ``--out`` wrote,
-the exit code or stderr; stderr is compared with each tree's path replaced by
-``<tree>``.  An argv that times out on either tree is printed too, even when
-it times out on both.  Recorded failures are replayed like every other argv.
-The exit code is 1 when any argv differs or times out.  Only files under
-``perfbench/`` are read.
+the exit code, stdout or stderr; stdout and stderr are compared with each
+tree's path replaced by ``<tree>``.  An argv that times out on either tree is
+printed too, even when it times out on both.  Recorded failures are replayed
+like every other argv.  The exit code is 1 when any argv differs or times
+out.  Only files under ``perfbench/`` are read.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def pool_argvs(path: Path, every):
 
 
 def run_one(tree: Path, argv):
-    """(exit code, stderr with the tree path normalized, --out bytes or None),
-    or None when the run times out."""
+    """(exit code, stdout and stderr with the tree path normalized, --out bytes
+    or None), or None when the run times out."""
     out_name = "rows.csv" if argv[0] == "sweep" else "report.json"
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -57,7 +57,8 @@ def run_one(tree: Path, argv):
             return None
         out = Path(work, out_name)
         report = out.read_bytes() if out.exists() else None
-    return proc.returncode, proc.stderr.replace(str(tree), "<tree>"), report
+    return (proc.returncode, proc.stdout.replace(str(tree), "<tree>"),
+            proc.stderr.replace(str(tree), "<tree>"), report)
 
 
 def compare(old: Path, new: Path, argv):
@@ -66,8 +67,8 @@ def compare(old: Path, new: Path, argv):
     a, b = run_one(old, argv), run_one(new, argv)
     if a is None or b is None:
         return [f"{side} timed out" for side, r in (("old", a), ("new", b)) if r is None]
-    return [f"{name} differs" for name, x, y in zip(("exit code", "stderr", "--out"), a, b)
-            if x != y]
+    parts = ("exit code", "stdout", "stderr", "--out")
+    return [f"{name} differs" for name, x, y in zip(parts, a, b) if x != y]
 
 
 def main(argv=None):

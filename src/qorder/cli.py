@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -135,11 +136,24 @@ def dumps(obj, indent=0):
     return dumps(str(obj))
 
 
-def _open_for_writing(path):
+def _open_for_writing(path, mode="w"):
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(*paths):
+    """Raise now the error that writing each given path would raise at the end.
+
+    Opening to append neither truncates an existing file nor changes its bytes,
+    and a file this check creates is removed again, so a run that fails later
+    leaves the paths as it found them."""
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        _open_for_writing(path, "a").close()
+        if not existed:
+            os.remove(path)
 
 
 def _emit(report, out):
@@ -173,6 +187,7 @@ def _require_model(m, flag):
 def run_compare(args):
     X = _require_model(parse_spec(args.x), "--x")
     Y = _require_model(parse_spec(args.y), "--y")
+    _check_writable(args.curves, args.out)
     verdicts = compare_all(X, Y, args.grid, method=args.method)
     report = {
         "schema": 1,
@@ -213,6 +228,7 @@ def _compare_curves(X, Y, path, n):
 
 def run_aging(args):
     X = _require_model(parse_spec(args.x), "--x")
+    _check_writable(args.curves, args.out)
     report_obj = aging_mod.aging_report(X, args.grid)
     report = {
         "schema": 1,
@@ -277,6 +293,7 @@ def run_sweep(args):
                                   "gives a non-finite number of cells")
         counts.append(int(round(steps)) + 1)
     n1, n2 = counts
+    _check_writable(args.out)
     rows = []
     for i in range(n1):
         a1 = args.alpha1_min + i * args.step

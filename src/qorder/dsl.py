@@ -9,7 +9,8 @@ Grammar (no implicit multiplication):
     atom    := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
 ``p`` is the probability variable; any other identifier is a parameter that
-must be bound at evaluation time.  Functions: log, exp, sqrt, abs.
+must be bound at evaluation time.  Functions: log, log1p, exp, expm1, sqrt,
+abs.
 
 Each expression is compiled once into a tree of closures (``compile``);
 ``evaluate`` compiles and calls in one step.
@@ -41,7 +42,7 @@ __all__ = [
     "DslModel",
 ]
 
-FUNCTIONS = ("log", "exp", "sqrt", "abs")
+FUNCTIONS = ("log", "log1p", "exp", "expm1", "sqrt", "abs")
 
 
 class Expression:
@@ -248,96 +249,184 @@ def render(expr: Expression) -> str:
     raise TypeError(f"not an Expression: {expr!r}")
 
 
-# Domain tests, one table per evaluation mode: a scalar call compares plain
-# numbers, an array call reduces with np.any.  Both raise on the same values.
+# Domain tests, one table per operand form: a scalar operand (the scalar
+# path's np.float64, or any value that does not depend on p) is compared as a
+# plain number, an array operand is reduced once with ndarray.any().  Both
+# raise on the same values.
 _SCALAR_TESTS = {
-    "log": lambda x: x <= 0.0,
-    "sqrt": lambda x: x < 0.0,
-    "/": lambda b: b == 0.0,
+    "zero": lambda x: x == 0.0,
+    "negative": lambda x: x < 0.0,
+    "non-positive": lambda x: x <= 0.0,
+    "at most -1": lambda x: x <= -1.0,
+    "non-integer": lambda x: x != np.floor(x),
     "zero^neg": lambda a, b: a == 0.0 and b < 0.0,
     "neg^frac": lambda a, b: a < 0.0 and b != np.floor(b),
 }
 _ARRAY_TESTS = {
-    "log": lambda x: np.any(np.asarray(x) <= 0.0),
-    "sqrt": lambda x: np.any(np.asarray(x) < 0.0),
-    "/": lambda b: np.any(np.asarray(b) == 0.0),
-    "zero^neg": lambda a, b: np.any((np.asarray(a) == 0.0) & (np.asarray(b) < 0.0)),
-    "neg^frac": lambda a, b: np.any((np.asarray(a) < 0.0) & (np.asarray(b) != np.floor(b))),
+    "zero": lambda x: (x == 0.0).any(),
+    "negative": lambda x: (x < 0.0).any(),
+    "non-positive": lambda x: (x <= 0.0).any(),
+    "at most -1": lambda x: (x <= -1.0).any(),
+    "non-integer": lambda x: (x != np.floor(x)).any(),
+    "zero^neg": lambda a, b: ((a == 0.0) & (b < 0.0)).any(),
+    "neg^frac": lambda a, b: ((a < 0.0) & (b != np.floor(b))).any(),
 }
-_CHECKED_CALLS = {"log": (np.log, "log of a non-positive value"),
-                  "sqrt": (np.sqrt, "sqrt of a negative value")}
+_CHECKED_CALLS = {"log": (np.log, "non-positive", "log of a non-positive value"),
+                  "log1p": (np.log1p, "at most -1", "log1p of a value at most -1"),
+                  "sqrt": (np.sqrt, "negative", "sqrt of a negative value")}
+_CALLS = {"exp": np.exp, "expm1": np.expm1, "abs": np.abs}
+_ZERO_NEG = "zero raised to a negative power"
+_NEG_FRAC = "negative base with non-integer exponent"
+
+# What _compile knows of a node's value besides a folded constant: it depends
+# on p, or it does not but raises or warns, so it runs on every call.
+_VARIES = object()
+_UNFOLDED = object()
 
 
 def _domain_error(node, what):
     return DomainError(f"{what} in subexpression '{render(node)}'")
 
 
+def _folded(value):
+    return value is not _VARIES and value is not _UNFOLDED
+
+
+def _fold(fn, *operands):
+    """(fn, what is known of its value) for a node with these operand values.
+
+    A node whose operands are all folded is evaluated once, now, under the
+    np.errstate(all="raise") that ``compile`` sets: when that raises nothing,
+    so sets no floating-point flag either, every call returns the same value.
+    Otherwise ``fn`` runs on every call, so its error or warning surfaces
+    there, in evaluation order."""
+    for unknown in (_VARIES, _UNFOLDED):
+        for v in operands:
+            if v is unknown:
+                return fn, unknown
+    try:
+        value = fn(None)
+    except Exception:  # whatever it is, the call raises it again
+        return fn, _UNFOLDED
+    return (lambda p: value), value
+
+
+def _guarded(node, operand, bad, what, apply):
+    """p -> apply(operand(p)), raising DomainError(what) where bad(operand)."""
+    def guarded(p):
+        x = operand(p)
+        if bad(x):
+            raise _domain_error(node, what)
+        return apply(x)
+    return guarded
+
+
+def _divide(node, left, right, b, tests):
+    if _folded(b) and not b == 0.0:  # settled: this divisor is never zero
+        return lambda p: left(p) / b
+    zero = tests["zero"] if b is _VARIES else _SCALAR_TESTS["zero"]
+
+    def divide(p):
+        a, d = left(p), right(p)
+        if zero(d):
+            raise _domain_error(node, "division by zero")
+        return a / d
+    return divide
+
+
+def _power(node, left, a, right, b, tests):
+    if _folded(b):  # a constant exponent rules out what it cannot produce
+        t = tests if a is _VARIES else _SCALAR_TESTS
+        neg, frac = b < 0.0, b != np.floor(b)
+        if neg and frac:
+            nonpos, zero = t["non-positive"], t["zero"]
+
+            def power(p):
+                x = left(p)
+                if nonpos(x):  # one pass; the precise test only picks the message
+                    raise _domain_error(node, _ZERO_NEG if zero(x) else _NEG_FRAC)
+                return np.power(x, b)
+            return power
+        if neg or frac:
+            test, what = ("zero", _ZERO_NEG) if neg else ("negative", _NEG_FRAC)
+            return _guarded(node, left, t[test], what, lambda x: np.power(x, b))
+        return lambda p: np.power(left(p), b)
+    if _folded(a):  # a constant base: only its own failure can occur
+        t = tests if b is _VARIES else _SCALAR_TESTS
+        if a == 0.0:
+            return _guarded(node, right, t["negative"], _ZERO_NEG, lambda y: np.power(a, y))
+        if a < 0.0:
+            return _guarded(node, right, t["non-integer"], _NEG_FRAC, lambda y: np.power(a, y))
+        return lambda p: np.power(a, right(p))
+    t = tests if a is _VARIES or b is _VARIES else _SCALAR_TESTS
+    zero_neg, neg_frac = t["zero^neg"], t["neg^frac"]
+
+    def power(p):
+        x, y = left(p), right(p)
+        if zero_neg(x, y):
+            raise _domain_error(node, _ZERO_NEG)
+        if neg_frac(x, y):
+            raise _domain_error(node, _NEG_FRAC)
+        return np.power(x, y)
+    return power
+
+
 def _compile(node, bindings, tests):
-    """A closure p -> value of ``node``; children run left to right, then the
-    node's own domain test, then its numpy ufunc or Python operator."""
+    """(closure p -> value of ``node``, folded value or _VARIES or _UNFOLDED).
+
+    One bottom-up pass: children run left to right, then the node's own domain
+    test, then its numpy ufunc or Python operator.  A p-free subtree is folded
+    by ``_fold``; a test on a folded operand is settled here.  ``tests`` is the
+    table for operands that depend on p; the others use _SCALAR_TESTS."""
     if isinstance(node, Num):
         value = node.value
-        return lambda p: value
+        return (lambda p: value), value
     if isinstance(node, Var):
         name = node.name
         if name == "p":
-            return lambda p: p
+            return (lambda p: p), _VARIES
         if name not in bindings:
             def unbound(p):
                 raise ValidationError(f"unbound parameter {name!r}")
-            return unbound
+            return unbound, _UNFOLDED
         raw = bindings[name]
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            return lambda p: float(raw)  # raises when evaluated, in evaluation order
-        return lambda p: value
+        return _fold(lambda p: float(raw))
     if isinstance(node, Neg):
-        child = _compile(node.child, bindings, tests)
-        return lambda p: -child(p)
+        child, value = _compile(node.child, bindings, tests)
+        return _fold(lambda p: -child(p), value)
     if isinstance(node, Call):
-        arg = _compile(node.arg, bindings, tests)
-        if node.fn == "exp":
-            return lambda p: np.exp(arg(p))
-        if node.fn == "abs":
-            return lambda p: np.abs(arg(p))
-        ufunc, what = _CHECKED_CALLS[node.fn]
-        bad = tests[node.fn]
-
-        def call(p):
-            x = arg(p)
-            if bad(x):
-                raise _domain_error(node, what)
-            return ufunc(x)
-        return call
+        arg, x = _compile(node.arg, bindings, tests)
+        if node.fn in _CALLS:
+            ufunc = _CALLS[node.fn]
+            return _fold(lambda p: ufunc(arg(p)), x)
+        ufunc, test, what = _CHECKED_CALLS[node.fn]
+        bad = tests[test] if x is _VARIES else _SCALAR_TESTS[test]
+        return _fold(_guarded(node, arg, bad, what, ufunc), x)
     if isinstance(node, Bin):
-        left = _compile(node.left, bindings, tests)
-        right = _compile(node.right, bindings, tests)
-        if node.op == "+":
-            return lambda p: left(p) + right(p)
-        if node.op == "-":
-            return lambda p: left(p) - right(p)
-        if node.op == "*":
-            return lambda p: left(p) * right(p)
+        left, a = _compile(node.left, bindings, tests)
+        right, b = _compile(node.right, bindings, tests)
         if node.op == "/":
-            zero = tests["/"]
-
-            def divide(p):
-                a, b = left(p), right(p)
-                if zero(b):
-                    raise _domain_error(node, "division by zero")
-                return a / b
-            return divide
-        zero_neg, neg_frac = tests["zero^neg"], tests["neg^frac"]
-
-        def power(p):
-            a, b = left(p), right(p)
-            if zero_neg(a, b):
-                raise _domain_error(node, "zero raised to a negative power")
-            if neg_frac(a, b):
-                raise _domain_error(node, "negative base with non-integer exponent")
-            return np.power(a, b)
-        return power
+            return _fold(_divide(node, left, right, b, tests), a, b)
+        if node.op == "^":
+            return _fold(_power(node, left, a, right, b, tests), a, b)
+        op = node.op
+        if _folded(a):
+            if op == "+":
+                return _fold(lambda p: a + right(p), a, b)
+            if op == "-":
+                return _fold(lambda p: a - right(p), a, b)
+            return _fold(lambda p: a * right(p), a, b)
+        if _folded(b):
+            if op == "+":
+                return _fold(lambda p: left(p) + b, a, b)
+            if op == "-":
+                return _fold(lambda p: left(p) - b, a, b)
+            return _fold(lambda p: left(p) * b, a, b)
+        if op == "+":
+            return _fold(lambda p: left(p) + right(p), a, b)
+        if op == "-":
+            return _fold(lambda p: left(p) - right(p), a, b)
+        return _fold(lambda p: left(p) * right(p), a, b)
     raise TypeError(f"not an Expression: {node!r}")
 
 
@@ -347,11 +436,15 @@ def compile(expr: Expression, bindings=None):
     Parameters are looked up in ``bindings`` now; an unbound one raises
     ValidationError when the callable runs, in evaluation order.  Values equal
     a walk of the tree bit for bit: every node applies the same ufunc or
-    operator to the same operand types.
+    operator to the same operand types.  A subtree that does not depend on p
+    is evaluated here, once, when that raises nothing and sets no
+    floating-point flag; otherwise on every call, so errors and warnings are
+    those of the walk.
     """
     bindings = bindings or {}
-    scalar_fn = _compile(expr, bindings, _SCALAR_TESTS)
-    array_fn = _compile(expr, bindings, _ARRAY_TESTS)
+    with np.errstate(all="raise"):  # for _fold; nothing else here computes
+        scalar_fn, _ = _compile(expr, bindings, _SCALAR_TESTS)
+        array_fn, _ = _compile(expr, bindings, _ARRAY_TESTS)
 
     def compiled(p):
         if type(p) is float or np.isscalar(p) or (isinstance(p, np.ndarray) and p.ndim == 0):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from qorder.aging import hazard_quantile
+from qorder import cli
 from qorder.cli import dumps, main, parse_spec
 from qorder.empirical import SampleSet
-from qorder.errors import ParseError
+from qorder.errors import ParseError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid, lower_cumulative, upper_cumulative
 from qorder.shape import ratio_qd
@@ -394,6 +395,26 @@ class TestSweepCellCount:
         assert not out.exists()
 
 
+_OUTPUT_ARGVS = [
+    ["compare", "--x", "tukey:4,1,2.5", "--y", "exp1", "--grid", "64", "--out"],
+    ["compare", "--x", "tukey:4,1,2.5", "--y", "exp1", "--grid", "64", "--curves"],
+    ["aging", "--x", "govindarajulu:0,2,2", "--grid", "64", "--out"],
+    ["aging", "--x", "govindarajulu:0,2,2", "--grid", "64", "--curves"],
+    ["sweep", "--alpha1-min", "2.5", "--alpha1-max", "2.5", "--alpha2-min", "1.5",
+     "--alpha2-max", "1.5", "--grid", "64", "--out"],
+]
+
+
+def _refuse_work(monkeypatch):
+    """Make every order check, aging report and sweep cell fail the test if reached."""
+    def reached(*args, **kwargs):
+        pytest.fail("the computation started before the output path was checked")
+
+    for name in ("compare_all", "PairContext"):
+        monkeypatch.setattr(cli, name, reached)
+    monkeypatch.setattr(cli.aging_mod, "aging_report", reached)
+
+
 class TestFileErrors:
     """A file that cannot be read or written is one error line naming it, exit code 1."""
 
@@ -423,20 +444,37 @@ class TestFileErrors:
         assert captured.out == ""
         assert captured.err == f"qorder: error: {path}: No such file or directory\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["compare", "--x", "tukey:4,1,2.5", "--y", "exp1", "--grid", "64", "--out"],
-        ["compare", "--x", "tukey:4,1,2.5", "--y", "exp1", "--grid", "64", "--curves"],
-        ["aging", "--x", "govindarajulu:0,2,2", "--grid", "64", "--out"],
-        ["aging", "--x", "govindarajulu:0,2,2", "--grid", "64", "--curves"],
-        ["sweep", "--alpha1-min", "2.5", "--alpha1-max", "2.5", "--alpha2-min", "1.5",
-         "--alpha2-max", "1.5", "--grid", "64", "--out"],
-    ])
-    def test_output_in_a_missing_directory(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv", _OUTPUT_ARGVS)
+    def test_output_in_a_missing_directory(self, tmp_path, capsys, monkeypatch, argv):
+        _refuse_work(monkeypatch)  # the path is checked before any of it runs
         path = tmp_path / "no-such-dir" / "out.txt"
         assert main(argv + [str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"qorder: error: {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv", _OUTPUT_ARGVS)
+    def test_output_that_is_a_directory(self, tmp_path, capsys, monkeypatch, argv):
+        _refuse_work(monkeypatch)
+        assert main(argv + [str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"qorder: error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("argv", _OUTPUT_ARGVS)
+    def test_a_later_failure_leaves_the_paths_as_they_were(self, tmp_path, capsys, monkeypatch,
+                                                           argv):
+        def fail(*args, **kwargs):
+            raise ValidationError("failed after the output check")
+
+        for name in ("compare_all", "theorem_status"):  # a sweep cell catches PairContext's
+            monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(cli.aging_mod, "aging_report", fail)
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        old.write_text("kept\n")
+        for path in (new, old):
+            assert main(argv + [str(path)]) == 1
+            assert capsys.readouterr().err == "qorder: error: failed after the output check\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+        assert old.read_text() == "kept\n"
 
 
 class TestDslBindings:

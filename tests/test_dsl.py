@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def _trees(depth):
         _leaf,
         sub.map(Neg),
         st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: Bin(*t)),
-        st.tuples(st.sampled_from(["log", "exp", "sqrt", "abs"]), sub).map(lambda t: Call(*t)),
+        st.tuples(st.sampled_from(dsl.FUNCTIONS), sub).map(lambda t: Call(*t)),
     )
 
 
@@ -98,6 +99,16 @@ def _trees(depth):
 @given(_trees(6))
 def test_parse_render_round_trip(tree):
     assert parse(render(tree)) == tree
+
+
+@pytest.mark.parametrize("text,rendered", [
+    ("log1p(-p)", "log1p(-p)"),
+    ("expm1(s*p)-log1p(p^2)", "expm1(s * p) - log1p(p ^ 2)"),
+])
+def test_log1p_and_expm1_round_trip(text, rendered):
+    tree = parse(text)
+    assert render(tree) == rendered
+    assert parse(rendered) == tree
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +184,13 @@ def _evaluate_tree(expr, p, bindings=None):
             if node.fn == "log":
                 _domain(np.asarray(arg) <= 0.0, node, "log of a non-positive value")
                 return np.log(arg)
+            if node.fn == "log1p":
+                _domain(np.asarray(arg) <= -1.0, node, "log1p of a value at most -1")
+                return np.log1p(arg)
             if node.fn == "exp":
                 return np.exp(arg)
+            if node.fn == "expm1":
+                return np.expm1(arg)
             if node.fn == "sqrt":
                 _domain(np.asarray(arg) < 0.0, node, "sqrt of a negative value")
                 return np.sqrt(arg)
@@ -213,8 +229,12 @@ _POOL_EXPRESSIONS = [
     ("s/b*(p/(1-p))^(1/b-1)/(1-p)^2", dict(s=0.5, b=0.8)),
     ("-s*log(1-p)", dict(s=2.0)),
     ("s/(1-p)", dict(s=2.0)),
+    # the Weibull family written with log1p, accurate near p = 0
+    ("s*(-log1p(-p))^(1/k)", dict(s=2.42016, k=1.99702)),
+    ("s/k*(-log1p(-p))^(1/k-1)/(1-p)", dict(s=2.42016, k=1.99702)),
     # the ufuncs no pool family uses
     ("exp(s*p) + sqrt(p)*abs(p-0.5)", dict(s=3.7)),
+    ("expm1(s*p)/s + log1p(p-0.5)", dict(s=3.7)),
 ]
 
 
@@ -265,6 +285,8 @@ class TestCompiledAgainstTree:
         ("log(p-1)", DomainError, "log of a non-positive value in subexpression 'log(p - 1)'"),
         ("log(p-p)", DomainError, "log of a non-positive value in subexpression 'log(p - p)'"),
         ("sqrt(p-1)", DomainError, "sqrt of a negative value in subexpression 'sqrt(p - 1)'"),
+        ("log1p(p-2)", DomainError,
+         "log1p of a value at most -1 in subexpression 'log1p(p - 2)'"),
         ("1/(p-p)", DomainError, "division by zero in subexpression '1 / (p - p)'"),
         ("0^(-p)", DomainError, "zero raised to a negative power in subexpression '0 ^ (-p)'"),
         ("(p-1)^0.5", DomainError,
@@ -323,3 +345,94 @@ class TestTailQuantileMemo:
         assert calls == [0]  # without the memo, compare asks for this limit three times
         assert X.tail_quantile(0) == X.support_lo == pytest.approx(0.0, abs=1e-15)
         assert calls == [0]
+
+
+# ---------------------------------------------------------------------------
+# folded p-free subtrees against the tree walk
+
+
+def _call(fn, *args):
+    """(outcome, RuntimeWarnings) of one call, every floating-point flag warning.
+
+    The scalar path computes on np.float64 where the tree walk used 0-d arrays,
+    so numpy's "scalar " in a warning's operation name is dropped."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        outcome = _outcome(fn, *args)
+    return outcome, [(w.category, str(w.message).replace("scalar ", "")) for w in caught
+                     if issubclass(w.category, RuntimeWarning)]
+
+
+def _assert_calls_match_tree(expr, bindings, p):
+    """Two calls of the compiled expression each match one tree walk: value bits or
+    exception, and the RuntimeWarnings that call gave."""
+    fn = dsl.compile(expr, bindings)
+    reference = _call(_evaluate_tree, expr, p, bindings)
+    assert _call(fn, p) == reference
+    assert _call(fn, p) == reference
+    return reference
+
+
+_PROPERTY_POINTS = (0.3, np.float64(0.5), np.array([1e-300, 0.25, 0.5, 1.0 - 2.0**-53]))
+_BOUND = dict(zip("abc", np.random.default_rng(20261019).uniform(-4.0, 4.0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(4))
+def test_folded_closures_match_the_tree_walk(tree):
+    for p in _PROPERTY_POINTS:
+        _assert_calls_match_tree(tree, _BOUND, p)
+
+
+_NAMED_CASES = [
+    # expression, bindings, the exception raised at every point (or None), whether it warns
+    ("p + 1/(k-k)", dict(k=2.0), DomainError, False),
+    ("log(k-k)*p", dict(k=2.0), DomainError, False),
+    ("log(p-1) + 2*q", {}, DomainError, False),  # the log fails before q is read
+    ("exp(1000)*p", {}, None, True),  # overflows on every call, not once at compile
+    ("(p-0.5)^3", {}, None, False),
+    ("(p-0.5)^(0-2)", {}, None, False),  # raises at p = 0.5 only
+    ("(p-1)^0.5", {}, DomainError, False),
+    ("p^(0-0.5)", {}, None, False),
+]
+
+
+@pytest.mark.parametrize("text,bindings,raises,warns", _NAMED_CASES)
+def test_named_cases_match_the_tree_walk(text, bindings, raises, warns):
+    for p in (0.25, np.float64(0.5), np.array([0.25, 0.5, 0.75]), np.array([0.25, 0.75])):
+        (kind, _), caught = _assert_calls_match_tree(parse(text), bindings, p)
+        if raises is not None:
+            assert kind is raises
+        assert bool(caught) == warns
+
+
+def test_p_free_subtrees_fold_only_when_clean():
+    def compiled(text, bindings=None):
+        with np.errstate(all="raise"):  # as dsl.compile calls it
+            return dsl._compile(parse(text), bindings or {}, dsl._SCALAR_TESTS)
+
+    fn, value = compiled("s/k", dict(s=2.42016, k=1.99702))
+    assert value == 2.42016 / 1.99702
+    assert fn(0.25) is value and fn(0.75) is value
+    assert compiled("1/k-1", dict(k=2.0))[1] == -0.5
+    assert compiled("exp(1000)")[1] is dsl._UNFOLDED  # it overflows
+    assert compiled("1/(k-k)", dict(k=2.0))[1] is dsl._UNFOLDED  # it raises
+    assert compiled("q")[1] is dsl._UNFOLDED  # unbound
+    assert compiled("2*exp(1000)")[1] is dsl._UNFOLDED
+    assert compiled("s*p", dict(s=1.0))[1] is dsl._VARIES
+
+
+@pytest.mark.parametrize("s,k", [(2.42016, 1.99702), (1.0, 0.7)])
+def test_weibull_with_log1p_matches_mpmath_near_zero(s, k):
+    mp = pytest.importorskip("mpmath")
+    bindings = dict(s=s, k=k)
+    qf = dsl.compile(parse("s*(-log1p(-p))^(1/k)"), bindings)
+    qdf = dsl.compile(parse("s/k*(-log1p(-p))^(1/k-1)/(1-p)"), bindings)
+    with mp.workdps(30):
+        S, K = mp.mpf(s), mp.mpf(k)
+        for p in np.logspace(-12, -6, 25):
+            P = mp.mpf(float(p))
+            h = -mp.log(1 - P)
+            for got, exact in ((qf(p), S * h ** (1 / K)),
+                               (qdf(p), S / K * h ** (1 / K - 1) / (1 - P))):
+                assert abs(mp.mpf(got) - exact) <= mp.mpf("1e-14") * abs(exact), (p, got)

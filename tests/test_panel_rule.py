@@ -21,12 +21,15 @@ from qorder.cli import parse_spec
 from qorder.shape import P_MIN
 
 WEIBULL = "dsl:s*(-log(1-p))^(1/k);qdf=s/k*(-log(1-p))^(1/k-1)/(1-p);s={s};k={k}"
+WEIBULL_LOG1P = "dsl:s*(-log1p(-p))^(1/k);qdf=s/k*(-log1p(-p))^(1/k-1)/(1-p);s={s};k={k}"
 LOGLOGISTIC = "dsl:s*(p/(1-p))^(1/b);qdf=s/b*(p/(1-p))^(1/b-1)/(1-p)^2;s={s};b={b}"
 WEIBULLS = [WEIBULL.format(s="2.42016", k="1.99702"), WEIBULL.format(s="1", k="0.7")]
+WEIBULL_LOG1P_1 = WEIBULL_LOG1P.format(s="2.42016", k="1.99702")
 LOGLOGISTIC_1 = LOGLOGISTIC.format(s="2.08376", b="3.36564")
 SPECS = [
     "tukey:0,1,0.05", "tukey:0,1,0.3", "tukey:4,1,2.5", "tukey:0,1,8",
-    "govindarajulu:0,0.2,0.2", "govindarajulu:0,2,2", "exp1", *WEIBULLS, LOGLOGISTIC_1,
+    "govindarajulu:0,0.2,0.2", "govindarajulu:0,2,2", "exp1", *WEIBULLS, WEIBULL_LOG1P_1,
+    LOGLOGISTIC_1,
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -104,16 +107,19 @@ def _mp_quantile_densities(mp):
         "exp1": lambda p: 1 / (1 - p),
         WEIBULLS[0]: weibull(f("2.42016"), f("1.99702")),
         WEIBULLS[1]: weibull(f(1), f("0.7")),
+        WEIBULL_LOG1P_1: weibull(f("2.42016"), f("1.99702")),
         LOGLOGISTIC_1: loglogistic(f("2.08376"), f("3.36564")),
     }
 
 
 class TestAgainstMpmath:
-    # Below k = 64 (p < 1.6e-6) the Weibull expressions' -log(1-p) loses ten digits,
-    # so their quantile density carries ~5e-11 relative noise there and both rules
-    # miss mpmath by that noise, not by their order; those panels are covered by the
-    # 15-point comparison above.
-    K = (64, 1024, 2048, 3072, 4094)
+    # Below k = 64 (p < 1.6e-6) the Weibull expressions written with -log(1-p) lose
+    # ten digits, so their quantile density carries ~5e-11 relative noise there and
+    # both rules miss mpmath by that noise, not by their order; for them those panels
+    # are covered by the 15-point comparison above.  Every other model, the Weibull
+    # written with log1p among them, is checked at every k.
+    K = (1, 8, 32, 64, 1024, 2048, 3072, 4094)
+    NOISY_BELOW = 64
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_seven_points_are_as_close_as_fifteen(self, spec):
@@ -139,6 +145,8 @@ class TestAgainstMpmath:
             lower = [segment(lambda p: p, *ab) for ab in zip(ts, ts[1:])]
             upper = [segment(lambda p: 1 - p, *ab) for ab in zip(ts, ts[1:])]
             for i, k in enumerate(self.K):
+                if k < self.NOISY_BELOW and "log(1-p)" in spec:
+                    continue
                 exact = (mp.fsum(lower[:i + 1]), mp.fsum(upper[i + 1:]))
                 for side in (0, 1):
                     e7 = abs(mp.mpf(got[side][k]) - exact[side])

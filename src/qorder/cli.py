@@ -9,6 +9,7 @@ verdict is Inconclusive.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -143,32 +144,56 @@ def _open_for_writing(path, mode="w"):
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _check_writable(*paths):
-    """Raise now the error that writing each given path would raise at the end.
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Open each given path (None stays None) before the run computes anything.
 
-    Opening to append neither truncates an existing file nor changes its bytes,
-    and a file this check creates is removed again, so a run that fails later
-    leaves the paths as it found them."""
-    for path in filter(None, paths):
-        existed = os.path.lexists(path)
-        _open_for_writing(path, "a").close()
-        if not existed:
-            os.remove(path)
+    A path that cannot be written fails the run at once, with the error that
+    writing it at the end would raise.  Opening to append changes no bytes; a
+    file is truncated only when the run writes it.  A run that fails leaves
+    the paths as it found them: a file opened anew is removed again, through a
+    symbolic link the file that the link names."""
+    handles, created = [], []
+    try:
+        for path in paths:
+            existed = not path or os.path.exists(path)
+            handles.append(path and _open_for_writing(path, "a"))
+            if not existed:
+                created.append(path)
+        yield handles
+    except BaseException:
+        for path in created:
+            os.remove(os.path.realpath(path) if os.path.islink(path) else path)
+        raise
+    finally:
+        for fh in filter(None, handles):
+            fh.close()
+
+
+def _empty(fh):
+    """Empty an output file opened to append, before the run writes it.
+
+    A file that is empty already is left alone: truncating it anyway makes
+    ext4 write it to disk when it is closed, about 0.3 ms per file."""
+    if os.fstat(fh.fileno()).st_size:
+        fh.truncate(0)
 
 
 def _emit(report, out):
     text = dumps(report) + "\n"
     if out:
-        with _open_for_writing(out) as fh:
-            fh.write(text)
+        _empty(out)
+        out.write(text)
+        out.flush()
     sys.stdout.write(text)
 
 
-def _write_csv(path, header, rows):
-    with _open_for_writing(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n")
+def _write_csv(fh, header, rows):
+    _empty(fh)
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n")
+    fh.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +212,21 @@ def _require_model(m, flag):
 def run_compare(args):
     X = _require_model(parse_spec(args.x), "--x")
     Y = _require_model(parse_spec(args.y), "--y")
-    _check_writable(args.curves, args.out)
-    verdicts = compare_all(X, Y, args.grid, method=args.method)
-    report = {
-        "schema": 1,
-        "command": "compare",
-        "x": X.label(),
-        "y": Y.label(),
-        "method": args.method,
-        "grid_n": args.grid,
-        "verdicts": [v.to_dict() for v in verdicts],
-    }
-    if args.curves:
-        _compare_curves(X, Y, args.curves, args.grid)
-        report["curves"] = args.curves
-    _emit(report, args.out)
+    with _outputs(args.curves, args.out) as (curves, out):
+        verdicts = compare_all(X, Y, args.grid, method=args.method)
+        report = {
+            "schema": 1,
+            "command": "compare",
+            "x": X.label(),
+            "y": Y.label(),
+            "method": args.method,
+            "grid_n": args.grid,
+            "verdicts": [v.to_dict() for v in verdicts],
+        }
+        if curves:
+            _compare_curves(X, Y, curves, args.grid)
+            report["curves"] = args.curves
+        _emit(report, out)
     return 2 if any(v.status == INCONCLUSIVE for v in verdicts) else 0
 
 
@@ -213,7 +238,7 @@ def _or_nan(read):
         return math.nan
 
 
-def _compare_curves(X, Y, path, n):
+def _compare_curves(X, Y, fh, n):
     px, py = X.profile(min(n, 1024), 1e-4), Y.profile(min(n, 1024), 1e-4)
     ux, uy = _or_nan(lambda: px.upper), _or_nan(lambda: py.upper)
     mx, my = _or_nan(lambda: X.mean), _or_nan(lambda: Y.mean)
@@ -222,33 +247,33 @@ def _compare_curves(X, Y, path, n):
     cols = (px.grid, r, fx * r - gy, fx / mx - gy / my,
             np.where(fx != 0.0, gy / fx, math.inf),
             np.where(fx > 0.0, ux / fx, math.inf), np.where(gy > 0.0, uy / gy, math.inf))
-    _write_csv(path, ["p", "ratio_qd", "delta", "delta_ps", "quantile_ratio", "eps_x", "eps_y"],
+    _write_csv(fh, ["p", "ratio_qd", "delta", "delta_ps", "quantile_ratio", "eps_x", "eps_y"],
                zip(*cols))
 
 
 def run_aging(args):
     X = _require_model(parse_spec(args.x), "--x")
-    _check_writable(args.curves, args.out)
-    report_obj = aging_mod.aging_report(X, args.grid)
-    report = {
-        "schema": 1,
-        "command": "aging",
-        "x": X.label(),
-        "grid_n": args.grid,
-        "report": report_obj.to_dict(),
-    }
-    if args.curves:
-        _aging_curves(X, args.curves, args.grid)
-        report["curves"] = args.curves
-    _emit(report, args.out)
+    with _outputs(args.curves, args.out) as (curves, out):
+        report_obj = aging_mod.aging_report(X, args.grid)
+        report = {
+            "schema": 1,
+            "command": "aging",
+            "x": X.label(),
+            "grid_n": args.grid,
+            "report": report_obj.to_dict(),
+        }
+        if curves:
+            _aging_curves(X, curves, args.grid)
+            report["curves"] = args.curves
+        _emit(report, out)
     classes = (report_obj.mrl_class, report_obj.ihrwa_class, report_obj.ifra_class)
     return 2 if "Inconclusive" in classes else 0
 
 
-def _aging_curves(X, path, n):
+def _aging_curves(X, fh, n):
     prof = X.profile(min(n, 1024), 1e-4)
     p, ux, lx = prof.grid, prof.upper, prof.lower
-    _write_csv(path, ["p", "hazard", "mrl", "wa_surrogate"],
+    _write_csv(fh, ["p", "hazard", "mrl", "wa_surrogate"],
                zip(p, aging_mod.hazard_quantile(X, p), ux / (1.0 - p), (-np.log1p(-p) - p) / lx))
 
 
@@ -261,7 +286,8 @@ def run_empirical(args):
     diag = convexity_scan(pts) if len(pts) >= 4 else {"pattern": "n/a", "runs": [],
                                                       "min_run": 0, "warnings": ["too few points"]}
     if args.out:
-        _write_csv(args.out, ["x", "y"], [(float(x), float(y)) for x, y in pts])
+        with _open_for_writing(args.out) as fh:
+            _write_csv(fh, ["x", "y"], [(float(x), float(y)) for x, y in pts])
     report = {
         "schema": 1,
         "command": "empirical",
@@ -293,7 +319,17 @@ def run_sweep(args):
                                   "gives a non-finite number of cells")
         counts.append(int(round(steps)) + 1)
     n1, n2 = counts
-    _check_writable(args.out)
+    with _outputs(args.out) as (out,):
+        rows = _sweep_rows(args, n1, n2)
+        _write_csv(out, ["alpha1", "alpha2", "in_region", "ratio_shape", "star", "qmit", "dmrl"],
+                   rows)
+    sys.stdout.write(dumps({"schema": 1, "command": "sweep", "cells": len(rows),
+                            "out": args.out}) + "\n")
+    return 0
+
+
+def _sweep_rows(args, n1, n2):
+    """One row per cell: the alphas, the unimodal region and the theorem statuses."""
     rows = []
     for i in range(n1):
         a1 = args.alpha1_min + i * args.step
@@ -317,11 +353,7 @@ def run_sweep(args):
                 # theorem stage alone: no oracle fallback, no proportional shortcut
                 statuses = (shape,) + tuple(theorem_status(ctx, o) for o in ("star", "qmit", "dmrl"))
             rows.append((a1, a2, {True: "true", False: "false", None: "na"}[region]) + statuses)
-    _write_csv(args.out, ["alpha1", "alpha2", "in_region", "ratio_shape", "star", "qmit", "dmrl"],
-               rows)
-    sys.stdout.write(dumps({"schema": 1, "command": "sweep", "cells": len(rows),
-                            "out": args.out}) + "\n")
-    return 0
+    return rows
 
 
 def run_eval(args):

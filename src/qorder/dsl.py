@@ -258,7 +258,6 @@ _SCALAR_TESTS = {
     "negative": lambda x: x < 0.0,
     "non-positive": lambda x: x <= 0.0,
     "at most -1": lambda x: x <= -1.0,
-    "non-integer": lambda x: x != np.floor(x),
     "zero^neg": lambda a, b: a == 0.0 and b < 0.0,
     "neg^frac": lambda a, b: a < 0.0 and b != np.floor(b),
 }
@@ -267,7 +266,6 @@ _ARRAY_TESTS = {
     "negative": lambda x: (x < 0.0).any(),
     "non-positive": lambda x: (x <= 0.0).any(),
     "at most -1": lambda x: (x <= -1.0).any(),
-    "non-integer": lambda x: (x != np.floor(x)).any(),
     "zero^neg": lambda a, b: ((a == 0.0) & (b < 0.0)).any(),
     "neg^frac": lambda a, b: ((a < 0.0) & (b != np.floor(b))).any(),
 }
@@ -292,23 +290,41 @@ def _folded(value):
     return value is not _VARIES and value is not _UNFOLDED
 
 
-def _fold(fn, *operands):
-    """(fn, what is known of its value) for a node with these operand values.
+def _node(build, *children):
+    """(closures, what is known of the value) of a node over ``children``.
 
-    A node whose operands are all folded is evaluated once, now, under the
+    ``children`` are the operands' (closures, value) pairs, left to right, and
+    ``build(tests, *operands)`` makes the node's closure over one closure per
+    operand, ``tests`` being the table for operands that depend on p.  A node
+    that depends on p gets one closure per form of p.  A p-free node gets one
+    closure for both forms, because its operands use _SCALAR_TESTS in either.
+    When its operands are all folded it is evaluated once, now, under the
     np.errstate(all="raise") that ``compile`` sets: when that raises nothing,
     so sets no floating-point flag either, every call returns the same value.
-    Otherwise ``fn`` runs on every call, so its error or warning surfaces
-    there, in evaluation order."""
-    for unknown in (_VARIES, _UNFOLDED):
-        for v in operands:
-            if v is unknown:
-                return fn, unknown
+    Otherwise it runs on every call, so its error or warning surfaces there,
+    in evaluation order."""
+    known = None
+    for _, value in children:
+        if value is _VARIES:
+            scalar_fn = build(_SCALAR_TESTS, *[fns[0] for fns, _ in children])
+            array_fn = build(_ARRAY_TESTS, *[fns[1] for fns, _ in children])
+            return (scalar_fn, array_fn), _VARIES
+        if value is _UNFOLDED:
+            known = _UNFOLDED
+    fn = build(_SCALAR_TESTS, *[fns[0] for fns, _ in children])
+    if known is _UNFOLDED:
+        return (fn, fn), _UNFOLDED
     try:
         value = fn(None)
     except Exception:  # whatever it is, the call raises it again
-        return fn, _UNFOLDED
-    return (lambda p: value), value
+        return (fn, fn), _UNFOLDED
+    return _constant(value)
+
+
+def _constant(value):
+    """The closures and value of a node that returns ``value`` on every call."""
+    const = lambda p: value
+    return (const, const), value
 
 
 def _guarded(node, operand, bad, what, apply):
@@ -351,13 +367,6 @@ def _power(node, left, a, right, b, tests):
             test, what = ("zero", _ZERO_NEG) if neg else ("negative", _NEG_FRAC)
             return _guarded(node, left, t[test], what, lambda x: np.power(x, b))
         return lambda p: np.power(left(p), b)
-    if _folded(a):  # a constant base: only its own failure can occur
-        t = tests if b is _VARIES else _SCALAR_TESTS
-        if a == 0.0:
-            return _guarded(node, right, t["negative"], _ZERO_NEG, lambda y: np.power(a, y))
-        if a < 0.0:
-            return _guarded(node, right, t["non-integer"], _NEG_FRAC, lambda y: np.power(a, y))
-        return lambda p: np.power(a, right(p))
     t = tests if a is _VARIES or b is _VARIES else _SCALAR_TESTS
     zero_neg, neg_frac = t["zero^neg"], t["neg^frac"]
 
@@ -371,62 +380,51 @@ def _power(node, left, a, right, b, tests):
     return power
 
 
-def _compile(node, bindings, tests):
-    """(closure p -> value of ``node``, folded value or _VARIES or _UNFOLDED).
+_ARITHMETIC = {
+    "+": lambda tests, left, right: lambda p: left(p) + right(p),
+    "-": lambda tests, left, right: lambda p: left(p) - right(p),
+    "*": lambda tests, left, right: lambda p: left(p) * right(p),
+}
+
+
+def _compile(node, bindings):
+    """((scalar-p closure, array-p closure), folded value or _VARIES or _UNFOLDED).
 
     One bottom-up pass: children run left to right, then the node's own domain
     test, then its numpy ufunc or Python operator.  A p-free subtree is folded
-    by ``_fold``; a test on a folded operand is settled here.  ``tests`` is the
-    table for operands that depend on p; the others use _SCALAR_TESTS."""
+    by ``_node``; a test on a folded operand is settled here."""
     if isinstance(node, Num):
-        value = node.value
-        return (lambda p: value), value
+        return _constant(node.value)
     if isinstance(node, Var):
         name = node.name
         if name == "p":
-            return (lambda p: p), _VARIES
+            identity = lambda p: p
+            return (identity, identity), _VARIES
         if name not in bindings:
             def unbound(p):
                 raise ValidationError(f"unbound parameter {name!r}")
-            return unbound, _UNFOLDED
+            return (unbound, unbound), _UNFOLDED
         raw = bindings[name]
-        return _fold(lambda p: float(raw))
+        return _node(lambda tests: lambda p: float(raw))
     if isinstance(node, Neg):
-        child, value = _compile(node.child, bindings, tests)
-        return _fold(lambda p: -child(p), value)
+        return _node(lambda tests, child: lambda p: -child(p),
+                     _compile(node.child, bindings))
     if isinstance(node, Call):
-        arg, x = _compile(node.arg, bindings, tests)
+        arg = _compile(node.arg, bindings)
         if node.fn in _CALLS:
             ufunc = _CALLS[node.fn]
-            return _fold(lambda p: ufunc(arg(p)), x)
+            return _node(lambda tests, x: lambda p: ufunc(x(p)), arg)
         ufunc, test, what = _CHECKED_CALLS[node.fn]
-        bad = tests[test] if x is _VARIES else _SCALAR_TESTS[test]
-        return _fold(_guarded(node, arg, bad, what, ufunc), x)
+        return _node(lambda tests, x: _guarded(node, x, tests[test], what, ufunc), arg)
     if isinstance(node, Bin):
-        left, a = _compile(node.left, bindings, tests)
-        right, b = _compile(node.right, bindings, tests)
+        left = _compile(node.left, bindings)
+        right = _compile(node.right, bindings)
+        a, b = left[1], right[1]
         if node.op == "/":
-            return _fold(_divide(node, left, right, b, tests), a, b)
+            return _node(lambda tests, x, y: _divide(node, x, y, b, tests), left, right)
         if node.op == "^":
-            return _fold(_power(node, left, a, right, b, tests), a, b)
-        op = node.op
-        if _folded(a):
-            if op == "+":
-                return _fold(lambda p: a + right(p), a, b)
-            if op == "-":
-                return _fold(lambda p: a - right(p), a, b)
-            return _fold(lambda p: a * right(p), a, b)
-        if _folded(b):
-            if op == "+":
-                return _fold(lambda p: left(p) + b, a, b)
-            if op == "-":
-                return _fold(lambda p: left(p) - b, a, b)
-            return _fold(lambda p: left(p) * b, a, b)
-        if op == "+":
-            return _fold(lambda p: left(p) + right(p), a, b)
-        if op == "-":
-            return _fold(lambda p: left(p) - right(p), a, b)
-        return _fold(lambda p: left(p) * right(p), a, b)
+            return _node(lambda tests, x, y: _power(node, x, a, y, b, tests), left, right)
+        return _node(_ARITHMETIC[node.op], left, right)
     raise TypeError(f"not an Expression: {node!r}")
 
 
@@ -442,9 +440,8 @@ def compile(expr: Expression, bindings=None):
     those of the walk.
     """
     bindings = bindings or {}
-    with np.errstate(all="raise"):  # for _fold; nothing else here computes
-        scalar_fn, _ = _compile(expr, bindings, _SCALAR_TESTS)
-        array_fn, _ = _compile(expr, bindings, _ARRAY_TESTS)
+    with np.errstate(all="raise"):  # for _node's folding; nothing else here computes
+        (scalar_fn, array_fn), _ = _compile(expr, bindings)
 
     def compiled(p):
         if type(p) is float or np.isscalar(p) or (isinstance(p, np.ndarray) and p.ndim == 0):

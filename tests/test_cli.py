@@ -460,6 +460,15 @@ class TestFileErrors:
         assert capsys.readouterr().err == f"qorder: error: {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize("argv", _OUTPUT_ARGVS)
+    def test_a_run_replaces_what_the_path_held(self, tmp_path, capsys, argv):
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        old.write_text("a longer file than any report or curve table\n" * 1000)
+        for path in (new, old):
+            assert main(argv + [str(path)]) in (0, 2)
+        capsys.readouterr()
+        assert old.read_bytes() == new.read_bytes()
+
+    @pytest.mark.parametrize("argv", _OUTPUT_ARGVS)
     def test_a_later_failure_leaves_the_paths_as_they_were(self, tmp_path, capsys, monkeypatch,
                                                            argv):
         def fail(*args, **kwargs):
@@ -470,10 +479,15 @@ class TestFileErrors:
         monkeypatch.setattr(cli.aging_mod, "aging_report", fail)
         new, old = tmp_path / "new.txt", tmp_path / "old.txt"
         old.write_text("kept\n")
-        for path in (new, old):
+        dangling, linked = tmp_path / "dangling.txt", tmp_path / "linked.txt"
+        dangling.symlink_to("missing.txt")  # writing it would create missing.txt
+        linked.symlink_to("old.txt")
+        for path in (new, old, dangling, linked):
             assert main(argv + [str(path)]) == 1
             assert capsys.readouterr().err == "qorder: error: failed after the output check\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling.txt", "linked.txt",
+                                                              "old.txt"]
+        assert dangling.is_symlink() and not dangling.exists()
         assert old.read_text() == "kept\n"
 
 

@@ -409,17 +409,32 @@ def test_named_cases_match_the_tree_walk(text, bindings, raises, warns):
 def test_p_free_subtrees_fold_only_when_clean():
     def compiled(text, bindings=None):
         with np.errstate(all="raise"):  # as dsl.compile calls it
-            return dsl._compile(parse(text), bindings or {}, dsl._SCALAR_TESTS)
+            return dsl._compile(parse(text), bindings or {})
 
-    fn, value = compiled("s/k", dict(s=2.42016, k=1.99702))
+    (scalar_fn, array_fn), value = compiled("s/k", dict(s=2.42016, k=1.99702))
     assert value == 2.42016 / 1.99702
-    assert fn(0.25) is value and fn(0.75) is value
+    assert scalar_fn is array_fn  # one closure serves both forms of p
+    assert scalar_fn(0.25) is value and scalar_fn(0.75) is value
     assert compiled("1/k-1", dict(k=2.0))[1] == -0.5
     assert compiled("exp(1000)")[1] is dsl._UNFOLDED  # it overflows
     assert compiled("1/(k-k)", dict(k=2.0))[1] is dsl._UNFOLDED  # it raises
     assert compiled("q")[1] is dsl._UNFOLDED  # unbound
     assert compiled("2*exp(1000)")[1] is dsl._UNFOLDED
     assert compiled("s*p", dict(s=1.0))[1] is dsl._VARIES
+
+
+def test_a_p_free_subtree_is_evaluated_once_per_compile():
+    class Counted(float):
+        reads = 0
+
+        def __float__(self):
+            Counted.reads += 1
+            return float.__float__(self)
+
+    fn = dsl.compile(parse("s*p + s"), dict(s=Counted(2.0)))
+    assert Counted.reads == 2  # each leaf once, for the scalar and the array closures alike
+    assert fn(0.25) == 2.5 and list(fn(np.array([0.25, 0.5]))) == [2.5, 3.0]
+    assert Counted.reads == 2
 
 
 @pytest.mark.parametrize("s,k", [(2.42016, 1.99702), (1.0, 0.7)])

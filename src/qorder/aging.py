@@ -12,12 +12,11 @@ two routes can never silently drift apart.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deltas import finite_mean, lower_weighted_integral
+from .deltas import finite_mean
 from .errors import InternalConsistencyError, TooOscillatoryError
 from .limits import LimitValue, limit_at, ratio_qd_tail
 from .models import UnitExponential
@@ -150,9 +149,7 @@ def wa_surrogate(X, p):
     The ratio of the exponential's and X's lower weighted integrals; it is
     monotone/bathtub exactly when the weighted average is.
     """
-    p = float(p)
-    num = -math.log1p(-p) - p  # integral of q/(1-q) over (0, p)
-    return num / lower_weighted_integral(X, p)
+    return _EXP.lower_weighted_integral(p) / X.lower_weighted_integral(p)
 
 
 _SURROGATE_NAMES = {

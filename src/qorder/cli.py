@@ -149,17 +149,22 @@ def _outputs(*paths):
     """Open each given path (None stays None) before the run computes anything.
 
     A path that cannot be written fails the run at once, with the error that
-    writing it at the end would raise.  Opening to append changes no bytes; a
-    file is truncated only when the run writes it.  A run that fails leaves
-    the paths as it found them: a file opened anew is removed again, through a
-    symbolic link the file that the link names."""
+    writing it at the end would raise, and so do two paths that name one file,
+    which the second write would overwrite.  Opening to append changes no
+    bytes; a file is truncated only when the run writes it.  A run that fails
+    leaves the paths as it found them: a file opened anew is removed again,
+    through a symbolic link the file that the link names."""
     handles, created = [], []
     try:
         for path in paths:
             existed = not path or os.path.exists(path)
-            handles.append(path and _open_for_writing(path, "a"))
+            fh = path and _open_for_writing(path, "a")
+            handles.append(fh)
             if not existed:
                 created.append(path)
+            for earlier, other in zip(paths, handles[:-1]):
+                if fh and other and os.path.sameopenfile(fh.fileno(), other.fileno()):
+                    raise ValidationError(f"{path}: names the same file as {earlier}")
         yield handles
     except BaseException:
         for path in created:

@@ -5,7 +5,9 @@ transform order: delta, delta_ps, delta_qmit, delta_dmrl, the centered variant
 used by the qmit/dmrl endpoint conditions, and the expected-proportional-
 shortfall / mean-residual / mean-inactivity quantile functions they are built
 from.  Endpoint limits go through :func:`qorder.limits.limit_at`, preferring
-the analytic tail hints of the built-in families.
+the analytic tail hints of the built-in families; the weighted integrals
+come from the model's ``lower_weighted_integral`` / ``upper_weighted_integral``,
+closed forms for the built-in families.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .limits import (
     delta_tail_hint,
     limit_at,
 )
-from .models import lower_integrand, upper_integrand
-from .oracle import quadrature
 from .shape import ratio_qd
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "finite_mean",
 ]
 
-_QUAD_TOL = 1e-8
-
 
 def finite_mean(X) -> float:
     try:
@@ -50,16 +48,6 @@ def finite_mean(X) -> float:
     if not math.isfinite(m):
         raise NonFiniteMeanError(f"mean of {X.label()} is not finite")
     return m
-
-
-def lower_weighted_integral(X, p):
-    """Integral of q * quantile_density_X(q) over (0, p)."""
-    return quadrature(lower_integrand(X), 0.0, float(p), rel_tol=_QUAD_TOL)
-
-
-def upper_weighted_integral(X, p):
-    """Integral of (1-q) * quantile_density_X(q) over (p, 1)."""
-    return quadrature(upper_integrand(X), float(p), 1.0, rel_tol=_QUAD_TOL)
 
 
 def delta(X, Y, p):
@@ -77,12 +65,12 @@ def delta_ps(X, Y, p):
 
 def delta_qmit(X, Y, p):
     """ratio(p) * int_0^p q*qd_X - int_0^p q*qd_Y; >= 0 everywhere iff X <=qmit Y."""
-    return ratio_qd(X, Y, p) * lower_weighted_integral(X, p) - lower_weighted_integral(Y, p)
+    return ratio_qd(X, Y, p) * X.lower_weighted_integral(p) - Y.lower_weighted_integral(p)
 
 
 def delta_dmrl(X, Y, p):
     """int_p^1 (1-q)*qd_Y - ratio(p) * int_p^1 (1-q)*qd_X; >= 0 everywhere iff X <=dmrl Y."""
-    return upper_weighted_integral(Y, p) - ratio_qd(X, Y, p) * upper_weighted_integral(X, p)
+    return Y.upper_weighted_integral(p) - ratio_qd(X, Y, p) * X.upper_weighted_integral(p)
 
 
 def centered_delta(X, Y, p):
@@ -101,21 +89,20 @@ def eps(X, p):
     q = X.quantile(p)
     if q < 0.0:
         raise DomainError("EPS is defined for non-negative quantile values only")
-    num = upper_weighted_integral(X, p)
     if q == 0.0:
         return math.inf
-    return num / q
+    return X.upper_weighted_integral(p) / q
 
 
 def mrl_quantile(X, p):
     """Mean residual life at the p-th quantile: m(F^-1(p))."""
     finite_mean(X)
-    return upper_weighted_integral(X, p) / (1.0 - float(p))
+    return X.upper_weighted_integral(p) / (1.0 - float(p))
 
 
 def mit_quantile(X, p):
     """Mean inactivity time at the p-th quantile."""
-    return lower_weighted_integral(X, p) / float(p)
+    return X.lower_weighted_integral(p) / float(p)
 
 
 def delta_limit(X, Y, endpoint) -> LimitValue:

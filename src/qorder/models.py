@@ -71,11 +71,40 @@ def _upper(qd):
     return lambda q: (1.0 - q) * qd(q)
 
 
+_WEIGHTED_TOL = 1e-8  # relative tolerance of the default weighted integrals
+
+
 def _require_finite(model, family):
     """Reject a non-finite parameter, which every later check (a comparison) would let pass."""
     for name, value in vars(model).items():
         if not math.isfinite(value):
             raise ValidationError(f"{family} requires a finite {name}, got {value!r}")
+
+
+def _beta_series(x, k, a):
+    """int_0^x u^(k-1) (1-u)^(a-1) du for small x, from the Taylor series of (1-u)^(a-1).
+
+    The closed forms cancel in their leading terms there; the series does not."""
+    total, term, j = 0.0, 1.0, 0
+    while True:
+        part = term / (j + k)
+        total += part
+        if abs(part) <= 1e-17 * abs(total):
+            return x**k * total
+        j += 1
+        term *= x * (j - a) / j
+
+
+def _series_applies(x, a):
+    """Whether x is small enough, also against a, for _beta_series to converge fast
+    without cancelling; above it the closed forms lose at most about 1e-14 relative."""
+    return x * max(1.0, abs(a)) < 0.1
+
+
+def _log_complement(x, c):
+    """log(1 - x), given x and c = 1 - x, at least one of them exact: x at or below 1/2,
+    c above it, as for p and 1 - p (Sterbenz)."""
+    return math.log1p(-x) if x <= 0.5 else math.log(c)
 
 
 def _match(p, value):
@@ -136,6 +165,15 @@ class QuantileModel(abc.ABC):
     def mean(self) -> float:
         """E[X] = integral of the quantile function over (0,1)."""
         return oracle.quadrature(lambda q: self.quantile(q), 0.0, 1.0, rel_tol=1e-10)
+
+    def lower_weighted_integral(self, p) -> float:
+        """int_0^p q*qd(q) dq, the qmit order's integral; the default integrates numerically."""
+        return oracle.quadrature(lower_integrand(self), 0.0, float(p), rel_tol=_WEIGHTED_TOL)
+
+    def upper_weighted_integral(self, p) -> float:
+        """int_p^1 (1-q)*qd(q) dq, the dmrl and ps orders' integral; the default integrates
+        numerically."""
+        return oracle.quadrature(upper_integrand(self), float(p), 1.0, rel_tol=_WEIGHTED_TOL)
 
     def profile(self, n, p_min) -> "GridProfile":
         """This model's memo of values on logit_grid(n, p_min)."""
@@ -224,6 +262,28 @@ class TukeyGeneralized(QuantileModel):
             raise NonFiniteMeanError("Tukey mean diverges for alpha <= -1")
         return self.lam
 
+    def lower_weighted_integral(self, p):
+        p = check_p(float(p))
+        return self._weighted(p, 1.0 - p)
+
+    def upper_weighted_integral(self, p):
+        p = check_p(float(p))
+        return self._weighted(1.0 - p, p)  # qd(q) = qd(1-q), so U(p) = L(1-p)
+
+    def _weighted(self, x, c):
+        """L(x) = eta/(a+1)*[a*x^(a+1) + 1 - (1-x)^a*(1+a*x)], given c = 1 - x as well.
+
+        Written eta*a*[x^(a+1)/(a+1) + B(x; 2, a)], a sum of two positive terms; the
+        second, int_0^x q(1-q)^(a-1) dq, cancels to O(x^2) in closed form."""
+        a = self.alpha
+        if a <= -1.0:
+            raise NonFiniteMeanError("Tukey weighted integrals diverge for alpha <= -1")
+        if _series_applies(x, a):
+            beta = _beta_series(x, 2, a)
+        else:
+            beta = -math.expm1(a * _log_complement(x, c) + math.log1p(a * x)) / (a * (a + 1.0))
+        return self.eta * a * (x ** (a + 1.0) / (a + 1.0) + beta)
+
     def label(self):
         return f"tukey:{self.lam:g},{self.eta:g},{self.alpha:g}"
 
@@ -272,6 +332,21 @@ class Govindarajulu(QuantileModel):
     def mean(self):
         return self.theta + 2.0 * self.sigma / (self.beta + 2.0)
 
+    def lower_weighted_integral(self, p):
+        p = check_p(float(p))
+        b = self.beta
+        return self.sigma * b * p ** (b + 1.0) * (1.0 - (b + 1.0) * p / (b + 2.0))
+
+    def upper_weighted_integral(self, p):
+        """sigma/(b+2)*[2 - (1-t)^b*(2 + 2bt + b(b+1)t^2)] in t = 1 - p, which is
+        sigma*b*(b+1)*B(t; 3, b) and cancels to O(t^3) in closed form."""
+        p = check_p(float(p))
+        b, t = self.beta, 1.0 - p
+        if _series_applies(t, b):
+            return self.sigma * b * (b + 1.0) * _beta_series(t, 3, b)
+        g = b * _log_complement(t, p) + math.log1p(b * t + 0.5 * b * (b + 1.0) * t * t)
+        return -2.0 * self.sigma * math.expm1(g) / (b + 2.0)
+
     def label(self):
         return f"govindarajulu:{self.theta:g},{self.sigma:g},{self.beta:g}"
 
@@ -297,6 +372,16 @@ class UnitExponential(QuantileModel):
     @cached_property
     def mean(self):
         return 1.0
+
+    def lower_weighted_integral(self, p):
+        """-log(1-p) - p, which is B(p; 2, 0) and cancels to O(p^2) in closed form."""
+        p = check_p(float(p))
+        if _series_applies(p, 0.0):
+            return _beta_series(p, 2, 0.0)
+        return -math.log1p(-p) - p
+
+    def upper_weighted_integral(self, p):
+        return 1.0 - check_p(float(p))
 
     def label(self):
         return "exp1"

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qorder import aging, deltas, oracle
+from qorder import aging, oracle
 from qorder.aging import (
     aging_report,
     classify_hazard,
@@ -237,7 +237,6 @@ class TestGridProfileShapes:
             return real(*args, **kw)
 
         monkeypatch.setattr(oracle, "quadrature", spy)
-        monkeypatch.setattr(deltas, "quadrature", spy)
         classify_ihrwa(ctx, hazard, {})
         # only the head of the profile's lower cumulative integral
         assert calls == [(0.0, float(logit_grid(ctx.n, P_MIN)[0]))]

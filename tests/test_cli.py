@@ -491,6 +491,29 @@ class TestFileErrors:
         assert old.read_text() == "kept\n"
 
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "--x", "tukey:4,1,2.5", "--y", "exp1", "--grid", "64"],
+        ["aging", "--x", "govindarajulu:0,2,2", "--grid", "64"],
+    ])
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("via_link", [False, True])
+    def test_curves_and_report_to_one_file(self, tmp_path, capsys, monkeypatch, command,
+                                           existing, via_link):
+        _refuse_work(monkeypatch)  # refused before anything is computed
+        path = tmp_path / "both.txt"
+        if existing:
+            path.write_text("kept\n")
+        other = path
+        if via_link:
+            other = tmp_path / "link.txt"
+            other.symlink_to("both.txt")
+        assert main(command + ["--curves", str(path), "--out", str(other)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qorder: error: {other}: names the same file as {path}\n"
+        assert path.read_text() == "kept\n" if existing else not path.exists()
+
+
 class TestDslBindings:
     @pytest.mark.parametrize("spec, message", [
         ("dsl:s*p;s=1;s=3", "dsl parameter s is bound twice"),

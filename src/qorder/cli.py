@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from . import dsl
 from .empirical import SampleSet, convexity_scan, load_samples, qq_transform
 from .errors import ParseError, QorderError, ValidationError
 from .models import Govindarajulu, TukeyGeneralized, UnitExponential, check_p
-from .orders import INCONCLUSIVE, PairContext, compare_all, theorem_status
+from .orders import INCONCLUSIVE, PairContext, compare_all, segment_ratios, theorem_status
 from .shape import tukey_unimodal_region
 
 __all__ = ["main", "parse_spec", "dumps"]
@@ -153,7 +154,9 @@ def _outputs(*paths):
     which the second write would overwrite.  Opening to append changes no
     bytes; a file is truncated only when the run writes it.  A run that fails
     leaves the paths as it found them: a file opened anew is removed again,
-    through a symbolic link the file that the link names."""
+    through a symbolic link the file that the link names.  (A sweep streams
+    its rows, so one interrupted after its first rows leaves them in a file
+    that was there before.)"""
     handles, created = [], []
     try:
         for path in paths:
@@ -194,11 +197,19 @@ def _emit(report, out):
 
 
 def _write_csv(fh, header, rows):
+    """Write the header and the rows, and return the number of rows.  The file
+    is emptied once the first row has come, so a generator of rows that fails
+    before its first leaves the file as it was."""
+    rows = iter(rows)
+    head = list(itertools.islice(rows, 1))
     _empty(fh)
     fh.write(",".join(header) + "\n")
-    for row in rows:
+    count = 0
+    for row in itertools.chain(head, rows):
         fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n")
+        count += 1
     fh.flush()
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -325,40 +336,55 @@ def run_sweep(args):
         counts.append(int(round(steps)) + 1)
     n1, n2 = counts
     with _outputs(args.out) as (out,):
-        rows = _sweep_rows(args, n1, n2)
-        _write_csv(out, ["alpha1", "alpha2", "in_region", "ratio_shape", "star", "qmit", "dmrl"],
-                   rows)
-    sys.stdout.write(dumps({"schema": 1, "command": "sweep", "cells": len(rows),
+        cells = _write_csv(out, ["alpha1", "alpha2", "in_region", "ratio_shape", "star", "qmit",
+                                 "dmrl"], _sweep_rows(args, n1, n2))
+    sys.stdout.write(dumps({"schema": 1, "command": "sweep", "cells": cells,
                             "out": args.out}) + "\n")
     return 0
 
 
+SWEEP_BATCH = 16  # cells whose ratios one find_shapes scan segments
+
+
 def _sweep_rows(args, n1, n2):
-    """One row per cell: the alphas, the unimodal region and the theorem statuses."""
-    rows = []
-    for i in range(n1):
-        a1 = args.alpha1_min + i * args.step
+    """Yield one row per cell, SWEEP_BATCH cells at a time: the alphas, the
+    unimodal region and the theorem statuses.
+
+    Every model is built before the first row, so a parameter that a model
+    refuses fails the run before anything is written."""
+    alphas1 = [args.alpha1_min + i * args.step for i in range(n1)]
+    alphas2 = [args.alpha2_min + j * args.step for j in range(n2)]
+    for a1 in alphas1:
+        TukeyGeneralized(args.lam1, args.eta1, a1)
+    for a2 in alphas2:
+        TukeyGeneralized(args.lam2, args.eta2, a2)
+    for a1 in alphas1:
         X = TukeyGeneralized(args.lam1, args.eta1, a1)
-        for j in range(n2):
-            a2 = args.alpha2_min + j * args.step
-            Y = TukeyGeneralized(args.lam2, args.eta2, a2)
-            try:
-                region = tukey_unimodal_region(a1, a2)
-            except QorderError:
-                region = None
-            try:
-                ctx = PairContext(X, Y, args.grid)
-            except QorderError:
-                statuses = ("Error",) * 4
-            else:
+        for start in range(0, n2, SWEEP_BATCH):
+            cells = []
+            for a2 in alphas2[start:start + SWEEP_BATCH]:
                 try:
-                    shape = ctx.shape().classification
+                    ctx = PairContext(X, TukeyGeneralized(args.lam2, args.eta2, a2), args.grid)
                 except QorderError:
-                    shape = "Error"
-                # theorem stage alone: no oracle fallback, no proportional shortcut
-                statuses = (shape,) + tuple(theorem_status(ctx, o) for o in ("star", "qmit", "dmrl"))
-            rows.append((a1, a2, {True: "true", False: "false", None: "na"}[region]) + statuses)
-    return rows
+                    ctx = None
+                cells.append((a2, ctx))
+            segment_ratios([ctx for _, ctx in cells if ctx is not None])
+            for a2, ctx in cells:
+                try:
+                    region = tukey_unimodal_region(a1, a2)
+                except QorderError:
+                    region = None
+                if ctx is None:
+                    statuses = ("Error",) * 4
+                else:
+                    try:
+                        shape = ctx.shape().classification
+                    except QorderError:
+                        shape = "Error"
+                    # theorem stage alone: no oracle fallback, no proportional shortcut
+                    statuses = (shape,) + tuple(theorem_status(ctx, o)
+                                                for o in ("star", "qmit", "dmrl"))
+                yield (a1, a2, {True: "true", False: "false", None: "na"}[region]) + statuses
 
 
 def run_eval(args):

@@ -80,20 +80,57 @@ def _close(a, b):
     return abs(a - b) <= _CAUCHY_REL * max(1.0, abs(a), abs(b))
 
 
+def _diverges(tail):
+    """+1 or -1 when tail (farthest first) diverges monotonically past 1e12 in
+    one sign, else 0."""
+    if all(abs(v) > _DIVERGE_MAG for v in tail):
+        mags = [abs(v) for v in tail]
+        if len({math.copysign(1.0, v) for v in tail}) == 1 and all(
+            m2 >= m1 for m1, m2 in zip(mags, mags[1:])
+        ):
+            return 1 if tail[-1] > 0 else -1
+    return 0
+
+
+def _cauchy(vals):
+    return all(_close(a, b) for a, b in zip(vals, vals[1:]))
+
+
+def _extrapolant(a, b, c):
+    """The geometric (Richardson-style) extrapolation of v_k ~ L + C*lambda^k
+    from three consecutive values, or None when they do not contract."""
+    d1 = b - a
+    d2 = c - b
+    if d1 == 0.0:
+        return None
+    lam = d2 / d1
+    return c + d2 * lam / (1.0 - lam) if abs(lam) < 0.97 else None
+
+
 def limit_at(fn, endpoint, hint: LimitValue | None = None):
     """Classify the one-sided limit of fn at p -> 0+ or p -> 1-.
 
     ``endpoint`` is 0 or 1.  When an analytic hint is supplied it wins and is
-    tagged as such; otherwise the function is sampled at distances 2^-k,
+    tagged as such; otherwise the function is sampled at distances 2^-k for
     k = 8..40, and the sequence is classified: monotone divergence past 1e12
     maps to an infinity, a Cauchy tail of (extrapolated) values maps to a
     finite limit, anything else is Indeterminate.
+
+    The classification reads only the samples nearest the endpoint: the last
+    10 (its diagnostics), the last 5 (divergence), the last 4 finite ones (the
+    Cauchy test) and the last 3 extrapolants.  So the points are taken from
+    k = 40 inward, and sampling stops once all of these are known.  A point
+    that raises ArithmeticError or ValueError, or gives NaN, is skipped; an
+    error at a point that the result does not need is not raised, since that
+    point is never evaluated.
     """
     if hint is not None:
         return LimitValue(hint.kind, hint.value, "analytic-hint", list(hint.diagnostics))
 
-    samples = []
-    for k in range(8, 41):
+    nearest, finite = [], []  # samples (eps, value) and finite values, nearest first
+    diverges = cauchy = False
+    extrapolants = 0
+    for k in range(40, 7, -1):
         eps = 2.0**-k
         x = eps if endpoint == 0 else 1.0 - eps
         try:
@@ -102,38 +139,35 @@ def limit_at(fn, endpoint, hint: LimitValue | None = None):
             continue
         if math.isnan(v):
             continue
-        samples.append((eps, v))
+        nearest.append((eps, v))
+        if math.isfinite(v):
+            finite.append(v)
+            if len(finite) >= 3:
+                extrapolants += _extrapolant(v, finite[-2], finite[-3]) is not None
+            if len(finite) == 4:
+                cauchy = _cauchy(finite[::-1])
+        if len(nearest) == 10:
+            diverges = _diverges([v for _, v in nearest[4::-1]])
+        if len(nearest) >= 10 and (diverges or cauchy or extrapolants >= 3):
+            break
+    return _classify(nearest[::-1])
+
+
+def _classify(samples):
+    """The limit that samples (farthest from the endpoint first) give."""
     diag = samples[-10:]
     if len(samples) < 6:
         return LimitValue.indeterminate(diag)
     vals = [v for _, v in samples]
-
-    tail = vals[-5:]
-    if all(abs(v) > _DIVERGE_MAG for v in tail):
-        signs = {math.copysign(1.0, v) for v in tail}
-        mags = [abs(v) for v in tail]
-        if len(signs) == 1 and all(m2 >= m1 for m1, m2 in zip(mags, mags[1:])):
-            return LimitValue.infinite(1 if tail[-1] > 0 else -1, diagnostics=diag)
-
+    sign = _diverges(vals[-5:])
+    if sign:
+        return LimitValue.infinite(sign, diagnostics=diag)
     finite_vals = [v for v in vals if math.isfinite(v)]
-    if len(finite_vals) >= 4 and all(
-        _close(a, b) for a, b in zip(finite_vals[-4:], finite_vals[-3:])
-    ):
+    if len(finite_vals) >= 4 and _cauchy(finite_vals[-4:]):
         return LimitValue.finite(finite_vals[-1], diagnostics=diag)
-
-    # geometric (Richardson-style) extrapolation: v_k ~ L + C*lambda^k
-    extrapolants = []
-    for i in range(len(finite_vals) - 2):
-        d1 = finite_vals[i + 1] - finite_vals[i]
-        d2 = finite_vals[i + 2] - finite_vals[i + 1]
-        if d1 == 0.0:
-            continue
-        lam = d2 / d1
-        if abs(lam) < 0.97:
-            extrapolants.append(finite_vals[i + 2] + d2 * lam / (1.0 - lam))
-    if len(extrapolants) >= 3 and all(
-        _close(a, b) for a, b in zip(extrapolants[-3:], extrapolants[-2:])
-    ):
+    extrapolants = [e for e in map(_extrapolant, finite_vals, finite_vals[1:], finite_vals[2:])
+                    if e is not None]
+    if len(extrapolants) >= 3 and _cauchy(extrapolants[-3:]):
         return LimitValue.finite(extrapolants[-1], diagnostics=diag)
     return LimitValue.indeterminate(diag)
 

@@ -40,6 +40,7 @@ from .shape import (
     Segment,
     ShapeReport,
     find_shape,
+    find_shapes,
     ratio_qd,
 )
 from . import deltas
@@ -61,6 +62,7 @@ __all__ = [
     "check_dmrl",
     "check_ps",
     "compare_all",
+    "segment_ratios",
     "theorem_status",
     "predict_quantile_ratio_shape",
     "QuantileRatioPrediction",
@@ -203,12 +205,7 @@ class PairContext:
 
     def shape(self) -> ShapeReport:
         if self._shape is None:
-            try:
-                # the ratio's grid values are ratio_qd read off the two profiles
-                px, py = self._profiles()
-                self._shape = find_shape(self.ratio, self.n, py.qd / px.qd)
-            except QorderError as exc:  # deterministic: every later call would fail alike
-                self._shape = copy.copy(exc)
+            segment_ratios([self])
         if isinstance(self._shape, QorderError):
             # raise a copy: the stored failure must not get a traceback, whose
             # frames refer back to this context (a cycle only the collector frees)
@@ -272,6 +269,34 @@ class PairContext:
 
     def oracle(self, order) -> GridVerdict:
         return self._memo(("oracle", order), lambda: order_oracle(self.X, self.Y, order, self.n))
+
+
+def segment_ratios(contexts):
+    """Give every context that has none yet its ratio shape, from one find_shapes
+    scan of all their ratios.  The contexts share one grid size; the ratio's grid
+    values are ratio_qd read off each context's two profiles, so contexts that
+    share X read its quantile density once.  A context whose profiles or
+    segmentation fail keeps that failure, which its shape() raises."""
+    todo = [ctx for ctx in contexts if ctx._shape is None]
+    if not todo:
+        return
+    n = todo[0].n
+    if any(ctx.n != n for ctx in todo):
+        raise ValidationError("segment_ratios needs contexts of one grid size")
+    values = np.empty((len(todo), n))
+    rows = []
+    for ctx in todo:
+        try:
+            px, py = ctx._profiles()
+            np.divide(py.qd, px.qd, out=values[len(rows)])
+        except QorderError as exc:  # deterministic: every later call would fail alike
+            ctx._shape = copy.copy(exc)
+        else:
+            rows.append(ctx)
+    shapes = find_shapes([ctx.ratio for ctx in rows], n, values[:len(rows)])
+    for ctx, sh in zip(rows, shapes):
+        # a stored failure gets no traceback, whose frames would refer back to the context
+        ctx._shape = copy.copy(sh) if isinstance(sh, QorderError) else sh
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 `find_shape` splits a function into monotone pieces by locating derivative
 sign changes on a logit-uniform grid and refining each one by bisection;
-`shape_class` gives the same classification from the grid scan alone.  The
-quantile-density ratio of two models, whose shape drives every theorem in the
-order engine, lives here as well.
+`shape_class` gives the same classification from the grid scan alone.
+`find_shapes` segments a stack of functions in one scan of all their grid
+values, and gives each row what `find_shape` gives it alone; the sweep
+segments its cells 16 at a time this way.  The quantile-density ratio of two
+models, whose shape drives every theorem in the order engine, lives here as
+well.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, TooOscillatoryError, ValidationError
+from .errors import DomainError, QorderError, TooOscillatoryError, ValidationError
 from .oracle import P_MIN, logit_grid
 
 __all__ = [
@@ -25,6 +28,7 @@ __all__ = [
     "ShapeReport",
     "ratio_qd",
     "find_shape",
+    "find_shapes",
     "shape_class",
     "tukey_unimodal_region",
     "CONSTANT",
@@ -120,56 +124,142 @@ def _refine_mode(fn, lo, hi, kind):
     return min(max(m, lo - 1e-9), hi + 1e-9)
 
 
-def _scan(values, n):
-    """The grid scan of find_shape and shape_class: the grid, every panel's sign
-    (0 if flat), the significant panels' signs, the flips between consecutive
-    ones, and each flip's bracket (lo, hi) from the start of the last panel of
-    one sign to the end of the first panel of the other."""
-    grid = logit_grid(n, P_MIN)
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != grid.shape:
-        raise ValidationError(
-            f"find_shape got {vals.size} values for the {grid.size}-point grid "
-            f"logit_grid({n}, {P_MIN:g})"
-        )
-    if np.any(~np.isfinite(vals)):
-        raise DomainError("function not finite on the working grid")
-    diffs = np.diff(vals)
+def _panel_signs(vals):
+    """The panel signs (0 if flat) of every row of vals, in one int8 array:
+    panel i of row r is at r*n + i + 1, and a sentinel 2 at each r*n ends the
+    plateaus at a row's edges and keeps every flip inside one row.
+
+    The work runs on the flattened rows, whose contiguous slices numpy walks
+    without buffer copies; the pair that straddles two rows is computed and
+    then overwritten by the sentinel."""
+    rows, n = vals.shape
+    flat = vals.ravel()
     # local scales: a global max would let an endpoint blow-up swamp real
     # structure elsewhere on the grid
-    local = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
-    flat_tol = _FLAT_REL * local
-    signs = np.zeros(len(diffs), dtype=int)
-    signs[diffs > flat_tol] = 1
-    signs[diffs < -flat_tol] = -1
+    work = np.abs(flat)
+    tol = np.maximum(work[:-1], work[1:])
+    np.maximum(tol, 1e-300, out=tol)
+    tol *= _FLAT_REL
+    diffs = np.subtract(flat[1:], flat[:-1], out=work[:-1])
+    rising = diffs > tol
+    falling = diffs < np.negative(tol, out=tol)
+    signs = np.empty(rows * n + 1, dtype=np.int8)
+    np.subtract(rising.view(np.int8), falling.view(np.int8), out=signs[1:-1])
+    signs[::n] = 2
+    return signs
 
-    sig_idx = np.flatnonzero(signs)
-    sig = signs[sig_idx]
-    flips = np.flatnonzero(sig[1:] != sig[:-1])
-    lo, hi = grid[sig_idx[flips]], grid[sig_idx[flips + 1] + 1]
-    if flips.size > MAX_MODES:
-        raise TooOscillatoryError(
-            f"{flips.size} derivative sign changes exceed max_modes={MAX_MODES}",
-            modes=(0.5 * (lo + hi)).tolist(),
+
+def _scan(values, n):
+    """The one grid scan behind find_shapes, find_shape and shape_class.
+
+    ``values`` holds one row per function on logit_grid(n, P_MIN).  On the
+    flattened rows the scan finds every panel's sign (0 if flat), the
+    significant panels, the flips between consecutive significant panels of one
+    row, each flip's bracket (lo, hi) from the start of the last panel of one
+    sign to the end of the first panel of the other, and each row's plateaus:
+    runs of 3 or more flat panels, as (grid[start], grid[end of run]).  It
+    returns one entry per row: the QorderError find_shape raises for that row,
+    or the tuple (the sign of its first significant panel, 0 if none; the
+    flips' kinds; their lo; their hi; its plateaus)."""
+    grid = logit_grid(n, P_MIN)
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2:
+        raise ValidationError(f"find_shapes needs one row per function, got shape {vals.shape}")
+    rows, size = vals.shape
+    if size != grid.size:
+        raise ValidationError(
+            f"find_shape got {size} values for the {grid.size}-point grid "
+            f"logit_grid({n}, {P_MIN:g})"
         )
-    return grid, signs, sig, flips, lo, hi
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():  # a non-finite row is scanned as zeros and reported as an error
+        vals = np.where(finite[:, None], vals, 0.0)
+    finite = finite.tolist()
+    signs = _panel_signs(vals)
+    marks = np.flatnonzero(signs != 0)  # the significant panels and the sentinels
+    sig = signs[marks]
+    flips = np.flatnonzero(sig[1:] * sig[:-1] == -1)
+    lo = grid[(marks[flips] - 1) % n].tolist()
+    hi = grid[marks[flips + 1] % n].tolist()
+    kinds = ["max" if s > 0 else "min" for s in sig[flips].tolist()]
+    runs = np.flatnonzero(marks[1:] - marks[:-1] > 3)  # 3 or more flat panels between
+    plateaus = list(zip(grid[marks[runs] % n].tolist(), grid[(marks[runs + 1] - 1) % n].tolist()))
+    # row r's marks are marks[bounds[r]:bounds[r + 1] + 1], from sentinel to sentinel
+    bounds = np.searchsorted(marks, np.arange(0, rows * n + 1, n))
+    firsts = sig[bounds[:-1] + 1].tolist()
+    flip_at = np.searchsorted(flips, bounds).tolist()
+    run_at = np.searchsorted(runs, bounds).tolist()
+
+    out = []
+    for r in range(rows):
+        a, b = flip_at[r], flip_at[r + 1]
+        if not finite[r]:
+            out.append(DomainError("function not finite on the working grid"))
+        elif b - a > MAX_MODES:
+            out.append(TooOscillatoryError(
+                f"{b - a} derivative sign changes exceed max_modes={MAX_MODES}",
+                modes=[0.5 * (x + y) for x, y in zip(lo[a:b], hi[a:b])],
+            ))
+        else:
+            out.append((0 if firsts[r] == 2 else firsts[r], kinds[a:b], lo[a:b], hi[a:b],
+                        plateaus[run_at[r]:run_at[r + 1]]))
+    return out
 
 
-def _classify(sig, flips):
-    if sig.size == 0:
+def _classify(first, kinds):
+    if first == 0:
         return CONSTANT
-    if flips.size == 0:
-        return INCREASING if sig[0] > 0 else DECREASING
-    if flips.size == 1:
-        return UNIMODAL_MAX if sig[flips[0]] > 0 else UNIMODAL_MIN
+    if not kinds:
+        return INCREASING if first > 0 else DECREASING
+    if len(kinds) == 1:
+        return UNIMODAL_MAX if kinds[0] == "max" else UNIMODAL_MIN
     return N_MODAL
+
+
+def _raise_or(result):
+    if isinstance(result, QorderError):
+        raise result
+    return result
 
 
 def shape_class(values, n=4096):
     """The classification find_shape(fn, n, values) gives, read off the
     values on logit_grid(n, P_MIN) without refining any mode."""
-    _, _, sig, flips, _, _ = _scan(values, n)
-    return _classify(sig, flips)
+    first, kinds, *_ = _raise_or(_scan(np.reshape(values, (1, -1)), n)[0])
+    return _classify(first, kinds)
+
+
+def _report(fn, scanned):
+    """The ShapeReport of one row that _scan segmented; fn refines its modes."""
+    first, kinds, lo, hi, plateaus = scanned
+    cls = _classify(first, kinds)
+    if cls == CONSTANT:
+        return ShapeReport(CONSTANT, plateaus=plateaus)
+    modes = [Mode(_refine_mode(fn, a, b, kind), kind) for a, b, kind in zip(lo, hi, kinds)]
+    directions = ("increasing", "decreasing") if first > 0 else ("decreasing", "increasing")
+    bounds = [0.0] + [m.location for m in modes] + [1.0]
+    segments = [Segment(a, b, directions[i % 2])
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    return ShapeReport(cls, modes=modes, segments=segments, plateaus=plateaus)
+
+
+def find_shapes(fns, n, values):
+    """Segment a stack of functions in one grid scan: row i of ``values`` holds
+    fns[i] on logit_grid(n, P_MIN), and fns[i] is called on scalars only, to
+    refine that row's modes.  Returns, for each row, the ShapeReport
+    find_shape(fns[i], n, values[i]) gives, or the QorderError it raises."""
+    scans = _scan(values, n)
+    if len(fns) != len(scans):
+        raise ValidationError(f"find_shapes got {len(fns)} functions for {len(scans)} rows")
+    out = []
+    for fn, scanned in zip(fns, scans):
+        if not isinstance(scanned, QorderError):
+            try:
+                scanned = _report(fn, scanned)
+            except QorderError as exc:
+                scanned = exc.with_traceback(None)  # its frames would keep fn alive
+        out.append(scanned)
+    return out
 
 
 def find_shape(fn, n=4096, values=None):
@@ -178,26 +268,7 @@ def find_shape(fn, n=4096, values=None):
     P_MIN); fn is then called on scalars only, to refine the modes."""
     if values is None:
         values = fn(logit_grid(n, P_MIN))
-    grid, signs, sig, flips, lo, hi = _scan(values, n)
-
-    # plateaus: runs of 3 or more flat panels, as (grid[start], grid[end of run])
-    edges = np.diff(np.concatenate(([0], (signs == 0).view(np.int8), [0])))
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    long_runs = ends - starts >= 3
-    plateaus = list(zip(grid[starts[long_runs]].tolist(), grid[ends[long_runs]].tolist()))
-
-    cls = _classify(sig, flips)
-    if cls == CONSTANT:
-        return ShapeReport(CONSTANT, plateaus=plateaus)
-    kinds = ["max" if s > 0 else "min" for s in sig[flips].tolist()]
-    modes = [Mode(_refine_mode(fn, a, b, kind), kind)
-             for a, b, kind in zip(lo.tolist(), hi.tolist(), kinds)]
-
-    directions = ("increasing", "decreasing") if sig[0] > 0 else ("decreasing", "increasing")
-    bounds = [0.0] + [m.location for m in modes] + [1.0]
-    segments = [Segment(a, b, directions[i % 2])
-                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    return ShapeReport(cls, modes=modes, segments=segments, plateaus=plateaus)
+    return _report(fn, _raise_or(_scan(np.reshape(values, (1, -1)), n)[0]))
 
 
 def tukey_unimodal_region(alpha1: float, alpha2: float) -> bool:

@@ -10,10 +10,11 @@ from qorder.aging import hazard_quantile
 from qorder import cli
 from qorder.cli import dumps, main, parse_spec
 from qorder.empirical import SampleSet
-from qorder.errors import ParseError, ValidationError
+from qorder.errors import ParseError, QorderError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid, lower_cumulative, upper_cumulative
-from qorder.shape import ratio_qd
+from qorder.orders import PairContext, theorem_status
+from qorder.shape import ratio_qd, tukey_unimodal_region
 
 
 def _curve_columns(path):
@@ -246,6 +247,89 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == f"qorder: error: {flag} must be finite, got {value}\n"
         assert not out.exists()
+
+
+def _sweep_cell_by_cell(args):
+    """Reference: the sweep's CSV lines built one cell at a time, each from its
+    own PairContext(X, Y, n).shape() and theorem_status."""
+    count = lambda lo, hi: int(round((hi - lo) / args["step"])) + 1
+    lines = ["alpha1,alpha2,in_region,ratio_shape,star,qmit,dmrl"]
+    for i in range(count(args["alpha1_min"], args["alpha1_max"])):
+        a1 = args["alpha1_min"] + i * args["step"]
+        X = TukeyGeneralized(args["lam1"], 1.0, a1)
+        for j in range(count(args["alpha2_min"], args["alpha2_max"])):
+            a2 = args["alpha2_min"] + j * args["step"]
+            Y = TukeyGeneralized(args["lam2"], 1.0, a2)
+            try:
+                region = "true" if tukey_unimodal_region(a1, a2) else "false"
+            except QorderError:
+                region = "na"
+            try:
+                ctx = PairContext(X, Y, args["grid"])
+            except QorderError:
+                statuses = ["Error"] * 4
+            else:
+                try:
+                    statuses = [ctx.shape().classification]
+                except QorderError:
+                    statuses = ["Error"]
+                statuses += [theorem_status(ctx, o) for o in ("star", "qmit", "dmrl")]
+            lines.append(",".join(["%.17g" % a1, "%.17g" % a2, region] + statuses))
+    return lines
+
+
+class TestSweepInBatches:
+    """The sweep segments its cells SWEEP_BATCH at a time; its CSV is the one
+    built cell by cell."""
+
+    @pytest.mark.parametrize("args", [
+        # rows of 17 and 33 cells cross a batch boundary; alpha 1 and 2 read na
+        dict(alpha1_min=0.95, alpha1_max=1.05, alpha2_min=0.05, alpha2_max=0.85),
+        dict(alpha1_min=2.0, alpha1_max=2.05, alpha2_min=0.05, alpha2_max=1.65),
+        dict(alpha1_min=2.5, alpha1_max=2.5, alpha2_min=0.4, alpha2_max=2.0, grid=512),
+        dict(alpha1_min=2.5, alpha1_max=2.6, alpha2_min=0.05, alpha2_max=1.65, lam1=0.0),
+    ])
+    def test_equals_the_cells_one_by_one(self, tmp_path, capsys, args):
+        args = dict(dict(step=0.05, grid=64, lam1=2.0, lam2=2.0), **args)
+        argv = ["sweep", "--out", str(tmp_path / "sweep.csv")]
+        for key, value in args.items():
+            argv += [f"--{key.replace('_', '-')}", repr(value)]
+        assert main(argv) == 0
+        ref = _sweep_cell_by_cell(args)
+        assert json.loads(capsys.readouterr().out)["cells"] == len(ref) - 1
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines == ref
+        if args["lam1"] == 0.0:  # X's support starts below 0: every context is refused
+            assert all(line.endswith("Error,Error,Error,Error") for line in lines[1:])
+        if args["alpha1_min"] in (0.95, 2.0):  # alpha1 = 1 or 2 in the first row or two
+            assert any(",na," in line for line in lines)
+
+    def test_rows_stream_a_batch_at_a_time(self, monkeypatch):
+        calls = []
+        real = cli.theorem_status
+        monkeypatch.setattr(cli, "theorem_status", lambda ctx, o: calls.append(o) or real(ctx, o))
+        args = cli._build_parser().parse_args(
+            ["sweep", "--alpha2-max", "4.95", "--grid", "64", "--lam1", "3", "--lam2", "3",
+             "--out", "unused.csv"])
+        rows = cli._sweep_rows(args, 99, 99)
+        next(rows)
+        assert len(calls) == 3  # the first cell's statuses, not the whole sweep's
+        for _ in range(cli.SWEEP_BATCH):
+            next(rows)
+        assert len(calls) == 3 * (cli.SWEEP_BATCH + 1)
+
+    def test_a_model_refused_in_a_later_row_leaves_the_file(self, tmp_path, capsys):
+        # with eta1 < 0 the third row's alpha1 = 0 gives no increasing quantile
+        out = tmp_path / "sweep.csv"
+        out.write_text("kept\n")
+        argv = ["sweep", "--eta1", "-1", "--alpha1-min=-0.1", "--alpha1-max", "0.1",
+                "--alpha2-min", "0.05", "--alpha2-max", "1.65"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert main(argv + ["--out", str(tmp_path / "new.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "qorder: error: Tukey quantile function must be increasing: eta*alpha > 0 required\n" * 2)
+        assert out.read_text() == "kept\n"
+        assert not (tmp_path / "new.csv").exists()
 
 
 class TestNonFiniteModelInput:

@@ -249,3 +249,132 @@ class TestQuadratureContracts:
 
     def test_sqrt_weight(self):
         assert quadrature(lambda q: np.sqrt(q), 0.0, 1.0) == pytest.approx(2 / 3, rel=1e-10)
+
+
+def _limit_at_all_points(fn, endpoint):
+    """Reference: limit_at as it sampled every k = 8..40 before classifying."""
+    samples = []
+    for k in range(8, 41):
+        eps = 2.0**-k
+        try:
+            v = float(fn(eps if endpoint == 0 else 1.0 - eps))
+        except (ArithmeticError, ValueError):
+            continue
+        if not math.isnan(v):
+            samples.append((eps, v))
+    diag = samples[-10:]
+    if len(samples) < 6:
+        return LimitValue.indeterminate(diag)
+    vals = [v for _, v in samples]
+    tail = vals[-5:]
+    if all(abs(v) > 1e12 for v in tail):
+        mags = [abs(v) for v in tail]
+        if len({math.copysign(1.0, v) for v in tail}) == 1 and all(
+                m2 >= m1 for m1, m2 in zip(mags, mags[1:])):
+            return LimitValue.infinite(1 if tail[-1] > 0 else -1, diagnostics=diag)
+    close = lambda a, b: abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+    fin = [v for v in vals if math.isfinite(v)]
+    if len(fin) >= 4 and all(close(a, b) for a, b in zip(fin[-4:], fin[-3:])):
+        return LimitValue.finite(fin[-1], diagnostics=diag)
+    ext = []
+    for i in range(len(fin) - 2):
+        d1, d2 = fin[i + 1] - fin[i], fin[i + 2] - fin[i + 1]
+        if d1 != 0.0 and abs(d2 / d1) < 0.97:
+            lam = d2 / d1
+            ext.append(fin[i + 2] + d2 * lam / (1.0 - lam))
+    if len(ext) >= 3 and all(close(a, b) for a, b in zip(ext[-3:], ext[-2:])):
+        return LimitValue.finite(ext[-1], diagnostics=diag)
+    return LimitValue.indeterminate(diag)
+
+
+def _raising_at(fn, ks, exc):
+    """fn, raising exc at the points 2^-k (or 1 - 2^-k) for k in ks."""
+    points = {2.0**-k for k in ks} | {1.0 - 2.0**-k for k in ks}
+
+    def wrapped(p):
+        if p in points:
+            raise exc
+        return fn(p)
+    return wrapped
+
+
+def _three_finite_then_geometric(p):
+    """Alternating infinities nearest the end, three equal finite samples, then
+    a geometric approach to the same value: the Cauchy test needs a fourth
+    finite sample, and the extrapolants decide."""
+    eps = min(p, 1.0 - p)
+    k = round(-math.log2(eps))
+    if k >= 34:
+        return math.inf if k % 2 else -math.inf
+    return 1.0 if k >= 31 else 1.0 + 1e3 * eps
+
+
+_LIMIT_CASES = {
+    "constant": lambda p: 2.5,
+    "geometric": lambda p: 3.0 - p,
+    "slow power": lambda p: 1.0 + p**0.25,
+    "very slow power": lambda p: 1.0 + p**0.05,
+    "log growth": lambda p: -math.log(p),
+    "divergent": lambda p: 1.0 / p**2,
+    "divergent negative": lambda p: -1.0 / p**2,
+    "oscillating": lambda p: math.sin(1.0 / p),
+    "noisy": lambda p: 1.0 + 1e-3 * math.sin(1e6 * p) * p**0.1,
+    "infinite near the end": lambda p: math.inf if p < 2.0**-30 or p > 1 - 2.0**-30 else 1.0 + p,
+    "infinite throughout": lambda p: math.inf,
+    "alternating infinities near the end": lambda p: (
+        math.copysign(math.inf, math.sin(1.0 / p)) if min(p, 1.0 - p) < 2.0**-29 else 1.0 - p),
+    "three finite then geometric": _three_finite_then_geometric,
+    "nan near the end": lambda p: math.nan if p < 2.0**-20 or p > 1 - 2.0**-20 else 4.0 + p,
+    "nan throughout": lambda p: math.nan,
+    "zero division near the end": _raising_at(lambda p: 1.0 + p, range(25, 41), ZeroDivisionError),
+    "value errors apart": _raising_at(lambda p: 2.0 - p**0.5, range(9, 41, 3), ValueError),
+    "five successes": _raising_at(lambda p: 1.0, range(13, 41), OverflowError),
+    "six successes": _raising_at(lambda p: 1.0, range(14, 41), OverflowError),
+    "tukey delta, alpha below one": lambda p: deltas.delta(
+        TukeyGeneralized(1.0, 1.0, 0.5), Y_TUKEY, p),
+    "tukey centered delta": lambda p: deltas.centered_delta(
+        TukeyGeneralized(2.0, 1.0, 0.3), TukeyGeneralized(1.7, 1.0, 0.7), p),
+    "govindarajulu hazard ratio": lambda p: ratio_qd(Govindarajulu(0, 0.53, 1.17), EXP, p),
+}
+
+
+class TestLimitSampledFromTheEndpoint:
+    """limit_at samples from the endpoint inward and stops once the result is
+    fixed; the result, diagnostics included, is that of sampling every point."""
+
+    @pytest.mark.parametrize("name", list(_LIMIT_CASES))
+    @pytest.mark.parametrize("endpoint", [0, 1])
+    def test_equals_sampling_every_point(self, name, endpoint):
+        fn = _LIMIT_CASES[name]
+        assert limit_at(fn, endpoint) == _limit_at_all_points(fn, endpoint)
+
+    def test_a_settled_limit_stops_early(self):
+        calls = []
+        lim = limit_at(lambda p: calls.append(p) or 2.0 + p, 0)
+        assert lim.kind == "finite" and lim.value == pytest.approx(2.0)
+        assert len(calls) == 10  # the diagnostics' ten samples settle it
+        assert calls[0] == 2.0**-40 and calls == sorted(calls)
+
+    @pytest.mark.parametrize("name, endpoint, evaluations", [
+        ("alternating infinities near the end", 0, 16),  # 4 finite samples for the Cauchy test
+        ("value errors apart", 1, 15),                   # 3 extrapolants
+        ("log growth", 0, 33),                           # never settled before the last point
+    ])
+    def test_sampling_stops_once_the_result_is_fixed(self, name, endpoint, evaluations):
+        calls = []
+        limit_at(lambda p: calls.append(p) or _LIMIT_CASES[name](p), endpoint)
+        assert len(calls) == evaluations
+
+    def test_every_point_is_tried_below_six_samples(self):
+        calls = []
+        fn = _raising_at(lambda p: 1.0, range(13, 41), OverflowError)
+        lim = limit_at(lambda p: calls.append(p) or fn(p), 0)
+        assert lim.kind == "indeterminate" and len(lim.diagnostics) == 5
+        assert len(calls) == 33
+
+    def test_an_error_at_an_unneeded_point_is_not_raised(self):
+        def fn(p):
+            if p > 2.0**-20:
+                raise DomainError("far from the endpoint")
+            return 1.0 + p
+        assert limit_at(fn, 0).value == pytest.approx(1.0)

@@ -7,7 +7,13 @@ import pytest
 
 from qorder import deltas, oracle, orders
 from qorder.cli import parse_spec
-from qorder.errors import DomainError, QuadratureError, TooOscillatoryError, ValidationError
+from qorder.errors import (
+    DomainError,
+    QorderError,
+    QuadratureError,
+    TooOscillatoryError,
+    ValidationError,
+)
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.orders import (
     BOTH_FAIL,
@@ -24,6 +30,7 @@ from qorder.orders import (
     check_star,
     compare_all,
     predict_quantile_ratio_shape,
+    segment_ratios,
 )
 from qorder.shape import P_MIN, find_shape, tukey_unimodal_region
 
@@ -195,6 +202,59 @@ class TestShapeFromProfiles:
             seen.append((str(info.value), info.value.modes))
         assert seen[0] == seen[1] == seen[2]
         assert len(seen[0][1]) > 16
+
+
+class _BrokenDensity(UnitExponential):
+    def quantile_density(self, p):
+        if np.ndim(p):
+            raise DomainError("no density on the grid")
+        return super().quantile_density(p)
+
+
+def _shape_or_error(ctx):
+    try:
+        return ctx.shape()
+    except QorderError as exc:
+        return type(exc), str(exc), getattr(exc, "modes", None)
+
+
+class TestSegmentRatios:
+    YS = ["tukey:1.5,1,1.5", "tukey:2,1,0.5", "tukey:4,1,2.5", "exp1", "govindarajulu:0,2,2",
+          "dsl:-s*log(1-p);s=2"]  # the last ratio is too oscillatory
+
+    @pytest.mark.parametrize("n", [3, 512])
+    def test_equals_each_context_alone(self, n):
+        X = TukeyGeneralized(4, 1, 2.5)
+        batch = [PairContext(X, parse_spec(y), n) for y in self.YS]
+        batch.append(PairContext(X, _BrokenDensity(), n))
+        segment_ratios(batch)
+        alone = [PairContext(X, parse_spec(y), n) for y in self.YS]
+        alone.append(PairContext(X, _BrokenDensity(), n))
+        got, ref = [_shape_or_error(c) for c in batch], [_shape_or_error(c) for c in alone]
+        assert got == ref
+        assert ref[-1] == (DomainError, "no density on the grid", None)
+        assert n == 3 or ref[-2][0] is TooOscillatoryError  # 2 panels cannot oscillate
+
+    def test_reads_the_shared_x_once_and_keeps_settled_shapes(self, monkeypatch):
+        calls = Counter()
+        real = TukeyGeneralized.quantile_density
+
+        def spy(self, p):
+            if np.ndim(p) == 1 and np.size(p) == 512:
+                calls[id(self)] += 1
+            return real(self, p)
+
+        monkeypatch.setattr(TukeyGeneralized, "quantile_density", spy)
+        X = TukeyGeneralized(4, 1, 2.5)
+        ctxs = [PairContext(X, TukeyGeneralized(1 + a, 1, a), 512) for a in (0.5, 1.5, 3.0)]
+        first = ctxs[0].shape()
+        segment_ratios(ctxs)
+        assert ctxs[0].shape() is first
+        assert calls[id(X)] == 1 and sum(calls.values()) == 4
+
+    def test_one_grid_size(self):
+        with pytest.raises(ValidationError, match="one grid size"):
+            segment_ratios([PairContext(X_TUKEY, Y_TUKEY, 512), PairContext(X_TUKEY, EXP, 64)])
 
 
 class TestGridSizeDrivesEveryRoute:

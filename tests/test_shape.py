@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qorder import shape
-from qorder.errors import DomainError, TooOscillatoryError, ValidationError
+from qorder.cli import parse_spec
+from qorder.errors import DomainError, QorderError, TooOscillatoryError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
 from qorder.shape import (
@@ -21,6 +22,7 @@ from qorder.shape import (
     ShapeReport,
     _refine_mode,
     find_shape,
+    find_shapes,
     shape_class,
     ratio_qd,
     tukey_unimodal_region,
@@ -265,6 +267,118 @@ class TestSegmentationAgainstLoops:
         new, ref = self._both(monkeypatch, signs, max_modes=16)
         assert ref[0] == "24 derivative sign changes exceed max_modes=16"
         assert new == ref
+
+
+def _sign_row(n, *runs):
+    """Values on logit_grid(n, P_MIN) whose panel signs follow (sign, length)
+    runs, the last run cut or stretched to fill the n - 1 panels."""
+    signs = _runs(*runs)[: n - 1]
+    signs = np.concatenate((signs, np.full(n - 1 - signs.size, signs[-1], dtype=int)))
+    return 8.0 + np.concatenate(([0.0], np.cumsum(signs))) * 2.0**-10
+
+
+def _ratio_rows(n, rng):
+    """Quantile-density ratio rows of seeded Tukey, Govindarajulu and DSL pairs."""
+    models = []
+    for _ in range(6):
+        a = rng.uniform(0.1, 4.9, size=2)
+        models.append((TukeyGeneralized(a[0] + 1, 1.0, a[0]), TukeyGeneralized(a[1] + 1, 1.0, a[1])))
+    for _ in range(4):
+        s, b = rng.uniform(0.3, 3.0, size=2).tolist()
+        models.append((Govindarajulu(0.0, s, b), UnitExponential()))
+    for _ in range(3):
+        s, k = rng.uniform(0.5, 2.0, size=2).tolist()
+        models.append((parse_spec(f"dsl:s*(-log(1-p))^(1/k);qdf=s/k*(-log(1-p))^(1/k-1)/(1-p);"
+                                  f"s={s!r};k={k!r}"), UnitExponential()))
+    models.append((parse_spec("dsl:-s*log(1-p);s=2"), TukeyGeneralized(4, 1, 2.5)))  # oscillatory
+    grid = logit_grid(n, P_MIN)
+    return [(lambda p, X=X, Y=Y: ratio_qd(X, Y, p), ratio_qd(X, Y, grid)) for X, Y in models]
+
+
+def _edge_rows(n):
+    grid = logit_grid(n, P_MIN)
+    interp = lambda vals: (lambda p: np.interp(p, grid, vals))
+    rows = [np.full(n, 3.0), _sign_row(n, (1, 5), (-1, 5))]
+    for bad in (math.inf, -math.inf, math.nan):
+        row = _sign_row(n, (1, 7), (-1, 9))
+        row[n // 2] = bad
+        rows.append(row)
+    rows.append(_sign_row(n, *[(s, 3) for s in [1, -1] * 12]))  # 23 flips
+    for flat in (2, 3):
+        rows += [_sign_row(n, (0, flat), (1, 6), (-1, 6)),
+                 _sign_row(n, (1, 6), (0, flat), (-1, 6), (0, flat), (-1, 6)),
+                 _sign_row(n, (-1, 6), (1, 6), (0, flat))]
+    # the only significant panel is the last one
+    rows.append(8.0 + np.concatenate((np.zeros(n - 1), [2.0**-10])))
+    # ends rising where the next row starts falling: no flip across rows
+    rows += [_sign_row(n, (-1, 4), (1, 4)), _sign_row(n, (-1, 2), (1, 4))[::-1]]
+    return [(interp(vals), vals) for vals in rows]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except QorderError as exc:
+        return exc
+
+
+def _same(got, ref):
+    if isinstance(ref, ShapeReport):
+        return got == ref and got.plateaus == ref.plateaus
+    return (type(got) is type(ref) and str(got) == str(ref)
+            and getattr(got, "modes", None) == getattr(ref, "modes", None))
+
+
+class TestBatchedSegmentation:
+    """find_shapes on a stack gives, row by row, what find_shape gives alone."""
+
+    @pytest.mark.parametrize("n", [3, 512, 4096])
+    def test_equals_find_shape_row_by_row(self, n):
+        rng = np.random.default_rng(20261019 + n)
+        rows = _ratio_rows(n, rng) + _edge_rows(n)
+        for _ in range(3):
+            order = rng.permutation(len(rows))
+            fns = [rows[i][0] for i in order]
+            values = np.array([rows[i][1] for i in order])
+            got = find_shapes(fns, n, values)
+            assert len(got) == len(fns)
+            for fn, vals, g in zip(fns, values, got):
+                ref = _outcome(lambda: find_shape(fn, n, vals))
+                assert _same(g, ref), (n, g, ref)
+
+    def test_the_stack_exercises_every_outcome(self):
+        rows = _ratio_rows(512, np.random.default_rng(1)) + _edge_rows(512)
+        got = find_shapes([r[0] for r in rows], 512, np.array([r[1] for r in rows]))
+        kinds = {g.classification if isinstance(g, ShapeReport) else type(g).__name__ for g in got}
+        assert {CONSTANT, INCREASING, UNIMODAL_MAX, UNIMODAL_MIN, N_MODAL, "DomainError",
+                "TooOscillatoryError"} <= kinds
+        assert any(isinstance(g, ShapeReport) and g.plateaus for g in got)
+
+    @pytest.mark.parametrize("n", [3, 512])
+    def test_one_row_and_no_rows(self, n):
+        fn, vals = _edge_rows(n)[1]
+        assert find_shapes([fn], n, vals[None]) == [find_shape(fn, n, vals)]
+        assert find_shapes([], n, np.empty((0, n))) == []
+
+    def test_rows_must_match_the_functions_and_the_grid(self):
+        fn, vals = _edge_rows(512)[1]
+        with pytest.raises(ValidationError, match="2 functions for 1 rows"):
+            find_shapes([fn, fn], 512, vals[None])
+        with pytest.raises(ValidationError, match="512 values .* 4096-point grid"):
+            find_shapes([fn], 4096, vals[None])
+        with pytest.raises(ValidationError, match="one row per function"):
+            find_shapes([fn], 512, vals)
+
+    def test_a_refinement_failure_stays_in_its_row(self):
+        fn, vals = _edge_rows(512)[1]
+
+        def failing(p):
+            raise DomainError("cannot refine here")
+
+        got = find_shapes([fn, failing, fn], 512, np.array([vals, vals, vals]))
+        assert got[0] == got[2] == find_shape(fn, 512, vals)
+        assert isinstance(got[1], DomainError) and str(got[1]) == "cannot refine here"
+        assert got[1].__traceback__ is None
 
 
 class TestTukeyRegion:

@@ -3,9 +3,12 @@
 Each check applies the sharpest available characterization for the observed
 shape of the quantile-density ratio, records every evaluated condition in a
 certificate, and falls back to the dense-grid oracle whenever the theorem path
-is silent, borderline, or its endpoint limits are indeterminate.  Reversed
-directions are always decided by swapping the roles of the two models and
-re-deriving the hypotheses from the reciprocal ratio.
+is silent, borderline, or its endpoint limits are indeterminate.  Star, qmit
+and dmrl are decided by one rule read from a table with one row per order and
+direction.  The reversed qmit and dmrl directions are the forward rows on the
+swapped pair (Y, X), whose ratio is the reciprocal; star has a row of its own
+for each direction and swaps the models only when the ratio's first mode is a
+minimum.
 """
 
 from __future__ import annotations
@@ -150,9 +153,9 @@ def _tri(x, sense):
 
 
 def _and(*vals):
-    if any(v is False for v in vals):
+    if False in vals:
         return False
-    if any(v is None for v in vals):
+    if None in vals:
         return None
     return True
 
@@ -318,132 +321,100 @@ def _value_cond(conds, name, value, sense):
 
 
 # ---------------------------------------------------------------------------
-# star-shaped order
+# theorem stage of star, qmit and dmrl
 
 
-def _star_fwd(ctx: PairContext, conds, tag=""):
+@dataclass(frozen=True)
+class _Rule:
+    """One direction of the star, qmit or dmrl theorem.
+
+    ``steps`` are read in order, each appending its condition: (end,
+    direction) reads the endpoint limit of the ``limit`` family ("delta" or
+    "centered_delta") at that end when the ratio's segment there runs in that
+    direction; "min" or "max" reads the function ``delta`` of deltas at every
+    mode of that kind.  Each is tested with ``sense``.  ``hypothesis`` is the
+    (index, kind) of the mode the theorem needs; when it is unmet, the
+    direction is the other one on the swapped pair if ``swap``, else
+    undecided.  With ``ratio_monotone`` a monotone ratio decides it outright."""
+
+    delta: str
+    limit: str
+    sense: str
+    hypothesis: tuple
+    steps: tuple
+    swap: bool
+    ratio_monotone: bool
+
+
+# the theorem stage: one row per (order, direction)
+_RULES = {
+    ("star", "fwd"): _Rule("delta", "delta", ">=", (0, "max"),
+                           ((0, "increasing"), "min", (1, "decreasing")),
+                           swap=True, ratio_monotone=False),
+    ("star", "rev"): _Rule("delta", "delta", "<=", (0, "max"),
+                           ((0, "decreasing"), (1, "increasing"), "max"),
+                           swap=True, ratio_monotone=False),
+    ("qmit", "fwd"): _Rule("delta_qmit", "centered_delta", ">=", (0, "max"),
+                           ("min", (1, "decreasing")),
+                           swap=False, ratio_monotone=True),
+    ("dmrl", "fwd"): _Rule("delta_dmrl", "centered_delta", ">=", (-1, "min"),
+                           ((0, "decreasing"), "max"),
+                           swap=False, ratio_monotone=True),
+}
+
+
+def _apply(ctx: PairContext, order, direction, conds, tag=""):
+    """Theorem verdict of one direction ("fwd" or "rev"): True/False, or None
+    when undecided.  Each condition joins conds as soon as it is read."""
+    rule = _RULES[order, direction]
     sh = ctx.shape()
     cls = sh.classification
+    if rule.ratio_monotone and cls in (CONSTANT, INCREASING, DECREASING):
+        holds = cls != DECREASING
+        text = (f"increasing ratio implies {order}" if holds
+                else f"decreasing ratio excludes forward {order}")
+        conds.append(Condition(tag + "ratio_monotone", cls, text, holds))
+        return holds
     if cls == CONSTANT:
-        return _value_cond(conds, tag + "delta_constant", ctx.delta(0.5), ">=")
-    if cls == INCREASING:
-        return _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), ">=")
-    if cls == DECREASING:
-        return _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=")
-    if cls == UNIMODAL_MAX:
-        a = _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), ">=")
-        b = _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=")
-        return _and(a, b)
-    if cls == UNIMODAL_MIN:
-        return _star_rev(ctx.swap(), conds, tag + "swapped.")
-    # n-modal
-    if sh.segments[0].direction == "decreasing":
-        return _star_rev(ctx.swap(), conds, tag + "swapped.")
-    modes = sh.modes
-    n = len(modes)
-    checks = [_limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), ">=")]
-    for i in range(1, n, 2):  # even-indexed modes p_2, p_4, ... (1-based)
-        checks.append(
-            _value_cond(conds, tag + f"delta_at_p{i + 1}", ctx.delta(modes[i].location), ">=")
-        )
-    if n % 2 == 1:
-        checks.append(_limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">="))
-    return _and(*checks)
-
-
-def _star_rev(ctx: PairContext, conds, tag=""):
-    sh = ctx.shape()
-    cls = sh.classification
-    if cls == CONSTANT:
-        return _value_cond(conds, tag + "delta_constant", ctx.delta(0.5), "<=")
-    if cls == INCREASING:
-        return _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), "<=")
-    if cls == DECREASING:
-        return _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), "<=")
-    if cls == UNIMODAL_MAX:
-        pstar = sh.modes[0].location
-        return _value_cond(conds, tag + "delta_at_pstar", ctx.delta(pstar), "<=")
-    if cls == UNIMODAL_MIN:
-        return _star_fwd(ctx.swap(), conds, tag + "swapped.")
-    if sh.segments[0].direction == "decreasing":
-        return _star_fwd(ctx.swap(), conds, tag + "swapped.")
-    modes = sh.modes
-    n = len(modes)
+        return _value_cond(conds, f"{tag}{rule.delta}_constant",
+                           getattr(deltas, rule.delta)(ctx.X, ctx.Y, 0.5), rule.sense)
+    at, kind = rule.hypothesis
+    if sh.modes and sh.modes[at].kind != kind:
+        if not rule.swap:
+            return None
+        other = "rev" if direction == "fwd" else "fwd"
+        return _apply(ctx.swap(), order, other, conds, tag + "swapped.")
     checks = []
-    if n % 2 == 0:
-        checks.append(_limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), "<="))
-    for i in range(0, n, 2):  # p_1, p_3, ... (1-based odd)
-        checks.append(
-            _value_cond(conds, tag + f"delta_at_p{i + 1}", ctx.delta(modes[i].location), "<=")
-        )
+    for step in rule.steps:
+        if isinstance(step, str):  # delta at every mode of this kind
+            delta = getattr(deltas, rule.delta)
+            for k, m in enumerate(sh.modes, 1):
+                if m.kind == step:
+                    p = "pstar" if len(sh.modes) == 1 else f"p{k}"
+                    checks.append(_value_cond(conds, f"{tag}{rule.delta}_at_{p}",
+                                              delta(ctx.X, ctx.Y, m.location), rule.sense))
+            continue
+        end, run = step
+        if sh.segments[-1 if end else 0].direction == run:
+            lim = ctx.delta_lim(end) if rule.limit == "delta" else ctx.centered_lim(end)
+            checks.append(_limit_cond(conds, f"{tag}lim_{rule.limit}_{end}", lim, rule.sense))
     return _and(*checks)
 
 
-# ---------------------------------------------------------------------------
-# qmit order
-
-
-def _qmit_fwd(ctx: PairContext, conds, tag=""):
-    sh = ctx.shape()
-    cls = sh.classification
-    if cls in (CONSTANT, INCREASING):
-        conds.append(Condition(tag + "ratio_monotone", cls, "increasing ratio implies qmit", True))
-        return True
-    if cls == DECREASING:
-        conds.append(Condition(tag + "ratio_monotone", cls, "decreasing ratio excludes forward qmit", False))
-        return False
-    if sh.modes[0].kind != "max":
-        return None  # theorem hypothesis (first mode a maximum) not met
-    modes = sh.modes
-    n = len(modes)
-    checks = []
-    for i in range(1, n, 2):  # delta_qmit at p_2, p_4, ...
-        checks.append(
-            _value_cond(
-                conds,
-                tag + f"delta_qmit_at_p{i + 1}",
-                deltas.delta_qmit(ctx.X, ctx.Y, modes[i].location),
-                ">=",
-            )
-        )
-    if n % 2 == 1:
-        checks.append(_limit_cond(conds, tag + "lim_centered_delta_1", ctx.centered_lim(1), ">="))
-    return _and(*checks)
-
-
-# ---------------------------------------------------------------------------
-# dmrl order
-
-
-def _dmrl_fwd(ctx: PairContext, conds, tag=""):
-    sh = ctx.shape()
-    cls = sh.classification
-    if cls in (CONSTANT, INCREASING):
-        conds.append(Condition(tag + "ratio_monotone", cls, "increasing ratio implies dmrl", True))
-        return True
-    if cls == DECREASING:
-        conds.append(Condition(tag + "ratio_monotone", cls, "decreasing ratio excludes forward dmrl", False))
-        return False
-    if sh.modes[-1].kind != "min":
-        return None  # theorem hypothesis (last mode a minimum) not met
-    modes = sh.modes
-    n = len(modes)
-    checks = []
-    if n % 2 == 0:
-        picks = range(0, n, 2)  # delta_dmrl at p_1, p_3, ...
-    else:
-        picks = range(1, n, 2)  # delta_dmrl at p_2, p_4, ...
-        checks.append(_limit_cond(conds, tag + "lim_centered_delta_0", ctx.centered_lim(0), ">="))
-    for i in picks:
-        checks.append(
-            _value_cond(
-                conds,
-                tag + f"delta_dmrl_at_p{i + 1}",
-                deltas.delta_dmrl(ctx.X, ctx.Y, modes[i].location),
-                ">=",
-            )
-        )
-    return _and(*checks)
+def _directions(ctx: PairContext, order, conds):
+    """Theorem verdict (fwd, rev) of star, qmit or dmrl; True/False, or None
+    when undecided.  A direction whose numerics fail is None on its own, so
+    the other direction keeps its theorem verdict."""
+    out = []
+    for direction in ("fwd", "rev"):
+        try:
+            if (order, direction) in _RULES:
+                out.append(_apply(ctx, order, direction, conds))
+            else:  # qmit and dmrl reversed: the forward row with X and Y exchanged
+                out.append(_apply(ctx.swap(), order, "fwd", conds, "swapped."))
+        except QorderError:
+            out.append(None)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -506,32 +477,6 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
 
 # ---------------------------------------------------------------------------
 # verdict assembly
-
-
-def _swapped(fwd):
-    """Reversed direction: the forward check with the roles of X and Y exchanged."""
-    return lambda ctx, conds: fwd(ctx.swap(), conds, "swapped.")
-
-
-# the theorem stage: (forward, reverse) direction checks per order
-_DIRECTIONS = {
-    "star": (_star_fwd, _star_rev),
-    "qmit": (_qmit_fwd, _swapped(_qmit_fwd)),
-    "dmrl": (_dmrl_fwd, _swapped(_dmrl_fwd)),
-}
-
-
-def _directions(ctx: PairContext, order, conds):
-    """Theorem verdict (fwd, rev) of star, qmit or dmrl; True/False, or None
-    when undecided.  A direction whose numerics fail is None on its own, so
-    the other direction keeps its theorem verdict."""
-    out = []
-    for check in _DIRECTIONS[order]:
-        try:
-            out.append(check(ctx, conds))
-        except QorderError:
-            out.append(None)
-    return tuple(out)
 
 
 def theorem_status(ctx: PairContext, order) -> str:

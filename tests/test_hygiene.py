@@ -1,8 +1,8 @@
 """Source hygiene: no unused imports in the package, no import inside a
 function, no module reaches into another through private names (imported or
-read through the module object), and every
-public name a module lists in ``__all__`` exists; importing the CLI loads no
-scipy."""
+read through the module object), no private module-level function or class
+is left unreferenced, and every public name a module lists in ``__all__``
+exists; importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -123,6 +123,32 @@ def test_a_private_read_through_a_module_object_is_caught(tmp_path):
                    "a = oracle._panel_nodes(x)\nb = qorder.shape._FLAT_REL\n"
                    "c = oracle.__name__\nd = quadrature._x\ne = self._cache\n")
     assert _private_reads(src) == ["probe.py:4 oracle._panel_nodes", "probe.py:5 qorder.shape._FLAT_REL"]
+
+
+def _unreferenced_private_defs(paths):
+    """Underscore functions and classes defined at module level that no other
+    top-level statement of the given modules names, as a name or an attribute."""
+    defs, refs = [], []
+    for path in paths:
+        for node in _tree(path).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defs.append((path.name, node))
+            refs.append((node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                         | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}))
+    return [f"{name}:{d.lineno} {d.name}" for name, d in defs
+            if not any(d.name in names for node, names in refs if node is not d)]
+
+
+def test_every_private_def_is_referenced():
+    assert _unreferenced_private_defs(sorted(PKG.glob("*.py"))) == []
+
+
+def test_an_unreferenced_private_def_is_caught(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("def _used():\n    pass\n\n\ndef _self_only():\n    return _self_only()\n\n\n"
+                   "class _Row:\n    pass\n\n\nRULES = {'a': _Row}\nx = mod._used\n")
+    assert _unreferenced_private_defs([src]) == ["probe.py:5 _self_only"]
 
 
 def test_every_name_in_all_is_bound():

@@ -32,7 +32,20 @@ from qorder.orders import (
     predict_quantile_ratio_shape,
     segment_ratios,
 )
-from qorder.shape import P_MIN, find_shape, tukey_unimodal_region
+from qorder.shape import (
+    CONSTANT,
+    DECREASING,
+    INCREASING,
+    N_MODAL,
+    P_MIN,
+    UNIMODAL_MAX,
+    UNIMODAL_MIN,
+    Mode,
+    Segment,
+    ShapeReport,
+    find_shape,
+    tukey_unimodal_region,
+)
 
 X_TUKEY = TukeyGeneralized(4, 1, 2.5)
 Y_TUKEY = TukeyGeneralized(1.5, 1, 1.5)
@@ -99,16 +112,26 @@ class TestVerdictAssembly:
         compare_all(X_TUKEY, Y_TUKEY, method="both")
         assert calls == Counter(ORDERS)
 
-    def test_failed_dmrl_direction_falls_back_to_oracle(self, monkeypatch):
-        # an n-modal pair: the forward dmrl theorem reads delta_dmrl at the
-        # second mode (the worked pair's unimodal ratio never evaluates it)
+    @pytest.mark.parametrize("check, fn, reads", [
+        (check_star, "delta", ["swapped.delta_at_p1", "swapped.delta_at_p3", "swapped.delta_at_p2"]),
+        (check_qmit, "delta_qmit", ["swapped.delta_qmit_at_p2"]),
+        (check_dmrl, "delta_dmrl", ["delta_dmrl_at_p2"]),
+    ], ids=["star", "qmit", "dmrl"])
+    def test_failed_delta_falls_back_to_oracle(self, monkeypatch, check, fn, reads):
+        # an n-modal pair whose ratio has modes (min, max, min): each theorem
+        # reads its delta function at modes (the worked pair's unimodal ratio
+        # never evaluates delta_qmit or delta_dmrl there)
         X, Y = TukeyGeneralized(2, 1, 4), TukeyGeneralized(2, 1, 0.5)
-        expected = check_dmrl(PairContext(X, Y)).status
-        monkeypatch.setattr(deltas, "delta_dmrl", _forced_failure)
-        v = check_dmrl(PairContext(X, Y))
+        assert [m.kind for m in PairContext(X, Y).shape().modes] == ["min", "max", "min"]
+        v = check(PairContext(X, Y))
+        expected = v.status
         names = [c.name for c in v.certificate.conditions]
-        assert "delta_dmrl_at_p2" not in names
-        assert names[-1] == "oracle_dmrl"
+        assert [name for name in names if name in reads] == reads
+        monkeypatch.setattr(deltas, fn, _forced_failure)
+        v = check(PairContext(X, Y))
+        names = [c.name for c in v.certificate.conditions]
+        assert not set(reads) & set(names)
+        assert names[-1] == f"oracle_{v.order}"
         assert v.method == "numeric-fallback"
         assert v.status == expected == BOTH_FAIL
 
@@ -121,6 +144,86 @@ class TestVerdictAssembly:
         assert conds == {"lim_delta_0": True, "lim_delta_1": True, "oracle_star": None}
         assert v.status == HOLDS
         assert v.method == "numeric-fallback"
+
+
+def _synthetic_shape(cls, first=None, n_modes=0):
+    """A ShapeReport of class cls whose first segment goes ``first`` ("up" or
+    "down"), with n_modes alternating modes at 0.3, 0.5, 0.7."""
+    if cls == CONSTANT:
+        return ShapeReport(CONSTANT)
+    up = first == "up"
+    modes = [Mode(0.3 + 0.2 * i, "max" if (i % 2 == 0) == up else "min") for i in range(n_modes)]
+    bounds = [0.0] + [m.location for m in modes] + [1.0]
+    runs = ("increasing", "decreasing") if up else ("decreasing", "increasing")
+    segments = [Segment(a, b, runs[i % 2]) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    return ShapeReport(cls, modes=modes, segments=segments)
+
+
+_SYNTHETIC_SHAPES = {
+    "constant": (CONSTANT,),
+    "increasing": (INCREASING, "up"),
+    "decreasing": (DECREASING, "down"),
+    "unimodal-max": (UNIMODAL_MAX, "up", 1),
+    "unimodal-min": (UNIMODAL_MIN, "down", 1),
+    "2-modal-up": (N_MODAL, "up", 2),
+    "2-modal-down": (N_MODAL, "down", 2),
+    "3-modal-up": (N_MODAL, "up", 3),
+    "3-modal-down": (N_MODAL, "down", 3),
+}
+
+# (forward, reverse) theorem verdict and the conditions read, in order, for
+# the worked Tukey pair under each synthetic ratio shape
+_THEOREM_PATHS = {
+    ("constant", "star"): (True, False, ["delta_constant", "delta_constant"]),
+    ("constant", "qmit"): (True, True, ["ratio_monotone", "swapped.ratio_monotone"]),
+    ("constant", "dmrl"): (True, True, ["ratio_monotone", "swapped.ratio_monotone"]),
+    ("increasing", "star"): (True, False, ["lim_delta_0", "lim_delta_1"]),
+    ("increasing", "qmit"): (True, False, ["ratio_monotone", "swapped.ratio_monotone"]),
+    ("increasing", "dmrl"): (True, False, ["ratio_monotone", "swapped.ratio_monotone"]),
+    ("decreasing", "star"): (True, False, ["lim_delta_1", "lim_delta_0"]),
+    ("decreasing", "qmit"): (False, True, ["ratio_monotone", "swapped.ratio_monotone"]),
+    ("decreasing", "dmrl"): (False, True, ["ratio_monotone", "swapped.ratio_monotone"]),
+    ("unimodal-max", "star"): (True, False, ["lim_delta_0", "lim_delta_1", "delta_at_pstar"]),
+    ("unimodal-max", "qmit"): (False, None, ["lim_centered_delta_1"]),
+    ("unimodal-max", "dmrl"): (None, False, ["swapped.lim_centered_delta_0"]),
+    ("unimodal-min", "star"): (True, False, ["swapped.delta_at_pstar", "swapped.lim_delta_0",
+                                             "swapped.lim_delta_1"]),
+    ("unimodal-min", "qmit"): (None, True, ["swapped.lim_centered_delta_1"]),
+    ("unimodal-min", "dmrl"): (True, None, ["lim_centered_delta_0"]),
+    ("2-modal-up", "star"): (True, False, ["lim_delta_0", "delta_at_p2", "lim_delta_1",
+                                           "delta_at_p1"]),
+    ("2-modal-up", "qmit"): (True, None, ["delta_qmit_at_p2"]),
+    ("2-modal-up", "dmrl"): (True, None, ["delta_dmrl_at_p1"]),
+    ("2-modal-down", "star"): (True, False, ["swapped.lim_delta_1", "swapped.delta_at_p1",
+                                             "swapped.lim_delta_0", "swapped.delta_at_p2"]),
+    ("2-modal-down", "qmit"): (None, False, ["swapped.delta_qmit_at_p2"]),
+    ("2-modal-down", "dmrl"): (None, False, ["swapped.delta_dmrl_at_p1"]),
+    ("3-modal-up", "star"): (True, False, ["lim_delta_0", "delta_at_p2", "lim_delta_1",
+                                           "delta_at_p1", "delta_at_p3"]),
+    ("3-modal-up", "qmit"): (False, None, ["delta_qmit_at_p2", "lim_centered_delta_1"]),
+    ("3-modal-up", "dmrl"): (None, False, ["swapped.lim_centered_delta_0",
+                                           "swapped.delta_dmrl_at_p2"]),
+    ("3-modal-down", "star"): (True, False, ["swapped.delta_at_p1", "swapped.delta_at_p3",
+                                             "swapped.lim_delta_0", "swapped.delta_at_p2",
+                                             "swapped.lim_delta_1"]),
+    ("3-modal-down", "qmit"): (None, False, ["swapped.delta_qmit_at_p2",
+                                             "swapped.lim_centered_delta_1"]),
+    ("3-modal-down", "dmrl"): (False, None, ["lim_centered_delta_0", "delta_dmrl_at_p2"]),
+}
+
+
+class TestTheoremPaths:
+    """Every path of the star, qmit and dmrl theorem stage: a synthetic ratio
+    shape fixes which conditions each direction reads, and the worked pair's
+    delta functions give their values."""
+
+    @pytest.mark.parametrize("shape, order", sorted(_THEOREM_PATHS),
+                             ids=[f"{s}-{o}" for s, o in sorted(_THEOREM_PATHS)])
+    def test_verdicts_and_conditions(self, shape, order):
+        ctx = PairContext(X_TUKEY, Y_TUKEY, _shape=_synthetic_shape(*_SYNTHETIC_SHAPES[shape]))
+        conds = []
+        fwd, rev = orders._directions(ctx, order, conds)
+        assert (fwd, rev, [c.name for c in conds]) == _THEOREM_PATHS[shape, order]
 
 
 class TestSharedGridProfile:

@@ -351,20 +351,20 @@ def _sweep_rows(args, n1, n2):
     unimodal region and the theorem statuses.
 
     Every model is built before the first row, so a parameter that a model
-    refuses fails the run before anything is written."""
+    refuses fails the run before anything is written.  The column models are
+    kept for the whole sweep, so each one's grid profile is computed once."""
     alphas1 = [args.alpha1_min + i * args.step for i in range(n1)]
     alphas2 = [args.alpha2_min + j * args.step for j in range(n2)]
     for a1 in alphas1:
         TukeyGeneralized(args.lam1, args.eta1, a1)
-    for a2 in alphas2:
-        TukeyGeneralized(args.lam2, args.eta2, a2)
+    ys = [TukeyGeneralized(args.lam2, args.eta2, a2) for a2 in alphas2]
     for a1 in alphas1:
         X = TukeyGeneralized(args.lam1, args.eta1, a1)
         for start in range(0, n2, SWEEP_BATCH):
             cells = []
-            for a2 in alphas2[start:start + SWEEP_BATCH]:
+            for a2, Y in zip(alphas2[start:start + SWEEP_BATCH], ys[start:start + SWEEP_BATCH]):
                 try:
-                    ctx = PairContext(X, TukeyGeneralized(args.lam2, args.eta2, a2), args.grid)
+                    ctx = PairContext(X, Y, args.grid)
                 except QorderError:
                     ctx = None
                 cells.append((a2, ctx))

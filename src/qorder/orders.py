@@ -254,7 +254,8 @@ class PairContext:
 
     def quantile_ratio_shape(self) -> ShapeReport:
         def positive(fx):
-            if np.any(np.asarray(fx) <= 0.0):
+            # a scalar refinement call compares its float; the grid tests its array
+            if fx <= 0.0 if type(fx) is float else np.any(np.asarray(fx) <= 0.0):
                 raise DomainError("quantile ratio needs strictly positive F^-1")
             return fx
 
@@ -483,6 +484,8 @@ def theorem_status(ctx: PairContext, order) -> str:
     """Status of star, qmit or dmrl from the theorem stage alone: no oracle
     fallback and no proportional shortcut, so an undecided direction leaves
     the status Inconclusive."""
+    if (order, "fwd") not in _RULES:
+        raise ValidationError(f"theorem_status decides star, qmit or dmrl, got {order!r}")
     return _combine(*_directions(ctx, order, []))
 
 

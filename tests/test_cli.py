@@ -318,6 +318,21 @@ class TestSweepInBatches:
             next(rows)
         assert len(calls) == 3 * (cli.SWEEP_BATCH + 1)
 
+    def test_each_model_profile_is_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = TukeyGeneralized.quantile_density
+
+        def spy(self, p):
+            if np.ndim(p) == 1 and np.size(p) == 65:  # a grid profile, not a refinement call
+                calls.append((self.alpha, id(self)))
+            return real(self, p)
+
+        monkeypatch.setattr(TukeyGeneralized, "quantile_density", spy)
+        argv = ["sweep", "--alpha1-min", "0.5", "--alpha1-max", "0.7", "--alpha2-min", "0.05",
+                "--alpha2-max", "1.0", "--grid", "65", "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        assert len(calls) == len(set(calls)) == 5 + 20  # one profile per row and per column
+
     def test_a_model_refused_in_a_later_row_leaves_the_file(self, tmp_path, capsys):
         # with eta1 < 0 the third row's alpha1 = 0 gives no increasing quantile
         out = tmp_path / "sweep.csv"

@@ -225,6 +225,12 @@ class TestTheoremPaths:
         fwd, rev = orders._directions(ctx, order, conds)
         assert (fwd, rev, [c.name for c in conds]) == _THEOREM_PATHS[shape, order]
 
+    @pytest.mark.parametrize("order", ["ps", "convex", "nbue", "STAR", "nonsense"])
+    def test_theorem_status_refuses_other_orders(self, order):
+        with pytest.raises(ValidationError, match="star, qmit or dmrl") as info:
+            orders.theorem_status(PairContext(X_TUKEY, Y_TUKEY), order)
+        assert repr(order) in str(info.value)
+
 
 class TestSharedGridProfile:
     def test_both_integrates_each_model_once(self, monkeypatch):
@@ -401,6 +407,19 @@ class TestQuantileRatioShapeFromProfiles:
 
         ctx = PairContext(Shifted(), UnitExponential())
         with pytest.raises(DomainError, match="strictly positive F"):
+            ctx.quantile_ratio_shape()
+
+    def test_non_positive_quantile_refused_in_a_mode_refinement(self):
+        X, Y = parse_spec(self.X), parse_spec(self.Y)
+        assert PairContext(X, Y).quantile_ratio_shape().modes  # so a scalar call is made
+
+        class ScalarNegative(TukeyGeneralized):  # positive on the grid, not at scalars
+            def quantile(self, p):
+                q = super().quantile(p)
+                return -q if type(q) is float else q
+
+        ctx = PairContext(ScalarNegative(X.lam, X.eta, X.alpha), Y)
+        with pytest.raises(DomainError, match="^quantile ratio needs strictly positive F"):
             ctx.quantile_ratio_shape()
 
 

@@ -1,0 +1,73 @@
+"""Every 8th argv of the benchmark's input pools, run in-process through
+``cli.main`` as the benchmark runs it, against its recorded reference.
+
+The pools and the decoding of a report are the benchmark's own
+(``perfbench/reference/*.json`` and ``perfbench/workloads.py``); they are read
+here and never written, so a status that moves away from a recorded
+determinate cell fails the tests before the benchmark runs.  The full census
+is ``scripts/replay_pools.py``."""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from qorder import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EVERY = 8
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache under perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+workloads = _workloads()
+POOLS = sorted(path.stem for path in (PERFBENCH / "reference").glob("*.json"))
+
+
+def _run(argv, out):
+    """(exit code, exception, stderr, report bytes) of one in-process CLI call with --out."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    rc = exc = None
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(list(argv) + ["--out", str(out)])
+    except (Exception, SystemExit) as err:  # every escape from main is a failure
+        exc = err
+    report = out.read_bytes() if out.exists() else None
+    if out.exists():
+        out.unlink()
+    return rc, exc, stderr.getvalue(), report
+
+
+def test_every_pool_is_replayed():
+    assert POOLS == ["aging-param", "compare-param", "dsl", "sweep"]
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_pool_argv_keep_their_recorded_statuses(pool, tmp_path):
+    entries = [e for stratum in workloads.load_pool(pool).values() for e in stratum][::EVERY]
+    assert entries
+    problems = []
+    for entry in entries:
+        argv = entry["argv"]
+        rc, exc, stderr, report = _run(argv, tmp_path / ("rows.csv" if argv[0] == "sweep"
+                                                         else "report.json"))
+        outcome = workloads.decode(argv[0], rc, report, stderr, exc)
+        found = workloads.compare_to_reference(entry["ref"], outcome)
+        if outcome.ok and rc != workloads.expected_exit(argv[0], outcome):
+            found.append(f"exit code {rc} does not match the report")
+        problems += [f"{' '.join(argv)}: {p}" for p in found]
+    assert problems == []

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -379,6 +380,110 @@ class TestBatchedSegmentation:
         assert got[0] == got[2] == find_shape(fn, 512, vals)
         assert isinstance(got[1], DomainError) and str(got[1]) == "cannot refine here"
         assert got[1].__traceback__ is None
+
+
+def _mp_tukey_qd(alpha):
+    a = mp.mpf(alpha)
+    return lambda p: a * (p ** (a - 1) + (1 - p) ** (a - 1))
+
+
+def _mp_govindarajulu_qd(sigma, beta):
+    s, b = mp.mpf(sigma), mp.mpf(beta)
+    return lambda p: s * b * (b + 1) * p ** (b - 1) * (1 - p)
+
+
+def _mp_weibull_qd(scale, k):
+    s, k = mp.mpf(scale), mp.mpf(k)
+    return lambda p: s / k * (-mp.log(1 - p)) ** (1 / k - 1) / (1 - p)
+
+
+_WEIBULL = "dsl:s*(-log(1-p))^(1/k);qdf=s/k*(-log(1-p))^(1/k-1)/(1-p);s=1;k=2"
+
+# (X, Y, grid size, the mpmath quantile densities of X and Y, the modes' kinds)
+_MODE_CASES = {
+    # the old sign bisection put the outer modes 1.57e-5 off
+    "tukey-4.85-vs-0.40": ("tukey:2,1,4.85", "tukey:2,1,0.4", 512,
+                           _mp_tukey_qd(4.85), _mp_tukey_qd(0.4), ["min", "max", "min"]),
+    # outer modes at 9.35e-6 and 1 - 9.35e-6
+    "tukey-1.05-vs-1.20": ("tukey:2,1,1.05", "tukey:2,1,1.2", 512,
+                           _mp_tukey_qd(1.05), _mp_tukey_qd(1.2), ["min", "max", "min"]),
+    "tukey-worked-pair": ("tukey:4,1,2.5", "tukey:1.5,1,1.5", 4096,
+                          _mp_tukey_qd(2.5), _mp_tukey_qd(1.5), ["max"]),
+    "govindarajulu-hazard": ("govindarajulu:0,0.53,1.17", "exp1", 4096,
+                             _mp_govindarajulu_qd(0.53, 1.17), lambda p: 1 / (1 - p), ["min"]),
+    "dsl-weibull": (_WEIBULL, "tukey:2,1,2.5", 4096,
+                    _mp_weibull_qd(1, 2), _mp_tukey_qd(2.5), ["max"]),
+}
+
+
+def _mp_extremum(ratio, m):
+    """The extremum of the mpmath function ratio next to the float m: the root of
+    its derivative, bracketed within 1e-5 of min(m, 1 - m) around m."""
+    with mp.workdps(40):
+        slope = lambda p: mp.diff(ratio, p)
+        width = 1e-5 * min(m, 1.0 - m)
+        lo, hi = mp.mpf(m) - width, mp.mpf(m) + width
+        assert slope(lo) * slope(hi) < 0
+        at = mp.findroot(slope, (lo, hi), solver="anderson", tol=mp.mpf(10) ** -60)
+        return at, ratio(at)
+
+
+class TestRefineModeAgainstMpmath:
+    """Each refined mode of a ratio lies where a 40-digit mpmath root of the
+    ratio's derivative puts its extremum, and reads its extremal value."""
+
+    @pytest.mark.parametrize("case", sorted(_MODE_CASES))
+    def test_mode_locations_and_values(self, case):
+        xs, ys, n, qd_x, qd_y, kinds = _MODE_CASES[case]
+        X, Y = parse_spec(xs), parse_spec(ys)
+        rep = find_shape(lambda p: ratio_qd(X, Y, p), n)
+        assert [m.kind for m in rep.modes] == kinds
+        ratio = lambda p: qd_y(p) / qd_x(p)
+        for mode in rep.modes:
+            at, value = _mp_extremum(ratio, mode.location)
+            with mp.workdps(40):
+                off = abs(mp.mpf(mode.location) - at)
+                missed = abs(ratio(mp.mpf(mode.location)) - value) / abs(value)
+            assert off <= 1e-8 * min(at, 1 - at), (mode, at)
+            assert missed <= 1e-12, (mode, missed)
+
+    def test_symmetric_ratio_mode_at_one_half(self):
+        X, Y = TukeyGeneralized(2, 1, 4.85), TukeyGeneralized(2, 1, 0.4)
+        calls = []
+        fn = lambda p: calls.append(p) or ratio_qd(X, Y, p)
+        lo, hi = 0.49, 0.51
+        assert _refine_mode(fn, lo, hi, "max") == 0.5
+        assert len(calls) == 2  # the slope at the midpoint is exactly 0: nothing to refine
+
+    def test_evaluations_per_off_centre_mode(self):
+        X, Y = TukeyGeneralized(2, 1, 4.85), TukeyGeneralized(2, 1, 0.4)
+        grid = logit_grid(512, P_MIN)
+        i = int(np.searchsorted(grid, 0.1057))
+        calls = []
+        _refine_mode(lambda p: calls.append(p) or ratio_qd(X, Y, p), grid[i - 1], grid[i + 1], "min")
+        assert len(calls) <= 24  # the sign bisection it replaced took 52
+
+    def test_interp_kink(self):
+        # the piecewise-linear rows of the loop-reference tests: the extremum is
+        # the grid point between the last rising and the first falling panel
+        n = 41
+        vals = 8.0 + np.concatenate(([0.0], np.cumsum(_runs((1, 13), (-1, 27))))) * 2.0**-10
+        grid = logit_grid(n, P_MIN)
+        fn = lambda p: np.interp(p, grid, vals)
+        kink = grid[13]
+        got = _refine_mode(fn, grid[12], grid[14], "max")
+        # within the slope's step h <= 2^-16 * min(m, 1 - m)
+        assert abs(got - kink) <= 2.0**-16 * min(kink, 1.0 - kink)
+        assert find_shape(fn, n, vals).modes == [Mode(got, "max")]
+
+    @pytest.mark.parametrize("fn, kind, want", [
+        (lambda p: 1.0, "max", 0.5),  # flat: the midpoint
+        (lambda p: math.nan, "min", 0.5),  # not finite: the midpoint
+        (lambda p: p, "max", 0.75),  # rising throughout: the slope never turns, the end
+        (lambda p: p, "min", 0.25),
+    ])
+    def test_a_slope_that_confirms_no_extremum(self, fn, kind, want):
+        assert _refine_mode(fn, 0.25, 0.75, kind) == want
 
 
 class TestTukeyRegion:

@@ -4,10 +4,13 @@
 
 Every argv of each pool ``perfbench/reference/*.json`` (every K-th argv of
 each pool with ``--every K``; only the pools named by the repeatable
-``--pool NAME``, such as ``--pool dsl --pool sweep``) runs once per tree,
-in a fresh interpreter with that tree's ``src`` on ``PYTHONPATH`` and BLAS
-pinned to one thread, as ``qorder.cli.main(argv + ["--out", FILE])`` in an
-empty working directory.  A fresh process per call matters: Python prints a
+``--pool NAME``, such as ``--pool dsl --pool sweep``) runs once per tree.
+Whenever the sweep pool is replayed, whatever ``--every``, the full default
+``qorder sweep`` (no range flags, all 99 x 99 cells) runs once per tree too,
+and is printed and counted like one of the sweep pool's argvs.  Each argv
+runs in a fresh interpreter with that tree's ``src`` on ``PYTHONPATH`` and
+BLAS pinned to one thread, as ``qorder.cli.main(argv + ["--out", FILE])`` in
+an empty working directory.  A fresh process per call matters: Python prints a
 warning once per source line and process, so stderr depends on what ran
 before in the same process.
 
@@ -32,6 +35,7 @@ from pathlib import Path
 
 POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 RUN_MAIN = "import sys; from qorder.cli import main; sys.exit(main(sys.argv[1:]))"
+DEFAULT_SWEEP = ["sweep"]  # the full default map; each sweep pool argv is one of its rows
 TIMEOUT_S = 600
 
 
@@ -98,6 +102,8 @@ def main(argv=None):
     for path in paths:
         workload = path.stem
         argvs = pool_argvs(path, args.every)
+        if workload == "sweep":
+            argvs.append(DEFAULT_SWEEP)
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(lambda a: compare(old, new, a), argvs))
         for a, diff in zip(argvs, results):

@@ -135,6 +135,8 @@ def dumps(obj, indent=0):
     if isinstance(obj, (list, tuple)):
         items = [f"{pad}  {dumps(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    if isinstance(obj, np.bool_):  # neither True nor False, nor an int
+        return "true" if obj else "false"
     return dumps(str(obj))
 
 

@@ -125,7 +125,9 @@ def limit_at(fn, endpoint, hint: LimitValue | None = None):
     point is never evaluated.
     """
     if hint is not None:
-        return LimitValue(hint.kind, hint.value, "analytic-hint", list(hint.diagnostics))
+        if hint.method != "analytic-hint":
+            hint = LimitValue(hint.kind, hint.value, "analytic-hint", list(hint.diagnostics))
+        return hint  # the tail hints come tagged already (from_extended)
 
     nearest, finite = [], []  # samples (eps, value) and finite values, nearest first
     diverges = cauchy = False

@@ -197,8 +197,11 @@ class PairContext:
                     f"{name} has negative support (lo={m.support_lo:g}); "
                     "the transform-order results assume non-negative variables"
                 )
+        self._set(X, Y, n, _shape)
+
+    def _set(self, X, Y, n, shape):
         self.X, self.Y, self.n = X, Y, n
-        self._shape = _shape
+        self._shape = shape
         self._cache = {}
 
     # -- basic quantities ---------------------------------------------------
@@ -219,9 +222,14 @@ class PairContext:
         return self.X.profile(self.n, P_MIN), self.Y.profile(self.n, P_MIN)
 
     def swap(self) -> "PairContext":
+        def build():
+            # __init__'s checks are symmetric in X and Y, and this pair passed them
+            ctx = object.__new__(PairContext)
+            ctx._set(self.Y, self.X, self.n, _flip_shape(self.shape()))
+            return ctx
+
         # one-way: a back-link would make a cycle that outlives the models
-        return self._memo(("swap",), lambda: PairContext(self.Y, self.X, self.n,
-                                                         _shape=_flip_shape(self.shape())))
+        return self._memo(("swap",), build)
 
     def _memo(self, key, fn):
         if key not in self._cache:
@@ -307,17 +315,23 @@ def segment_ratios(contexts):
 # condition helpers
 
 
-def _limit_cond(conds, name, lim: LimitValue, sense):
+def _limit_cond(conds, lim: LimitValue, sense, name, *args):
+    """Sign of the limit lim, recorded in conds as the condition named
+    name % args.  conds is None when the caller keeps no certificate: then
+    nothing is recorded and the name is never formatted."""
     sat = _tri(lim, sense) if lim.is_determinate else None
-    value = lim.as_float()
-    conds.append(Condition(name, value if not math.isnan(value) else "indeterminate",
-                           f"{sense} 0", sat))
+    if conds is not None:
+        value = lim.as_float()
+        conds.append(Condition(name % args, value if not math.isnan(value) else "indeterminate",
+                               f"{sense} 0", sat))
     return sat
 
 
-def _value_cond(conds, name, value, sense):
+def _value_cond(conds, value, sense, name, *args):
+    """Sign of value, recorded in conds as _limit_cond records a limit."""
     sat = _tri(value, sense)
-    conds.append(Condition(name, float(value), f"{sense} 0", sat))
+    if conds is not None:
+        conds.append(Condition(name % args, float(value), f"{sense} 0", sat))
     return sat
 
 
@@ -366,19 +380,21 @@ _RULES = {
 
 def _apply(ctx: PairContext, order, direction, conds, tag=""):
     """Theorem verdict of one direction ("fwd" or "rev"): True/False, or None
-    when undecided.  Each condition joins conds as soon as it is read."""
+    when undecided.  Each condition joins conds as soon as it is read; with
+    conds None the same conditions are read and none is recorded."""
     rule = _RULES[order, direction]
     sh = ctx.shape()
     cls = sh.classification
     if rule.ratio_monotone and cls in (CONSTANT, INCREASING, DECREASING):
         holds = cls != DECREASING
-        text = (f"increasing ratio implies {order}" if holds
-                else f"decreasing ratio excludes forward {order}")
-        conds.append(Condition(tag + "ratio_monotone", cls, text, holds))
+        if conds is not None:
+            text = (f"increasing ratio implies {order}" if holds
+                    else f"decreasing ratio excludes forward {order}")
+            conds.append(Condition(tag + "ratio_monotone", cls, text, holds))
         return holds
     if cls == CONSTANT:
-        return _value_cond(conds, f"{tag}{rule.delta}_constant",
-                           getattr(deltas, rule.delta)(ctx.X, ctx.Y, 0.5), rule.sense)
+        return _value_cond(conds, getattr(deltas, rule.delta)(ctx.X, ctx.Y, 0.5), rule.sense,
+                           "%s%s_constant", tag, rule.delta)
     at, kind = rule.hypothesis
     if sh.modes and sh.modes[at].kind != kind:
         if not rule.swap:
@@ -391,21 +407,22 @@ def _apply(ctx: PairContext, order, direction, conds, tag=""):
             delta = getattr(deltas, rule.delta)
             for k, m in enumerate(sh.modes, 1):
                 if m.kind == step:
-                    p = "pstar" if len(sh.modes) == 1 else f"p{k}"
-                    checks.append(_value_cond(conds, f"{tag}{rule.delta}_at_{p}",
-                                              delta(ctx.X, ctx.Y, m.location), rule.sense))
+                    checks.append(_value_cond(conds, delta(ctx.X, ctx.Y, m.location), rule.sense,
+                                              "%s%s_at_p%s", tag, rule.delta,
+                                              "star" if len(sh.modes) == 1 else k))
             continue
         end, run = step
         if sh.segments[-1 if end else 0].direction == run:
             lim = ctx.delta_lim(end) if rule.limit == "delta" else ctx.centered_lim(end)
-            checks.append(_limit_cond(conds, f"{tag}lim_{rule.limit}_{end}", lim, rule.sense))
+            checks.append(_limit_cond(conds, lim, rule.sense, "%slim_%s_%d", tag, rule.limit, end))
     return _and(*checks)
 
 
 def _directions(ctx: PairContext, order, conds):
     """Theorem verdict (fwd, rev) of star, qmit or dmrl; True/False, or None
     when undecided.  A direction whose numerics fail is None on its own, so
-    the other direction keeps its theorem verdict."""
+    the other direction keeps its theorem verdict.  conds collects the
+    certificate's conditions, or is None when no certificate is kept."""
     out = []
     for direction in ("fwd", "rev"):
         try:
@@ -431,9 +448,9 @@ def _ps_fwd(ctx: PairContext, conds, star_fwd, tag=""):
         return _ps_rev(ctx.swap(), conds, None, tag + "swapped.")
     if sh.classification != UNIMODAL_MAX:
         return None
-    a = _limit_cond(conds, tag + "lim_delta_0", ctx.delta_lim(0), "<=")
-    b = _limit_cond(conds, tag + "lim_delta_1", ctx.delta_lim(1), ">=")
-    c = _limit_cond(conds, tag + "lim_delta_ps_0", ctx.ps_lim0(), ">=")
+    a = _limit_cond(conds, ctx.delta_lim(0), "<=", "%slim_delta_0", tag)
+    b = _limit_cond(conds, ctx.delta_lim(1), ">=", "%slim_delta_1", tag)
+    c = _limit_cond(conds, ctx.ps_lim0(), ">=", "%slim_delta_ps_0", tag)
     res = _and(a, b, c)
     # the case conditions are sufficient; their failure alone does not refute ps
     return True if res is True else None
@@ -469,7 +486,7 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
         if mins:
             p1 = mins[0].location
             eps_gap = deltas.eps(ctx.X, p1) - deltas.eps(ctx.Y, p1)
-            sat = _value_cond(conds, tag + "eps_X_minus_eps_Y_at_p1", eps_gap, ">=")
+            sat = _value_cond(conds, eps_gap, ">=", "%seps_X_minus_eps_Y_at_p1", tag)
             if sat is True:
                 conds.append(Condition(tag + "case_b", "satisfied", "sufficient for reversed ps", True))
                 return True
@@ -486,7 +503,7 @@ def theorem_status(ctx: PairContext, order) -> str:
     the status Inconclusive."""
     if (order, "fwd") not in _RULES:
         raise ValidationError(f"theorem_status decides star, qmit or dmrl, got {order!r}")
-    return _combine(*_directions(ctx, order, []))
+    return _combine(*_directions(ctx, order, None))
 
 
 def _oracle_directions(gv: GridVerdict):

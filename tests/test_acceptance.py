@@ -5,6 +5,7 @@ criterion is a single test with its stated tolerance and time budget.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -76,24 +77,47 @@ def test_closed_form_delta_limits():
     _verdict_line("closed-form-delta-limits", ok)
 
 
-def test_figure_region_sweep(tmp_path):
+@pytest.fixture(scope="module")
+def default_sweep(tmp_path_factory):
+    """(exit code, seconds, rows as dicts) of the full default sweep, run once."""
     from qorder.cli import main
 
-    out = tmp_path / "sweep.csv"
+    out = tmp_path_factory.mktemp("sweep") / "sweep.csv"
     t0 = time.perf_counter()
     code = main(["sweep", "--out", str(out)])  # defaults: 0.05..4.95 step 0.05
     elapsed = time.perf_counter() - t0
     lines = out.read_text().splitlines()
     header = lines[0].split(",")
+    return code, elapsed, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_figure_region_sweep(default_sweep):
+    code, elapsed, rows = default_sweep
     in_region = shape_ok = 0
-    for line in lines[1:]:
-        row = dict(zip(header, line.split(",")))
+    for row in rows:
         if row["in_region"] == "true":
             in_region += 1
             shape_ok += row["ratio_shape"] == "UnimodalMax"
     ok = code == 0 and in_region > 0 and shape_ok == in_region and elapsed < 60.0
     print(f"\n  region cells: {in_region}, unimodal-max: {shape_ok}, {elapsed:.1f}s")
     _verdict_line("figure-region-sweep", ok)
+
+
+# every column of the full default sweep, counted; a change that moves a
+# status on purpose updates these and says so
+_DEFAULT_SWEEP_COUNTS = {
+    "ratio_shape": {"Constant": 101, "UnimodalMax": 3840, "UnimodalMin": 3840, "NModal": 2020},
+    "star": {BOTH_FAIL: 9420, INCONCLUSIVE: 377, HOLDS: 2, HOLDS_REVERSED: 2},
+    "qmit": {EQUIVALENT: 101, INCONCLUSIVE: 9696, HOLDS: 2, HOLDS_REVERSED: 2},
+    "dmrl": {EQUIVALENT: 101, INCONCLUSIVE: 9696, HOLDS: 2, HOLDS_REVERSED: 2},
+}
+
+
+def test_default_sweep_column_counts(default_sweep):
+    code, _, rows = default_sweep
+    assert code == 0 and len(rows) == 99 * 99
+    counts = {col: dict(Counter(row[col] for row in rows)) for col in _DEFAULT_SWEEP_COUNTS}
+    assert counts == _DEFAULT_SWEEP_COUNTS
 
 
 def test_govindarajulu_aging_bundle():

@@ -62,6 +62,11 @@ class TestDumps:
         assert '"+inf"' in s and '"nan"' in s
         assert json.loads(s) == {"b": "+inf", "a": "nan", "x": [1, 2.5]}
 
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_bools_are_json_booleans(self, value):
+        assert dumps(value) == ("true" if value else "false")
+        assert json.loads(dumps({"ok": [value]})) == {"ok": [bool(value)]}
+
 
 class TestCompareCommand:
     ARGS = ["compare", "--x", "tukey:4,1,2.5", "--y", "tukey:1.5,1,1.5"]

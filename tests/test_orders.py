@@ -225,11 +225,60 @@ class TestTheoremPaths:
         fwd, rev = orders._directions(ctx, order, conds)
         assert (fwd, rev, [c.name for c in conds]) == _THEOREM_PATHS[shape, order]
 
+    @pytest.mark.parametrize("shape", sorted(_SYNTHETIC_SHAPES))
+    def test_theorem_status_equals_the_certificate_path(self, shape):
+        sh = _synthetic_shape(*_SYNTHETIC_SHAPES[shape])
+        ctx = PairContext(X_TUKEY, Y_TUKEY, _shape=sh)  # one context, as a sweep cell has
+        for order in ("star", "qmit", "dmrl"):
+            fresh = PairContext(X_TUKEY, Y_TUKEY, _shape=sh)
+            certified = orders._combine(*orders._directions(fresh, order, []))
+            assert orders.theorem_status(ctx, order) == certified, order
+
     @pytest.mark.parametrize("order", ["ps", "convex", "nbue", "STAR", "nonsense"])
     def test_theorem_status_refuses_other_orders(self, order):
         with pytest.raises(ValidationError, match="star, qmit or dmrl") as info:
             orders.theorem_status(PairContext(X_TUKEY, Y_TUKEY), order)
         assert repr(order) in str(info.value)
+
+
+# a coarse Tukey(2, 1, alpha) map, the sweep's models at grid 512
+_MAP_ALPHAS = sorted({0.25 * k for k in range(1, 20)} | {1.0, 2.0})
+_MAP_GRID = 512
+
+
+def _map_cells():
+    models = {a: TukeyGeneralized(2, 1, a) for a in _MAP_ALPHAS}
+    return [(models[a1], models[a2]) for a1 in _MAP_ALPHAS for a2 in _MAP_ALPHAS]
+
+
+class TestTheoremStatusOnTheTukeyMap:
+    """theorem_status records no certificate; on every cell it must give the
+    status that the certificate-keeping path gives."""
+
+    def test_equals_the_certificate_path(self):
+        cells = _map_cells()
+        contexts = [PairContext(X, Y, _MAP_GRID) for X, Y in cells]
+        segment_ratios(contexts)  # as the sweep segments its cells
+        shapes = Counter()
+        for (X, Y), ctx in zip(cells, contexts):
+            shapes[ctx.shape().classification] += 1
+            for order in ("star", "qmit", "dmrl"):
+                fresh = PairContext(X, Y, _MAP_GRID)
+                certified = orders._combine(*orders._directions(fresh, order, []))
+                assert orders.theorem_status(ctx, order) == certified, (X, Y, order)
+        assert set(shapes) == {CONSTANT, UNIMODAL_MAX, UNIMODAL_MIN, N_MODAL}
+        # where both alphas are below 1 there is no tail hint: the limits are extrapolated
+        lim = deltas.delta_limit(TukeyGeneralized(2, 1, 0.25), TukeyGeneralized(2, 1, 0.5), 0)
+        assert lim.method == "extrapolation"
+
+    def test_swap_gives_the_statuses_of_a_fresh_swapped_pair(self):
+        for X, Y in _map_cells():
+            swapped = PairContext(X, Y, _MAP_GRID).swap()
+            fresh = PairContext(Y, X, _MAP_GRID)
+            assert (swapped.X, swapped.Y, swapped.n) == (fresh.X, fresh.Y, fresh.n)
+            for order in ("star", "qmit", "dmrl"):
+                assert (orders.theorem_status(swapped, order)
+                        == orders.theorem_status(fresh, order)), (X, Y, order)
 
 
 class TestSharedGridProfile:

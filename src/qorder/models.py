@@ -68,7 +68,12 @@ def _lower(qd):
 
 
 def _upper(qd):
-    return lambda q: (1.0 - q) * qd(q)
+    def integrand(q):  # (1 - q) * qd(q), allocating one array beyond qd's on an array q
+        out = 1.0 - q
+        out *= qd(q)
+        return out
+
+    return integrand
 
 
 _WEIGHTED_TOL = 1e-8  # relative tolerance of the default weighted integrals
@@ -187,11 +192,19 @@ class QuantileModel(abc.ABC):
         return type(self).__name__
 
 
+def _read_only(value, dtype=None):
+    """value as an array, marked read-only."""
+    arr = np.asarray(value, dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 class GridProfile:
     """Q, qd, lower = int_0^p q*qd and upper = int_p^1 (1-q)*qd on logit_grid(n, p_min), each
     computed on first use; it holds the model weakly, so the model's memo forms no cycle.
 
-    lower and upper share node_qd, the model's qd on the grid's panel nodes, evaluated once."""
+    lower and upper share node_qd, the model's qd on the grid's panel nodes, evaluated once.
+    Every value is read-only, like the grid: one copy serves every reader."""
 
     def __init__(self, model, n, p_min):
         self._model, self.n, self.p_min = weakref.ref(model), n, p_min
@@ -203,11 +216,13 @@ class GridProfile:
             raise ValidationError("the profile's model no longer exists; keep a reference to it")
         return X
 
-    q = cached_property(lambda self: np.asarray(self.model().quantile(self.grid), float))
-    qd = cached_property(lambda self: np.asarray(self.model().quantile_density(self.grid), float))
-    node_qd = cached_property(lambda self: self.model().quantile_density(self.nodes))
-    lower = cached_property(lambda self: oracle.lower_cumulative(_lower(self._qd()), self.n, self.p_min))
-    upper = cached_property(lambda self: oracle.upper_cumulative(_upper(self._qd()), self.n, self.p_min))
+    q = cached_property(lambda self: _read_only(self.model().quantile(self.grid), float))
+    qd = cached_property(lambda self: _read_only(self.model().quantile_density(self.grid), float))
+    node_qd = cached_property(lambda self: _read_only(self.model().quantile_density(self.nodes)))
+    lower = cached_property(
+        lambda self: _read_only(oracle.lower_cumulative(_lower(self._qd()), self.n, self.p_min)))
+    upper = cached_property(
+        lambda self: _read_only(oracle.upper_cumulative(_upper(self._qd()), self.n, self.p_min)))
 
     def _qd(self):
         """The model's quantile density, read from node_qd on the panel nodes."""
@@ -232,15 +247,29 @@ class TukeyGeneralized(QuantileModel):
                 "Tukey quantile function must be increasing: eta*alpha > 0 required"
             )
 
+    # The array formulas of both families run in place, the same operations on the same
+    # operands as the one-expression forms: an evaluation on the panel nodes holds at most
+    # two node-sized arrays, and a scalar p (a float rebinds on each step) takes the same lines.
     def quantile(self, p):
         p = check_p(p)
         a = self.alpha
-        return _match(p, self.lam + self.eta * (p**a - (1.0 - p) ** a))
+        out = p**a
+        c = 1.0 - p
+        c **= a
+        out -= c
+        out *= self.eta
+        out += self.lam
+        return _match(p, out)
 
     def quantile_density(self, p):
         p = check_p(p)
         a = self.alpha
-        return _match(p, self.eta * a * (p ** (a - 1.0) + (1.0 - p) ** (a - 1.0)))
+        out = p ** (a - 1.0)
+        c = 1.0 - p
+        c **= a - 1.0
+        out += c
+        out *= self.eta * a
+        return _match(p, out)
 
     def tail_quantile(self, end):
         if self.alpha > 0:
@@ -308,12 +337,22 @@ class Govindarajulu(QuantileModel):
     def quantile(self, p):
         p = check_p(p)
         b = self.beta
-        return _match(p, self.theta + self.sigma * ((b + 1.0) * p**b - b * p ** (b + 1.0)))
+        out = p**b
+        out *= b + 1.0
+        t = p ** (b + 1.0)
+        t *= b
+        out -= t
+        out *= self.sigma
+        out += self.theta
+        return _match(p, out)
 
     def quantile_density(self, p):
         p = check_p(p)
         b = self.beta
-        return _match(p, self.sigma * b * (b + 1.0) * p ** (b - 1.0) * (1.0 - p))
+        out = p ** (b - 1.0)
+        out *= self.sigma * b * (b + 1.0)
+        out *= 1.0 - p
+        return _match(p, out)
 
     def tail_quantile(self, end):
         return self.theta if end == 0 else self.theta + self.sigma

@@ -151,6 +151,27 @@ class TestDeadModel:
         assert prof.q is q
 
 
+class TestReadOnlyValues:
+    """A profile's values are shared by every reader: a write would change every later verdict."""
+
+    @pytest.mark.parametrize("spec", ["tukey:4,1,2.5", "govindarajulu:0,2,2", "exp1",
+                                      WEIBULL.format(s=2.42016, k=1.99702)])
+    def test_a_write_raises(self, spec):
+        X = parse_spec(spec)
+        prof = X.profile(512, P_MIN)
+        for name in ("q", "qd", "node_qd", "lower", "upper"):
+            value = getattr(prof, name)
+            with pytest.raises(ValueError, match="read-only"):
+                value[:2] *= 0.5
+
+    def test_the_worked_pair_keeps_its_star_verdict(self):
+        X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
+        with pytest.raises(ValueError):
+            X.profile(4096, P_MIN).q[:2048] *= 0.5
+        star = {v.order: v.status for v in compare_all(X, Y, method="oracle")}["star"]
+        assert star == "Holds"
+
+
 class TestGridSizeBelowThree:
     @pytest.mark.parametrize("n", [4096.0, 100.5, "512", None])
     def test_a_grid_size_that_is_no_integer_is_rejected(self, n):

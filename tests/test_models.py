@@ -1,10 +1,14 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qorder import models, oracle
 from qorder.errors import DomainError, NonFiniteMeanError, ValidationError
-from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential, check_p
+from qorder.models import (Govindarajulu, TukeyGeneralized, UnitExponential, check_p,
+                           upper_integrand)
 
 
 class TestCheckP:
@@ -161,3 +165,119 @@ def test_labels_round_trip_through_spec_parser():
         again = parse_spec(m.label())
         assert type(again) is type(m)
         assert again.quantile(0.37) == pytest.approx(m.quantile(0.37), rel=1e-15)
+
+
+# The one-expression formulas that the in-place chains replaced, kept as the reference:
+# each chain must give their bits.
+def _tukey_q(X, p):
+    return X.lam + X.eta * (p**X.alpha - (1.0 - p) ** X.alpha)
+
+
+def _tukey_qd(X, p):
+    return X.eta * X.alpha * (p ** (X.alpha - 1.0) + (1.0 - p) ** (X.alpha - 1.0))
+
+
+def _govindarajulu_q(X, p):
+    b = X.beta
+    return X.theta + X.sigma * ((b + 1.0) * p**b - b * p ** (b + 1.0))
+
+
+def _govindarajulu_qd(X, p):
+    b = X.beta
+    return X.sigma * b * (b + 1.0) * p ** (b - 1.0) * (1.0 - p)
+
+
+_REFERENCE = {TukeyGeneralized: (_tukey_q, _tukey_qd),
+              Govindarajulu: (_govindarajulu_q, _govindarajulu_qd)}
+
+
+def _seeded_models():
+    rng = random.Random(19)
+    out = []
+    for _ in range(6):
+        alpha = rng.choice([-1, 1]) * rng.uniform(0.05, 4.0)
+        out.append(TukeyGeneralized(rng.uniform(-5, 5), math.copysign(rng.uniform(0.1, 3), alpha),
+                                    alpha))
+        out.append(Govindarajulu(rng.uniform(0, 3), rng.uniform(0.1, 3), rng.uniform(0.05, 6)))
+    # numpy's ** takes a fast path at the exponents 0, 0.5, 1 and 2, which these give as
+    # alpha, alpha - 1, beta - 1, beta or beta + 1
+    for e in (0.5, 1.0, 1.5, 2.0, 3.0):
+        out.append(TukeyGeneralized(1.5, 0.7, e))
+        out.append(Govindarajulu(0.3, 1.7, e))
+    return out
+
+
+def _bits(fn, *args):
+    """fn(*args) as comparable bits, or the error it raised (a float power can overflow)."""
+    try:
+        value = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return (value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray) \
+        else (type(value), repr(value))
+
+
+class TestInPlaceFormulas:
+    @pytest.mark.parametrize("X", _seeded_models(), ids=lambda X: X.label())
+    def test_bits_equal_the_one_expression_formulas(self, X):
+        scalars = [float(p) for p in oracle.logit_grid(64)] + [1e-300, 0.5 - 2**-53, 1 - 2**-53]
+        for method, formula in zip((X.quantile, X.quantile_density), _REFERENCE[type(X)]):
+            for p in scalars:
+                for given in (p, np.float64(p), np.array(p)):
+                    with np.errstate(over="ignore"):  # inf at 1e-300 for alpha < 0, both ways
+                        want = _bits(lambda: float(formula(X, check_p(given))))
+                        assert _bits(method, given) == want
+            for n in (64, 512, 4096):
+                nodes = oracle.panel_nodes(n)
+                assert _bits(method, nodes) == _bits(formula, X, nodes)
+
+    @pytest.mark.parametrize("X", _seeded_models()[:2] + [UnitExponential()], ids=lambda X: X.label())
+    def test_upper_integrand_bits_equal_the_one_expression_form(self, X):
+        fn = upper_integrand(X)
+        for p in (0.25, np.float64(0.75), np.array(1e-6), oracle.panel_nodes(512)):
+            assert _bits(fn, p) == _bits(lambda: (1.0 - p) * X.quantile_density(p))
+
+    @pytest.mark.parametrize("X", _seeded_models()[:2] + [UnitExponential()], ids=lambda X: X.label())
+    def test_input_is_left_unchanged(self, X):
+        nodes = oracle.panel_nodes(512)
+        assert not nodes.flags.writeable
+        for p in (nodes, nodes.copy(), np.array(0.3)):
+            before = p.tobytes()
+            X.quantile(p), X.quantile_density(p), upper_integrand(X)(p)
+            assert p.tobytes() == before
+
+
+def _peak_arrays(fn, p):
+    """Peak of the memory fn(p) allocates, in arrays of p's size, as tracemalloc sees it."""
+    fn(p)  # anything allocated once, on first use, is left out
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(p)
+        return (tracemalloc.get_traced_memory()[1] - base) / p.nbytes
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestNodeSizedArrays:
+    """An evaluation on the panel nodes holds at most its result and one scratch array."""
+
+    SLACK = 0.05  # of a node array, 11 KB at n = 4096
+
+    @pytest.mark.parametrize("X", [TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(-1, -1, -0.5),
+                                   Govindarajulu(0, 2, 2), Govindarajulu(0.5, 1, 0.5),
+                                   UnitExponential()], ids=lambda X: X.label())
+    def test_quantile_and_density_peak_at_two_arrays(self, X):
+        nodes = oracle.panel_nodes(4096)
+        assert _peak_arrays(X.quantile, nodes) <= 2 + self.SLACK
+        assert _peak_arrays(X.quantile_density, nodes) <= 2 + self.SLACK
+
+    def test_upper_integrand_allocates_one_array_beyond_node_qd(self):
+        nodes = oracle.panel_nodes(4096)
+        node_qd = TukeyGeneralized(4, 1, 2.5).quantile_density(nodes)
+        integrand = models._upper(lambda p: node_qd)
+        assert _peak_arrays(integrand, nodes) <= 1 + self.SLACK

@@ -109,35 +109,58 @@ def parse_spec(spec: str):
 # deterministic JSON
 
 
+_escape = json.encoder.encode_basestring_ascii  # what json.dumps(str) runs
+
+
+def _number(v):
+    """A float as %.17g, or the quoted "nan", "+inf" or "-inf"."""
+    text = "%.17g" % v
+    if text[-1] == "n":
+        return '"nan"'
+    if text[-1] == "f":
+        return '"-inf"' if v < 0 else '"+inf"'
+    return text
+
+
+def _block(items, indent, brackets):
+    """Items one per line, indented two past ``indent``, inside ``brackets``."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * indent
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def dumps(obj, indent=0):
     """Serialize with fixed key order (insertion) and %.17g floats."""
-    pad = " " * indent
+    kind = type(obj)  # the exact types a report is made of are dispatched first
+    if kind is str:
+        return _escape(obj)
+    if kind is float:
+        return _number(obj)
+    if kind is int:
+        return str(obj)
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
+    # no type is both a container and a str or number, so subclasses meet these in any order
+    if isinstance(obj, dict):
+        return _block([_escape(str(k)) + ": " + dumps(v, indent + 2) for k, v in obj.items()],
+                      indent, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _block([dumps(v, indent + 2) for v in obj], indent, "[]")
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _escape(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if math.isnan(v):
-            return '"nan"'
-        if math.isinf(v):
-            return '"+inf"' if v > 0 else '"-inf"'
-        return "%.17g" % v
-    if isinstance(obj, dict):
-        items = [f'{pad}  {dumps(str(k))}: {dumps(v, indent + 2)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [f"{pad}  {dumps(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+        return _number(float(obj))
     if isinstance(obj, np.bool_):  # neither True nor False, nor an int
         return "true" if obj else "false"
-    return dumps(str(obj))
+    return _escape(str(obj))
 
 
 def _open_for_writing(path, mode="w"):

@@ -527,33 +527,39 @@ class GridVerdict:
 
 
 def _classify_signs(grid, deltas, scales):
-    thr = ORACLE_REL_TOL * scales
-    pos = deltas > thr
-    neg = deltas < -thr
-    n_pos, n_neg = int(pos.sum()), int(neg.sum())
-    accepted = np.abs(deltas[pos | neg]) / scales[pos | neg] if (n_pos + n_neg) else np.array([])
-    margin = float(accepted.min()) if accepted.size else 0.0
-    if n_pos and n_neg:
-        status = "Mixed"
-        minority = neg if n_pos >= n_neg else pos
-    elif n_pos:
-        status, minority = "Increasing", None
-    elif n_neg:
-        status, minority = "Decreasing", None
-    else:
-        status, minority = "Constant", None
-    worst = None
-    if minority is not None:
-        idx = int(np.argmax(np.abs(deltas) * minority))
-        worst = (float(grid[idx]), float(grid[min(idx + 1, len(grid) - 1)]), float(abs(deltas[idx])))
-    return status, margin, worst
+    """Status, margin and worst violation of the steps ``deltas`` at ``scales``.
+
+    The counting rule lives here alone: a step rises when it exceeds
+    ORACLE_REL_TOL * scale and falls when it is below the negated bound, each an
+    exact comparison (|d|/s > ORACLE_REL_TOL is a different test where a margin
+    sits at the tolerance).  The margin is the least |d|/s over the counted
+    steps; a worst violation, of a Mixed status, is the largest |d| among the
+    minority's steps, as (grid[i], grid[i + 1], |d|)."""
+    bound = np.multiply(scales, ORACLE_REL_TOL)
+    rising = deltas > bound
+    np.negative(bound, out=bound)
+    falling = deltas < bound
+    n_pos, n_neg = np.count_nonzero(rising), np.count_nonzero(falling)
+    if not (n_pos or n_neg):
+        return "Constant", 0.0, None
+    size = np.abs(deltas)
+    margin = float(np.divide(size, scales, out=bound).min(where=rising | falling,
+                                                          initial=np.inf))
+    if not (n_pos and n_neg):
+        return ("Increasing" if n_pos else "Decreasing"), margin, None
+    size *= falling if n_pos >= n_neg else rising
+    idx = int(size.argmax())
+    worst = (float(grid[idx]), float(grid[min(idx + 1, len(grid) - 1)]), float(abs(deltas[idx])))
+    return "Mixed", margin, worst
 
 
 def _monotone_verdict(grid, vals):
     """Adjacent-pair monotonicity of the values vals taken on grid."""
-    deltas = np.diff(vals)
-    scales = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
-    return GridVerdict(*_classify_signs(grid[:-1], deltas, scales), len(grid))
+    mags = np.abs(vals)
+    scales = np.maximum(mags[:-1], mags[1:])
+    np.maximum(scales, 1e-300, out=scales)
+    deltas = np.subtract(vals[1:], vals[:-1], out=mags[:-1])
+    return GridVerdict(*_classify_signs(grid, deltas, scales), len(grid))
 
 
 def grid_monotone(fn, n=4096):

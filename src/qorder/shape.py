@@ -196,19 +196,22 @@ def _scan(values, n):
     """The one grid scan behind find_shapes, find_shape and shape_class.
 
     ``values`` holds one row per function on logit_grid(n, P_MIN).  On the
-    flattened rows the scan finds every panel's sign (0 if flat), the
-    significant panels, the flips between consecutive significant panels of one
-    row, each flip's bracket (lo, hi) from the start of the last panel of one
-    sign to the end of the first panel of the other, and each row's plateaus:
-    runs of 3 or more flat panels, as (grid[start], grid[end of run]).  It
-    returns one entry per row: the QorderError find_shape raises for that row,
-    or the tuple (the sign of its first significant panel, 0 if none; the
-    flips' kinds; their lo; their hi; its plateaus)."""
+    flattened rows the scan finds every panel's sign (0 if flat) and the runs of
+    equal signs, and walks the runs: a flip is a significant run whose sign is
+    the opposite of the significant run before it in its row, bracketed (lo, hi)
+    from the start of the last panel of one sign to the end of the first panel
+    of the other, and a plateau is a run of 3 or more flat panels, as
+    (grid[start], grid[end of run]).  The walk costs a few operations per run,
+    so past the panel signs a row costs in proportion to its flips and flat
+    stretches, not to n.  It returns one entry per row: the QorderError
+    find_shape raises for that row, or the tuple (the sign of its first
+    significant panel, 0 if none; the flips' kinds; their lo; their hi; its
+    plateaus)."""
     grid = logit_grid(n, P_MIN)
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
         raise ValidationError(f"find_shapes needs one row per function, got shape {vals.shape}")
-    rows, size = vals.shape
+    size = vals.shape[1]
     if size != grid.size:
         raise ValidationError(
             f"find_shape got {size} values for the {grid.size}-point grid "
@@ -219,33 +222,44 @@ def _scan(values, n):
         vals = np.where(finite[:, None], vals, 0.0)
     finite = finite.tolist()
     signs = _panel_signs(vals)
-    marks = np.flatnonzero(signs != 0)  # the significant panels and the sentinels
-    sig = signs[marks]
-    flips = np.flatnonzero(sig[1:] * sig[:-1] == -1)
-    lo = grid[(marks[flips] - 1) % n].tolist()
-    hi = grid[marks[flips + 1] % n].tolist()
-    kinds = ["max" if s > 0 else "min" for s in sig[flips].tolist()]
-    runs = np.flatnonzero(marks[1:] - marks[:-1] > 3)  # 3 or more flat panels between
-    plateaus = list(zip(grid[marks[runs] % n].tolist(), grid[(marks[runs + 1] - 1) % n].tolist()))
-    # row r's marks are marks[bounds[r]:bounds[r + 1] + 1], from sentinel to sentinel
-    bounds = np.searchsorted(marks, np.arange(0, rows * n + 1, n))
-    firsts = sig[bounds[:-1] + 1].tolist()
-    flip_at = np.searchsorted(flips, bounds).tolist()
-    run_at = np.searchsorted(runs, bounds).tolist()
+    # last[k]: a run of equal signs ends at k; the first run, the sentinel at 0, is skipped
+    # (with no rows it is the only sentinel, so it is cleared last)
+    last = np.empty(signs.size, dtype=bool)
+    np.not_equal(signs[1:], signs[:-1], out=last[:-1])
+    last[-1], last[0] = True, False
+    ends = last.nonzero()[0]
+    at = grid.item
 
     out = []
-    for r in range(rows):
-        a, b = flip_at[r], flip_at[r + 1]
-        if not finite[r]:
-            out.append(DomainError("function not finite on the working grid"))
-        elif b - a > MAX_MODES:
-            out.append(TooOscillatoryError(
-                f"{b - a} derivative sign changes exceed max_modes={MAX_MODES}",
-                modes=[0.5 * (x + y) for x, y in zip(lo[a:b], hi[a:b])],
-            ))
+    start = 1  # where the current run starts
+    # the row's first and latest significant sign, and where that latest run ended
+    first = prev = prev_end = 0
+    kinds, lo, hi, plateaus = [], [], [], []
+    for end, sign in zip(ends.tolist(), signs[ends].tolist()):
+        if sign == 2:  # the sentinel that ends row len(out)
+            if not finite[len(out)]:
+                out.append(DomainError("function not finite on the working grid"))
+            elif len(kinds) > MAX_MODES:
+                out.append(TooOscillatoryError(
+                    f"{len(kinds)} derivative sign changes exceed max_modes={MAX_MODES}",
+                    modes=[0.5 * (x + y) for x, y in zip(lo, hi)],
+                ))
+            else:
+                out.append((first, kinds, lo, hi, plateaus))
+            first = prev = 0
+            kinds, lo, hi, plateaus = [], [], [], []
+        elif sign == 0:
+            if end - start >= 2:
+                plateaus.append((at((start - 1) % n), at(end % n)))
         else:
-            out.append((0 if firsts[r] == 2 else firsts[r], kinds[a:b], lo[a:b], hi[a:b],
-                        plateaus[run_at[r]:run_at[r + 1]]))
+            if sign == -prev:
+                kinds.append("max" if prev > 0 else "min")
+                lo.append(at(prev_end % n - 1))
+                hi.append(at(start % n))
+            elif not prev:
+                first = sign
+            prev, prev_end = sign, end
+        start = end + 1
     return out
 
 

@@ -68,6 +68,98 @@ class TestDumps:
         assert json.loads(dumps({"ok": [value]})) == {"ok": [bool(value)]}
 
 
+def _dumps_ref(obj, indent=0):
+    """Reference: dumps as it tested each value against an isinstance chain and escaped
+    strings through json.dumps."""
+    pad = " " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if math.isnan(v):
+            return '"nan"'
+        if math.isinf(v):
+            return '"+inf"' if v > 0 else '"-inf"'
+        return "%.17g" % v
+    if isinstance(obj, dict):
+        items = [f'{pad}  {_dumps_ref(str(k))}: {_dumps_ref(v, indent + 2)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [f"{pad}  {_dumps_ref(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    if isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    return _dumps_ref(str(obj))
+
+
+class _Label:
+    def __str__(self):
+        return "label \u00e9\n"
+
+
+class _Key(str):
+    pass
+
+
+_SCALARS = [None, True, False, np.True_, np.False_, 0, -7, 2**70, np.int64(-3), np.int8(5),
+            np.uint64(2**64 - 1), 0.1, -0.0, 0.0, 1e-310, 1.7976931348623157e308, math.nan,
+            -math.nan, math.inf, -math.inf, np.float32(0.1), np.float64(-2.5), np.float32("nan"),
+            np.float16("-inf"), "", "plain", "caf\u00e9 \u2264 \U0001d54f", "tab\tquote\"back\\slash",
+            "".join(map(chr, range(32))) + "\x7f", _Key("sub"), _Label(), np.str_("np"),
+            3 + 4j, b"bytes"]
+
+
+def _random_report(rng, depth=0):
+    pick = rng.integers(6 if depth < 4 else 2)
+    if pick < 2:
+        return _SCALARS[rng.integers(len(_SCALARS))]
+    if pick == 2:
+        return [_random_report(rng, depth + 1) for _ in range(rng.integers(4))]
+    if pick == 3:
+        return tuple(_random_report(rng, depth + 1) for _ in range(rng.integers(4)))
+    keys = ["k", "caf\u00e9", 3, 2.5, None, True, _Key("s"), ("t", 1)]
+    return {keys[rng.integers(len(keys))]: _random_report(rng, depth + 1)
+            for _ in range(rng.integers(5))}
+
+
+class TestDumpsReference:
+    """dumps writes the reference's bytes for every type it accepts, at every indent."""
+
+    @pytest.mark.parametrize("value", _SCALARS, ids=repr)
+    def test_scalars(self, value):
+        for indent in (0, 2, 5):
+            assert dumps(value, indent) == _dumps_ref(value, indent)
+
+    def test_containers(self):
+        values = [{}, [], (), {"a": {}}, [[], {}], (1, (2, 3)), {1: 2, None: 3, 2.5: [4]},
+                  {"a": _SCALARS, "b": dict(enumerate(_SCALARS))}, list(_SCALARS)]
+        for value in values:
+            for indent in (0, 3):
+                assert dumps(value, indent) == _dumps_ref(value, indent)
+
+    def test_seeded_random_reports(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            report = _random_report(rng)
+            assert dumps(report) == _dumps_ref(report)
+
+    def test_command_reports(self, tmp_path):
+        for argv in (["compare", "--x", "tukey:4,1,2.5", "--y", "tukey:1.5,1,1.5"],
+                     ["aging", "--x", "govindarajulu:0,2,2"]):
+            out = tmp_path / "r.json"
+            main(argv + ["--out", str(out)])
+            report = json.loads(out.read_text())
+            assert out.read_text() == dumps(report) + "\n" == _dumps_ref(report) + "\n"
+
+
 class TestCompareCommand:
     ARGS = ["compare", "--x", "tukey:4,1,2.5", "--y", "tukey:1.5,1,1.5"]
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qorder import oracle
 from qorder.errors import DomainError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import (
@@ -115,3 +116,119 @@ class TestOrderOracle:
         v = order_oracle(X_TUKEY, Y_TUKEY, "convex", n=777)
         assert v.n == 777
         assert isinstance(v.to_dict()["grid_n"], int)
+
+
+# The sign test as it read before it took |values| once and counted with count_nonzero,
+# kept as the reference: the fused kernel must give its status, margin and worst
+# violation bit for bit.  The reference monotone verdict passes the whole grid, as
+# _monotone_verdict does since a violation in the last step got its real interval.
+def _classify_signs_ref(grid, deltas, scales):
+    thr = oracle.ORACLE_REL_TOL * scales
+    pos = deltas > thr
+    neg = deltas < -thr
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    accepted = np.abs(deltas[pos | neg]) / scales[pos | neg] if (n_pos + n_neg) else np.array([])
+    margin = float(accepted.min()) if accepted.size else 0.0
+    if n_pos and n_neg:
+        status = "Mixed"
+        minority = neg if n_pos >= n_neg else pos
+    elif n_pos:
+        status, minority = "Increasing", None
+    elif n_neg:
+        status, minority = "Decreasing", None
+    else:
+        status, minority = "Constant", None
+    worst = None
+    if minority is not None:
+        idx = int(np.argmax(np.abs(deltas) * minority))
+        worst = (float(grid[idx]), float(grid[min(idx + 1, len(grid) - 1)]), float(abs(deltas[idx])))
+    return status, margin, worst
+
+
+def _monotone_verdict_ref(grid, vals):
+    deltas = np.diff(vals)
+    scales = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
+    return GridVerdict(*_classify_signs_ref(grid, deltas, scales), len(grid))
+
+
+def _grid_sign_ref(grid, values, scales):
+    values = np.asarray(values, dtype=float)
+    scales = np.maximum(np.asarray(scales, dtype=float), 1e-300)
+    return GridVerdict(*_classify_signs_ref(grid, values, scales), len(grid))
+
+
+def _verdict_bits(v):
+    """A verdict's fields with every float as its repr, so -0.0, nan and ties compare exactly."""
+    worst = None if v.worst_violation is None else tuple(map(repr, v.worst_violation))
+    return v.status, repr(v.margin), worst, v.n
+
+
+def _value_rows(n, rng):
+    """Seeded rows: smooth, noisy at the tolerance, stepped, tiny, signed and non-finite."""
+    grid = logit_grid(n)
+    tol = oracle.ORACLE_REL_TOL
+    rows = [np.full(n, 2.5), grid ** 2, np.sin(6 * grid), np.exp(-grid),
+            np.cumsum(rng.choice([-1.0, 0.0, 1.0], n)),                 # ties for the worst step
+            1.0 + np.cumsum(rng.choice([-1, 1], n) * tol * rng.uniform(0.5, 1.5, n)),
+            rng.uniform(-1, 1, n) * 1e-305,                            # scales at the 1e-300 floor
+            np.where(rng.random(n) < 0.1, -0.0, 0.0),
+            rng.standard_normal(n)]
+    for bad in (math.inf, -math.inf, math.nan):
+        row = grid.copy()
+        row[rng.integers(n)] = bad
+        rows.append(row)
+    # steps of exactly +-tol * scale, and the floats just beyond them
+    base = np.full(n, 1.0)
+    for k, step in enumerate((tol, -tol, np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0))):
+        row = base.copy()
+        row[1 + k::4] += step
+        rows.append(row)
+    return rows
+
+
+class TestSignTestReference:
+    @pytest.mark.parametrize("n", [3, 4, 64, 512, 4096])
+    def test_monotone_verdict_equals_the_reference(self, n):
+        rng = np.random.default_rng(20 + n)
+        grid = logit_grid(n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for vals in _value_rows(n, rng):
+                assert _verdict_bits(oracle._monotone_verdict(grid, vals)) == \
+                    _verdict_bits(_monotone_verdict_ref(grid, vals))
+
+    @pytest.mark.parametrize("n", [3, 4, 64, 512, 4096])
+    def test_grid_sign_equals_the_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        grid = logit_grid(n)
+        rows = _value_rows(n, rng)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for values, scales in zip(rows, rows[1:] + rows[:1]):
+                scales = np.abs(scales)
+                assert _verdict_bits(grid_sign(grid, values, scales)) == \
+                    _verdict_bits(_grid_sign_ref(grid, values, scales))
+                values = values - np.mean(values[np.isfinite(values)])
+                assert _verdict_bits(grid_sign(grid, values, scales)) == \
+                    _verdict_bits(_grid_sign_ref(grid, values, scales))
+
+    def test_steps_at_the_tolerance_are_not_counted(self):
+        grid = logit_grid(64)
+        scales = np.full(64, 3.0)
+        at = oracle.ORACLE_REL_TOL * scales
+        assert grid_sign(grid, at, scales).status == "Constant"
+        assert grid_sign(grid, -at, scales).status == "Constant"
+        beyond = np.nextafter(at, 1.0)
+        v = grid_sign(grid, beyond, scales)
+        # |d|/s rounds to the tolerance itself, yet the step is counted
+        assert v.status == "Increasing" and v.margin == pytest.approx(1e-9, rel=1e-15)
+
+    def test_the_first_of_tied_worst_steps_is_reported(self):
+        grid = logit_grid(8)
+        v = oracle._monotone_verdict(grid, np.array([0.0, 1, 2, 1, 2, 3, 2, 3]))
+        assert v.status == "Mixed"
+        assert v.worst_violation == (grid[2], grid[3], 1.0)
+
+    def test_a_violation_in_the_last_step_spans_that_step(self):
+        grid = logit_grid(8)
+        v = oracle._monotone_verdict(grid, np.array([0.0, 1, 2, 3, 4, 5, 6, 5]))
+        assert v.status == "Mixed"
+        assert v.worst_violation == (grid[6], grid[7], 1.0)

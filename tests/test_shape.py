@@ -521,3 +521,128 @@ class TestTukeyRegion:
             Y = TukeyGeneralized(a2 + 1, 1.0, a2)
             rep = find_shape(lambda p: ratio_qd(X, Y, p))
             assert rep.classification == UNIMODAL_MAX, (a1, a2)
+
+
+def _scan_ref(values, n):
+    """Reference: shape._scan as it found flips and plateaus with whole-grid index arrays
+    (flatnonzero of the significant panels, their signs, the products of neighbouring
+    signs, the gaps between them and searchsorted row bounds)."""
+    grid = logit_grid(n, P_MIN)
+    vals = np.asarray(values, dtype=float)
+    rows, size = vals.shape
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        vals = np.where(finite[:, None], vals, 0.0)
+    finite = finite.tolist()
+    signs = shape._panel_signs(vals)
+    marks = np.flatnonzero(signs != 0)
+    sig = signs[marks]
+    flips = np.flatnonzero(sig[1:] * sig[:-1] == -1)
+    lo = grid[(marks[flips] - 1) % n].tolist()
+    hi = grid[marks[flips + 1] % n].tolist()
+    kinds = ["max" if s > 0 else "min" for s in sig[flips].tolist()]
+    runs = np.flatnonzero(marks[1:] - marks[:-1] > 3)
+    plateaus = list(zip(grid[marks[runs] % n].tolist(), grid[(marks[runs + 1] - 1) % n].tolist()))
+    bounds = np.searchsorted(marks, np.arange(0, rows * n + 1, n))
+    firsts = sig[bounds[:-1] + 1].tolist()
+    flip_at = np.searchsorted(flips, bounds).tolist()
+    run_at = np.searchsorted(runs, bounds).tolist()
+    out = []
+    for r in range(rows):
+        a, b = flip_at[r], flip_at[r + 1]
+        if not finite[r]:
+            out.append(DomainError("function not finite on the working grid"))
+        elif b - a > shape.MAX_MODES:
+            out.append(TooOscillatoryError(
+                f"{b - a} derivative sign changes exceed max_modes={shape.MAX_MODES}",
+                modes=[0.5 * (x + y) for x, y in zip(lo[a:b], hi[a:b])],
+            ))
+        else:
+            out.append((0 if firsts[r] == 2 else firsts[r], kinds[a:b], lo[a:b], hi[a:b],
+                        plateaus[run_at[r]:run_at[r + 1]]))
+    return out
+
+
+def _scan_bits(entries):
+    """Scan entries with every float as its repr and every error as (type, text, modes)."""
+    out = []
+    for e in entries:
+        if isinstance(e, QorderError):
+            out.append((type(e), str(e), [repr(m) for m in getattr(e, "modes", None) or []]))
+        else:
+            first, kinds, lo, hi, plateaus = e
+            out.append((first, kinds, [repr(x) for x in lo], [repr(x) for x in hi],
+                        [(repr(a), repr(b)) for a, b in plateaus]))
+    return out
+
+
+def _flips_row(n, flips):
+    """A row with ``flips`` flips, a flat panel before the last one."""
+    runs = [(s, 2) for s in ([1, -1] * flips)[:flips]]
+    return _sign_row(n, *runs, (0, 1), (-runs[-1][0], 2))
+
+
+def _framed_row(n, head, tail, fill):
+    """Values on logit_grid(n, P_MIN) whose panel signs are the (sign, length) runs
+    ``head``, then ``fill`` up to the runs ``tail``, which end the row; cut to n - 1 panels."""
+    head, tail = _runs(*head), _runs(*tail)
+    middle = np.full(max(n - 1 - head.size - tail.size, 0), fill, dtype=int)
+    signs = np.concatenate((head, middle, tail))[: n - 1]
+    return 8.0 + np.concatenate(([0.0], np.cumsum(signs))) * 2.0**-10
+
+
+def _scan_edge_rows(n, rng):
+    """Rows for the scan: flat runs of 1-4 panels at each edge and inside, constant rows,
+    MAX_MODES and MAX_MODES + 1 flips, non-finite rows and seeded random sign runs."""
+    rows = [np.full(n, 3.0), np.full(n, -0.0), _sign_row(n, (1, 1)), _sign_row(n, (-1, 1))]
+    for flat in (1, 2, 3, 4):
+        rows += [_framed_row(n, [(0, flat), (1, 6)], [(-1, 6)], -1),
+                 _framed_row(n, [(-1, 6)], [(1, 6), (0, flat)], 1),
+                 _framed_row(n, [(0, flat), (1, 2)], [(-1, 2), (0, flat)], -1),
+                 _framed_row(n, [(1, 6), (0, flat), (-1, 6), (0, flat), (1, 6)],
+                             [(0, flat), (1, 2), (0, flat)], 1),
+                 _framed_row(n, [(1, 6), (0, flat), (1, 6)], [(0, flat), (1, 1)], 1),
+                 _framed_row(n, [(0, flat), (-1, 1)], [(0, flat)], 0)]
+    rows += [_flips_row(n, shape.MAX_MODES), _flips_row(n, shape.MAX_MODES + 1)]
+    for bad in (math.inf, -math.inf, math.nan):
+        row = _sign_row(n, (1, 5), (-1, 5))
+        row[rng.integers(n)] = bad
+        rows.append(row)
+    for _ in range(12):
+        rows.append(_sign_row(n, *[(int(s), int(k)) for s, k in
+                                   zip(rng.integers(-1, 2, 30), rng.integers(1, 6, 30))]))
+    return rows
+
+
+class TestScanReference:
+    """The run walk of _scan gives the reference's entries, bit for bit, batch by batch."""
+
+    @pytest.mark.parametrize("n", [3, 4, 64, 512, 4096])
+    def test_edge_rows_alone_and_in_mixed_batches(self, n):
+        rng = np.random.default_rng(2020 + n)
+        rows = _scan_edge_rows(n, rng) + [vals for _, vals in _ratio_rows(n, rng)]
+        for row in rows:
+            assert _scan_bits(shape._scan(row[None], n)) == _scan_bits(_scan_ref(row[None], n))
+        for _ in range(4):
+            batch = np.array([rows[i] for i in rng.permutation(len(rows))[:rng.integers(1, 20)]])
+            assert _scan_bits(shape._scan(batch, n)) == _scan_bits(_scan_ref(batch, n))
+        assert shape._scan(np.empty((0, n)), n) == _scan_ref(np.empty((0, n)), n) == []
+
+    def test_the_oscillation_limit_keeps_its_text_and_modes(self):
+        n = 512
+        at, past = _flips_row(n, shape.MAX_MODES), _flips_row(n, shape.MAX_MODES + 1)
+        ok, err = shape._scan(np.array([at, past]), n)
+        assert len(ok[1]) == shape.MAX_MODES
+        assert isinstance(err, TooOscillatoryError)
+        assert str(err) == f"{shape.MAX_MODES + 1} derivative sign changes exceed max_modes=16"
+        assert err.modes == _scan_ref(past[None], n)[0].modes
+
+    def test_seeded_random_rows(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(60):
+            n = int(rng.choice([3, 4, 64, 512]))
+            batch = np.array([_sign_row(n, *[(int(s), int(k)) for s, k in
+                                             zip(rng.integers(-1, 2, 40), rng.integers(1, 8, 40))])
+                              for _ in range(rng.integers(1, 6))])
+            batch[rng.random(batch.shape) < 0.002] = np.nan
+            assert _scan_bits(shape._scan(batch, n)) == _scan_bits(_scan_ref(batch, n))

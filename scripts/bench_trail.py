@@ -1,6 +1,6 @@
 """Summarize paired benchmark runs of a parent tree and a change tree as one BENCH file.
 
-    python3 scripts/bench_trail.py RUNS_DIR --out BENCH_<N>.json [--seconds S]
+    python3 scripts/bench_trail.py RUNS_DIR --out BENCH_<N>.json
 
 RUNS_DIR holds one file per run, named ``<workload>.<seed>.<side>.json`` with
 ``<side>`` either ``parent`` or ``change``, each holding the last line that
@@ -16,10 +16,12 @@ the output records each side's median and quartiles and its runs, the relative
 change of the median, the pairs the change won (ties count for neither side),
 whether the change is within the metric's bound, and whether it is a gain:
 better in at least nine tenths of the pairs, with the medians further apart
-than the parent's quartile distance.  Each workload also records its seeds,
-the run length S (default: ``run_seconds`` of ``BENCHMARK.json``) and the
-attempted, failed and correct counts of each side.  A seed with only one side
-is an error.
+than the parent's quartile distance, every run of both sides correct and no
+larger share of the change's operations failed than of the parent's.  Each
+workload also records its seeds and the attempted, failed and correct counts
+of each side.  The file records ``run_seconds`` of ``BENCHMARK.json`` as the
+run length: the benchmark sets it, so S must be that value.  A seed with only
+one side is an error.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(metric, pairs):
-    """One metric over the (parent, change) values of every pair."""
+def summarize(metric, pairs, sound):
+    """One metric over the (parent, change) values of every pair; ``sound`` says
+    whether every run was correct and no larger share of the change's operations
+    failed, without which no metric is a gain."""
     lower = metric["better"] == "lower"
     parent = [p for p, _ in pairs]
     change = [c for _, c in pairs]
@@ -81,12 +85,12 @@ def summarize(metric, pairs):
         "median_change": rel,
         "pairs_won": won,
         "within_bound": worse <= metric["bound"] * abs(old["median"]),
-        "gain": won >= 0.9 * len(pairs) and -worse > old["q3"] - old["q1"],
+        "gain": sound and won >= 0.9 * len(pairs) and -worse > old["q3"] - old["q1"],
     }
 
 
-def trail(runs, benchmark, seconds):
-    out = {"schema": 1, "run_seconds": seconds, "workloads": {}}
+def trail(runs, benchmark):
+    out = {"schema": 1, "run_seconds": benchmark["run_seconds"], "workloads": {}}
     for workload in sorted(runs):
         by_seed = runs[workload]
         seeds = sorted(by_seed)
@@ -94,10 +98,13 @@ def trail(runs, benchmark, seconds):
         for side in SIDES:
             entry[side] = {key: sum(int(by_seed[s][side][key]) for s in seeds)
                            for key in ("attempted", "failed", "correct")}
+        old, new = entry["parent"], entry["change"]
+        sound = (old["correct"] == new["correct"] == len(seeds)
+                 and new["failed"] * old["attempted"] <= old["failed"] * new["attempted"])
         entry["metrics"] = {
             m["name"]: summarize(m, [(by_seed[s]["parent"]["metrics"][m["name"]]["value"],
                                       by_seed[s]["change"]["metrics"][m["name"]]["value"])
-                                     for s in seeds])
+                                     for s in seeds], sound)
             for m in benchmark["end_to_end"]
         }
         out["workloads"][workload] = entry
@@ -108,14 +115,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("runs_dir", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs = load_runs(args.runs_dir)
     if not runs:
         raise SystemExit(f"bench_trail: no runs in {args.runs_dir}")
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
-    result = trail(runs, benchmark, seconds)
+    result = trail(runs, benchmark)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -131,36 +131,31 @@ def _block(items, indent, brackets):
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
+def _bool(obj):
+    return "true" if obj else "false"
+
+
+# the exact types a report is made of, looked up before the isinstance chain
+_WRITERS = {str: _escape, float: _number, int: str, bool: _bool, np.bool_: _bool,
+            type(None): lambda obj: "null"}
+
+
 def dumps(obj, indent=0):
     """Serialize with fixed key order (insertion) and %.17g floats."""
-    kind = type(obj)  # the exact types a report is made of are dispatched first
-    if kind is str:
-        return _escape(obj)
-    if kind is float:
-        return _number(obj)
-    if kind is int:
-        return str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    # no type is both a container and a str or number, so subclasses meet these in any order
+    write = _WRITERS.get(type(obj))
+    if write is not None:
+        return write(obj)
+    # subclasses and numpy scalars; no type is both a container and a number
     if isinstance(obj, dict):
         return _block([_escape(str(k)) + ": " + dumps(v, indent + 2) for k, v in obj.items()],
                       indent, "{}")
     if isinstance(obj, (list, tuple)):
         return _block([dumps(v, indent + 2) for v in obj], indent, "[]")
-    if isinstance(obj, str):
-        return _escape(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _number(float(obj))
-    if isinstance(obj, np.bool_):  # neither True nor False, nor an int
-        return "true" if obj else "false"
-    return _escape(str(obj))
+    return _escape(str(obj))  # a str subclass too
 
 
 def _open_for_writing(path, mode="w"):

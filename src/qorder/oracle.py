@@ -534,7 +534,11 @@ def _classify_signs(grid, deltas, scales):
     exact comparison (|d|/s > ORACLE_REL_TOL is a different test where a margin
     sits at the tolerance).  The margin is the least |d|/s over the counted
     steps; a worst violation, of a Mixed status, is the largest |d| among the
-    minority's steps, as (grid[i], grid[i + 1], |d|)."""
+    minority's steps, as (grid[i], grid[i + 1], |d|).  A monotone verdict has
+    one step fewer than grid points, so this is the step's interval; grid_sign
+    has one value per point, so a violating point i reads as the interval from
+    it to the next point, and the last point as the zero-width
+    (grid[n - 1], grid[n - 1]), an open defect that CHANGES.md records."""
     bound = np.multiply(scales, ORACLE_REL_TOL)
     rising = deltas > bound
     np.negative(bound, out=bound)

@@ -2,7 +2,6 @@
 
 from .errors import (
     DomainError,
-    HypothesisError,
     InternalConsistencyError,
     ModelIntegrityError,
     NonFiniteMeanError,
@@ -22,10 +21,8 @@ from .deltas import (
     delta_ps,
     delta_qmit,
     eps,
-    mit_quantile,
-    mrl_quantile,
 )
-from .oracle import GridVerdict, grid_monotone, order_oracle, quadrature
+from .oracle import GridVerdict, order_oracle, quadrature
 from .orders import (
     Certificate,
     Condition,
@@ -37,7 +34,6 @@ from .orders import (
     check_qmit,
     check_star,
     compare_all,
-    predict_quantile_ratio_shape,
 )
 from .aging import (
     AgingReport,

@@ -53,7 +53,6 @@ __all__ = [
     "classify_ihrwa",
     "classify_ifra",
     "aging_report",
-    "wa_surrogate",
 ]
 
 _EXP = UnitExponential()
@@ -141,15 +140,6 @@ def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
     if hazard.status == "BT":
         return "DMRL" if gap < 0.0 else "UBT"
     return "IMRL" if gap > 0.0 else "BT"
-
-
-def wa_surrogate(X, p):
-    """Quantile-scale surrogate for the hazard-rate weighted average.
-
-    The ratio of the exponential's and X's lower weighted integrals; it is
-    monotone/bathtub exactly when the weighted average is.
-    """
-    return _EXP.lower_weighted_integral(p) / X.lower_weighted_integral(p)
 
 
 _SURROGATE_NAMES = {

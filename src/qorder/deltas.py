@@ -2,9 +2,8 @@
 
 These are the quantities whose signs at modes and endpoint limits decide each
 transform order: delta, delta_ps, delta_qmit, delta_dmrl, the centered variant
-used by the qmit/dmrl endpoint conditions, and the expected-proportional-
-shortfall / mean-residual / mean-inactivity quantile functions they are built
-from.  Endpoint limits go through :func:`qorder.limits.limit_at`, preferring
+used by the qmit/dmrl endpoint conditions, and the expected proportional
+shortfall.  Endpoint limits go through :func:`qorder.limits.limit_at`, preferring
 the analytic tail hints of the built-in families; the weighted integrals
 come from the model's ``lower_weighted_integral`` / ``upper_weighted_integral``,
 closed forms for the built-in families.
@@ -31,8 +30,6 @@ __all__ = [
     "delta_dmrl",
     "centered_delta",
     "eps",
-    "mrl_quantile",
-    "mit_quantile",
     "delta_limit",
     "centered_delta_limit",
     "delta_ps_limit",
@@ -92,17 +89,6 @@ def eps(X, p):
     if q == 0.0:
         return math.inf
     return X.upper_weighted_integral(p) / q
-
-
-def mrl_quantile(X, p):
-    """Mean residual life at the p-th quantile: m(F^-1(p))."""
-    finite_mean(X)
-    return X.upper_weighted_integral(p) / (1.0 - float(p))
-
-
-def mit_quantile(X, p):
-    """Mean inactivity time at the p-th quantile."""
-    return X.lower_weighted_integral(p) / float(p)
 
 
 def delta_limit(X, Y, endpoint) -> LimitValue:

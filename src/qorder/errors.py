@@ -37,9 +37,5 @@ class TooOscillatoryError(QorderError):
         self.modes = modes or []
 
 
-class HypothesisError(QorderError):
-    """A theorem was invoked outside its shape hypothesis."""
-
-
 class InternalConsistencyError(QorderError):
     """Two routes that must agree produced contradictory answers (bug trap)."""

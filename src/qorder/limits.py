@@ -110,11 +110,12 @@ def _extrapolant(a, b, c):
 def limit_at(fn, endpoint, hint: LimitValue | None = None):
     """Classify the one-sided limit of fn at p -> 0+ or p -> 1-.
 
-    ``endpoint`` is 0 or 1.  When an analytic hint is supplied it wins and is
-    tagged as such; otherwise the function is sampled at distances 2^-k for
-    k = 8..40, and the sequence is classified: monotone divergence past 1e12
-    maps to an infinity, a Cauchy tail of (extrapolated) values maps to a
-    finite limit, anything else is Indeterminate.
+    ``endpoint`` is 0 or 1.  An analytic hint wins and is returned as it is
+    (LimitValue.from_extended tags it "analytic-hint"); otherwise the function
+    is sampled at distances 2^-k for k = 8..40, and the sequence is
+    classified: monotone divergence past 1e12 maps to an infinity, a Cauchy
+    tail of (extrapolated) values maps to a finite limit, anything else is
+    Indeterminate.
 
     The classification reads only the samples nearest the endpoint: the last
     10 (its diagnostics), the last 5 (divergence), the last 4 finite ones (the
@@ -125,9 +126,7 @@ def limit_at(fn, endpoint, hint: LimitValue | None = None):
     point is never evaluated.
     """
     if hint is not None:
-        if hint.method != "analytic-hint":
-            hint = LimitValue(hint.kind, hint.value, "analytic-hint", list(hint.diagnostics))
-        return hint  # the tail hints come tagged already (from_extended)
+        return hint
 
     nearest, finite = [], []  # samples (eps, value) and finite values, nearest first
     diverges = cauchy = False

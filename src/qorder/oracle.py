@@ -23,7 +23,6 @@ __all__ = [
     "quadrature",
     "logit_grid",
     "panel_nodes",
-    "grid_monotone",
     "grid_sign",
     "lower_cumulative",
     "upper_cumulative",
@@ -517,14 +516,6 @@ class GridVerdict:
     worst_violation: tuple | None
     n: int
 
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "margin": self.margin,
-            "worst_violation": list(self.worst_violation) if self.worst_violation else None,
-            "grid_n": self.n,
-        }
-
 
 def _classify_signs(grid, deltas, scales):
     """Status, margin and worst violation of the steps ``deltas`` at ``scales``.
@@ -564,15 +555,6 @@ def _monotone_verdict(grid, vals):
     np.maximum(scales, 1e-300, out=scales)
     deltas = np.subtract(vals[1:], vals[:-1], out=mags[:-1])
     return GridVerdict(*_classify_signs(grid, deltas, scales), len(grid))
-
-
-def grid_monotone(fn, n=4096):
-    """Adjacent-pair monotonicity of a vectorized fn on logit_grid(n, P_MIN)."""
-    grid = logit_grid(n)
-    vals = np.asarray(fn(grid), dtype=float)
-    if np.any(~np.isfinite(vals)):
-        raise DomainError("function not finite on the working grid")
-    return _monotone_verdict(grid, vals)
 
 
 def grid_sign(grid, values, scales):

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    HypothesisError,
     InternalConsistencyError,
     NonFiniteMeanError,
     QorderError,
@@ -67,8 +66,6 @@ __all__ = [
     "compare_all",
     "segment_ratios",
     "theorem_status",
-    "predict_quantile_ratio_shape",
-    "QuantileRatioPrediction",
 ]
 
 ORDERS = ("convex", "qmit", "dmrl", "star", "ps", "nbue")
@@ -176,7 +173,7 @@ def _flip_shape(sh: ShapeReport) -> ShapeReport:
         Segment(s.lo, s.hi, "decreasing" if s.direction == "increasing" else "increasing")
         for s in sh.segments
     ]
-    return ShapeReport(_FLIP_CLS[sh.classification], modes=modes, segments=segs, plateaus=sh.plateaus)
+    return ShapeReport(_FLIP_CLS[sh.classification], modes=modes, segments=segs)
 
 
 class PairContext:
@@ -726,41 +723,3 @@ def _require_agreement(theorem_v, oracle_v):
             mismatches.append(f"{tv.order}: theorem={tv.status} oracle={ov.status}")
     if mismatches:
         raise InternalConsistencyError("theorem/oracle disagreement: " + "; ".join(mismatches))
-
-
-# ---------------------------------------------------------------------------
-# quantile-ratio shape prediction (unimodal-ratio case analysis)
-
-
-@dataclass(frozen=True)
-class QuantileRatioPrediction:
-    case: str  # "1" | "2" | "3" | "4a" | "4b" | "indeterminate"
-    directions: tuple  # predicted monotone segments of G^-1/F^-1, left to right
-
-    def to_dict(self):
-        return {"case": self.case, "directions": list(self.directions)}
-
-
-def predict_quantile_ratio_shape(ctx: PairContext):
-    """Predict the segmentation of G^-1/F^-1 from the endpoint limits of delta,
-    assuming the quantile-density ratio is increasing-then-decreasing."""
-    sh = ctx.shape()
-    if sh.classification != UNIMODAL_MAX:
-        raise HypothesisError(
-            f"ratio shape is {sh.classification}; the case analysis needs a single maximum "
-            "(use the n-modal mode-counting path instead)"
-        )
-    lim0, lim1 = ctx.delta_lim(0), ctx.delta_lim(1)
-    if not (lim0.is_determinate and lim1.is_determinate):
-        return QuantileRatioPrediction("indeterminate", ())
-    a = lim0.as_float() >= 0.0
-    b = lim1.as_float() >= 0.0
-    if a and b:
-        return QuantileRatioPrediction("1", ("increasing",))
-    if a and not b:
-        return QuantileRatioPrediction("2", ("increasing", "decreasing"))
-    if not a and b:
-        return QuantileRatioPrediction("3", ("decreasing", "increasing"))
-    if ctx.delta(sh.modes[0].location) <= 0.0:
-        return QuantileRatioPrediction("4a", ("decreasing",))
-    return QuantileRatioPrediction("4b", ("decreasing", "increasing", "decreasing"))

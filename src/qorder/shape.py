@@ -78,21 +78,6 @@ class ShapeReport:
     classification: str
     modes: list[Mode] = field(default_factory=list)
     segments: list[Segment] = field(default_factory=list)
-    plateaus: list[tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
-    def to_dict(self):
-        return {
-            "classification": self.classification,
-            "n_modes": self.n_modes,
-            "modes": [{"p": m.location, "kind": m.kind} for m in self.modes],
-            "segments": [
-                {"lo": s.lo, "hi": s.hi, "direction": s.direction} for s in self.segments
-            ],
-        }
 
 
 def ratio_qd(X, Y, p):
@@ -170,7 +155,7 @@ def _refine_mode(fn, lo, hi, kind):
 def _panel_signs(vals):
     """The panel signs (0 if flat) of every row of vals, in one int8 array:
     panel i of row r is at r*n + i + 1, and a sentinel 2 at each r*n ends the
-    plateaus at a row's edges and keeps every flip inside one row.
+    runs at a row's edges and keeps every flip inside one row.
 
     The work runs on the flattened rows, whose contiguous slices numpy walks
     without buffer copies; the pair that straddles two rows is computed and
@@ -200,13 +185,11 @@ def _scan(values, n):
     equal signs, and walks the runs: a flip is a significant run whose sign is
     the opposite of the significant run before it in its row, bracketed (lo, hi)
     from the start of the last panel of one sign to the end of the first panel
-    of the other, and a plateau is a run of 3 or more flat panels, as
-    (grid[start], grid[end of run]).  The walk costs a few operations per run,
-    so past the panel signs a row costs in proportion to its flips and flat
-    stretches, not to n.  It returns one entry per row: the QorderError
-    find_shape raises for that row, or the tuple (the sign of its first
-    significant panel, 0 if none; the flips' kinds; their lo; their hi; its
-    plateaus)."""
+    of the other.  The walk costs a few operations per run, so past the panel
+    signs a row costs in proportion to its runs, not to n.  It returns one
+    entry per row: the QorderError find_shape raises for that row, or the
+    tuple (the sign of its first significant panel, 0 if none; the flips'
+    kinds; their lo; their hi)."""
     grid = logit_grid(n, P_MIN)
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
@@ -234,7 +217,7 @@ def _scan(values, n):
     start = 1  # where the current run starts
     # the row's first and latest significant sign, and where that latest run ended
     first = prev = prev_end = 0
-    kinds, lo, hi, plateaus = [], [], [], []
+    kinds, lo, hi = [], [], []
     for end, sign in zip(ends.tolist(), signs[ends].tolist()):
         if sign == 2:  # the sentinel that ends row len(out)
             if not finite[len(out)]:
@@ -245,13 +228,10 @@ def _scan(values, n):
                     modes=[0.5 * (x + y) for x, y in zip(lo, hi)],
                 ))
             else:
-                out.append((first, kinds, lo, hi, plateaus))
+                out.append((first, kinds, lo, hi))
             first = prev = 0
-            kinds, lo, hi, plateaus = [], [], [], []
-        elif sign == 0:
-            if end - start >= 2:
-                plateaus.append((at((start - 1) % n), at(end % n)))
-        else:
+            kinds, lo, hi = [], [], []
+        elif sign:
             if sign == -prev:
                 kinds.append("max" if prev > 0 else "min")
                 lo.append(at(prev_end % n - 1))
@@ -288,16 +268,16 @@ def shape_class(values, n=4096):
 
 def _report(fn, scanned):
     """The ShapeReport of one row that _scan segmented; fn refines its modes."""
-    first, kinds, lo, hi, plateaus = scanned
+    first, kinds, lo, hi = scanned
     cls = _classify(first, kinds)
     if cls == CONSTANT:
-        return ShapeReport(CONSTANT, plateaus=plateaus)
+        return ShapeReport(CONSTANT)
     modes = [Mode(_refine_mode(fn, a, b, kind), kind) for a, b, kind in zip(lo, hi, kinds)]
     directions = ("increasing", "decreasing") if first > 0 else ("decreasing", "increasing")
     bounds = [0.0] + [m.location for m in modes] + [1.0]
     segments = [Segment(a, b, directions[i % 2])
                 for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    return ShapeReport(cls, modes=modes, segments=segments, plateaus=plateaus)
+    return ShapeReport(cls, modes=modes, segments=segments)
 
 
 def find_shapes(fns, n, values):

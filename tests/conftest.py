@@ -1,5 +1,29 @@
 """Emit one pass/fail line per acceptance criterion in the terminal summary
-(the in-test prints are only visible under -s)."""
+(the in-test prints are only visible under -s), and load the benchmark's
+workload module for the tests that read its input pools."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``perfbench/workloads.py``, the benchmark's pools and report decoding,
+    loaded read-only: nothing is written under perfbench/."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache under perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 _LABELS = {
     "test_tukey_worked_example": "tukey-worked-example",

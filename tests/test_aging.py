@@ -12,9 +12,7 @@ from qorder.aging import (
     classify_ihrwa,
     classify_mrl,
     hazard_quantile,
-    wa_surrogate,
 )
-from qorder.deltas import mrl_quantile
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
 from qorder.orders import PairContext
@@ -120,7 +118,11 @@ class TestScaleInvariance:
 class TestSurrogate:
     def test_exponential_surrogate_is_one(self):
         for p in (0.1, 0.5, 0.9):
-            assert wa_surrogate(EXP, p) == pytest.approx(1.0, rel=1e-8)
+            wa = UnitExponential().lower_weighted_integral(p) / EXP.lower_weighted_integral(p)
+            assert wa == pytest.approx(1.0, rel=1e-8)
+            # the numerator as classify_ihrwa builds it on the grid
+            assert (-np.log1p(-p) - p) / EXP.lower_weighted_integral(p) == pytest.approx(1.0,
+                                                                                      rel=1e-8)
 
     def test_ihrwa_class_standalone_matches_report(self):
         ev = {}
@@ -217,7 +219,9 @@ class TestGridProfileShapes:
         aging_report(X, n)
         assert len(seen) == expected
         # the mrl fallback, when it runs, comes before the ihrwa surrogate
-        refs = [mrl_quantile, wa_surrogate][-expected:]
+        mrl = lambda X, p: X.upper_weighted_integral(p) / (1 - p)  # noqa: E731
+        wa = lambda X, p: EXP.lower_weighted_integral(p) / X.lower_weighted_integral(p)  # noqa: E731
+        refs = [mrl, wa][-expected:]
         grid = logit_grid(n, P_MIN)
         for (values, cls), ref in zip(seen, refs):
             scalar = np.vectorize(lambda p, ref=ref: ref(X, float(p)), otypes=[float])

@@ -117,6 +117,16 @@ class TestWeightedDeltas:
         assert lim0.as_float() == pytest.approx(0.4, rel=1e-6)
 
 
+def _mrl(X, p):
+    """Mean residual life at the p-th quantile, m(F^-1(p)), from the model's upper integral."""
+    return X.upper_weighted_integral(p) / (1 - p)
+
+
+def _mit(X, p):
+    """Mean inactivity time at the p-th quantile, from the model's lower integral."""
+    return X.lower_weighted_integral(p) / p
+
+
 class TestEpsAndResidualFunctions:
     def test_eps_exponential_closed_form(self):
         p = 1 - math.exp(-1.0)
@@ -130,36 +140,34 @@ class TestEpsAndResidualFunctions:
             assert deltas.eps(X, p) == pytest.approx(deltas.eps(cX, p), rel=1e-9)
 
     def test_eps_identity(self):
-        # eps * quantile = (1-p) * mrl_quantile
+        # eps * quantile = (1-p) * mrl
         for X in (X_TUKEY, Govindarajulu(0, 2, 2), EXP):
             for p in np.linspace(0.05, 0.95, 19):
                 p = float(p)
                 lhs = deltas.eps(X, p) * X.quantile(p)
-                rhs = (1 - p) * deltas.mrl_quantile(X, p)
+                rhs = (1 - p) * _mrl(X, p)
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_mrl_exponential_memoryless(self):
         for p in (0.1, 0.5, 0.99):
-            assert deltas.mrl_quantile(EXP, p) == pytest.approx(1.0, rel=1e-9)
+            assert _mrl(EXP, p) == pytest.approx(1.0, rel=1e-9)
 
     def test_mrl_scales(self):
         X = Govindarajulu(0, 2, 2)
         cX = Govindarajulu(0, 10, 2)
-        assert deltas.mrl_quantile(cX, 0.4) == pytest.approx(5 * deltas.mrl_quantile(X, 0.4),
-                                                             rel=1e-9)
+        assert _mrl(cX, 0.4) == pytest.approx(5 * _mrl(X, 0.4), rel=1e-9)
 
     def test_mrl_at_zero_is_mean(self):
         g = Govindarajulu(0, 2, 2)
-        assert deltas.mrl_quantile(g, 1e-8) == pytest.approx(g.mean, rel=1e-6)
+        assert _mrl(g, 1e-8) == pytest.approx(g.mean, rel=1e-6)
 
     def test_mit_exponential_closed_form(self):
-        assert deltas.mit_quantile(EXP, 0.5) == pytest.approx((math.log(2) - 0.5) / 0.5,
-                                                              rel=1e-8)
+        assert _mit(EXP, 0.5) == pytest.approx((math.log(2) - 0.5) / 0.5, rel=1e-8)
 
     def test_mit_bounded_by_elapsed_interval(self):
         for X in (X_TUKEY, Govindarajulu(0, 2, 2)):
             for p in (0.1, 0.5, 0.9):
-                assert deltas.mit_quantile(X, p) <= X.quantile(p) - X.support_lo + 1e-12
+                assert _mit(X, p) <= X.quantile(p) - X.support_lo + 1e-12
 
     def test_eps_requires_positive_quantile(self):
         shifted = TukeyGeneralized(0.0, 1.0, 2.5)  # support (-1, 1)
@@ -224,7 +232,7 @@ class TestLimitEvaluator:
         assert lim.value == pytest.approx(1.0, abs=1e-6)
 
     def test_hint_wins_and_is_tagged(self):
-        lim = limit_at(lambda p: 99.0, 1, hint=LimitValue.finite(7.0))
+        lim = limit_at(lambda p: 99.0, 1, hint=LimitValue.from_extended(7.0))
         assert lim.method == "analytic-hint"
         assert lim.value == 7.0
 

@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports in the package, no import inside a
 function, no module reaches into another through private names (imported or
 read through the module object), no private module-level function or class
-is left unreferenced, and every public name a module lists in ``__all__``
-exists; importing the CLI loads no scipy."""
+is left unreferenced, every public name a module lists in ``__all__`` exists,
+and every public function or class it lists there is read by the package or
+is a documented entry point; importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -125,19 +126,41 @@ def test_a_private_read_through_a_module_object_is_caught(tmp_path):
     assert _private_reads(src) == ["probe.py:4 oracle._panel_nodes", "probe.py:5 qorder.shape._FLAT_REL"]
 
 
-def _unreferenced_private_defs(paths):
-    """Underscore functions and classes defined at module level that no other
-    top-level statement of the given modules names, as a name or an attribute."""
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _unreferenced(paths, wanted):
+    """Functions and classes defined at module level, for which ``wanted(name,
+    module tree)`` holds, that no other top-level statement of the given
+    modules names, as a name or an attribute."""
     defs, refs = [], []
     for path in paths:
-        for node in _tree(path).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
+        tree = _tree(path)
+        for node in tree.body:
+            if isinstance(node, _DEFS) and wanted(node.name, tree):
                 defs.append((path.name, node))
             refs.append((node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
                          | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}))
     return [f"{name}:{d.lineno} {d.name}" for name, d in defs
             if not any(d.name in names for node, names in refs if node is not d)]
+
+
+def _unreferenced_private_defs(paths):
+    """Underscore functions and classes that nothing else in the modules names."""
+    return _unreferenced(paths, lambda name, tree: name.startswith("_")
+                         and not name.startswith("__"))
+
+
+def _listed_in_all(tree):
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+
+
+def _unreferenced_public_defs(paths):
+    """Functions and classes a module lists in ``__all__`` that nothing else in
+    the modules names."""
+    return _unreferenced(paths, lambda name, tree: name in _listed_in_all(tree))
 
 
 def test_every_private_def_is_referenced():
@@ -149,6 +172,32 @@ def test_an_unreferenced_private_def_is_caught(tmp_path):
     src.write_text("def _used():\n    pass\n\n\ndef _self_only():\n    return _self_only()\n\n\n"
                    "class _Row:\n    pass\n\n\nRULES = {'a': _Row}\nx = mod._used\n")
     assert _unreferenced_private_defs([src]) == ["probe.py:5 _self_only"]
+
+
+# public names no package code names, each with the reason it stays; the _RULES lookup
+# runs at call time so that a wrapper patched onto the module attribute is the one called
+ENTRY_POINTS = {
+    "deltas.py delta_qmit": "orders._RULES names it by string, for getattr(deltas, ...)",
+    "deltas.py delta_dmrl": "orders._RULES names it by string, for getattr(deltas, ...)",
+}
+
+
+def test_every_public_def_is_referenced_or_an_entry_point():
+    # __init__ only re-exports: its imports are not uses
+    paths = [path for path in sorted(PKG.glob("*.py")) if path.name != "__init__.py"]
+    found = [entry.split(":")[0] + " " + entry.split()[-1]
+             for entry in _unreferenced_public_defs(paths)]
+    assert sorted(found) == sorted(ENTRY_POINTS)
+
+
+def test_an_unreferenced_public_def_is_caught(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("__all__ = ['used', 'orphan', 'Row', 'self_only']\n\n\n"
+                   "def used():\n    pass\n\n\ndef orphan():\n    pass\n\n\n"
+                   "def self_only():\n    return self_only()\n\n\n"
+                   "def unlisted():\n    pass\n\n\n"
+                   "class Row:\n    pass\n\n\nRULES = {'a': Row}\nx = mod.used\n")
+    assert _unreferenced_public_defs([src]) == ["probe.py:8 orphan", "probe.py:12 self_only"]
 
 
 def test_every_name_in_all_is_bound():

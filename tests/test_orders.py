@@ -1,6 +1,7 @@
 import gc
 import weakref
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from qorder.orders import (
     check_qmit,
     check_star,
     compare_all,
-    predict_quantile_ratio_shape,
     segment_ratios,
 )
 from qorder.shape import (
@@ -653,29 +653,122 @@ class TestTheoremOracleAgreement:
             done += 1
 
 
-class TestPrediction:
-    def test_tukey_pair_case_1(self):
-        pred = predict_quantile_ratio_shape(PairContext(X_TUKEY, Y_TUKEY))
-        assert pred.case == "1"
-        assert pred.directions == ("increasing",)
+# The paper's case analysis of G^-1/F^-1 when the quantile-density ratio r = qd_Y/qd_X
+# rises, then falls (UnimodalMax).  d/dp (G^-1/F^-1) = qd_X * delta / (F^-1)^2, so
+# G^-1/F^-1 rises exactly where delta = F^-1 * r - G^-1 > 0, and the signs of delta's
+# limits at 0 and 1 (and, in case 4, of delta at r's mode) give its segments.
+_INC, _DEC = "increasing", "decreasing"
+_CASES = {  # (lim delta_0 >= 0, lim delta_1 >= 0): case and segments
+    (True, True): ("1", (_INC,)),
+    (True, False): ("2", (_INC, _DEC)),
+    (False, True): ("3", (_DEC, _INC)),
+}
+_CASE_STAR = {"1": HOLDS, "4a": HOLDS_REVERSED}  # cases 2, 3 and 4b: BOTH_FAIL
 
-    def test_non_unimodal_hypothesis_rejected(self):
-        from qorder.errors import HypothesisError
 
-        with pytest.raises(HypothesisError):
-            predict_quantile_ratio_shape(PairContext(Govindarajulu(0, 2, 2), EXP))
+def _case(ctx):
+    """(case, segments of G^-1/F^-1) of a pair whose ratio is UnimodalMax, or
+    None when a delta limit is indeterminate."""
+    lim0, lim1 = ctx.delta_lim(0), ctx.delta_lim(1)
+    if not (lim0.is_determinate and lim1.is_determinate):
+        return None
+    key = (lim0.as_float() >= 0.0, lim1.as_float() >= 0.0)
+    if key in _CASES:
+        return _CASES[key]
+    if ctx.delta(ctx.shape().modes[0].location) <= 0.0:
+        return "4a", (_DEC,)
+    return "4b", (_DEC, _INC, _DEC)
 
-    def test_case_2_shape(self):
-        # swap the worked pair: delta limits change sign, ratio has one min,
-        # so predict on a pair whose limits are (+, -): reversed star via 2
-        X = TukeyGeneralized(1.2, 1.0, 2.5)
-        Y = TukeyGeneralized(3.0, 1.0, 1.5)
-        pred = predict_quantile_ratio_shape(PairContext(X, Y))
-        assert pred.case in ("2", "4a", "4b", "3", "1")  # consistency with oracle below
-        from qorder.shape import find_shape
 
-        rep = find_shape(lambda p: Y.quantile(p) / X.quantile(p))
-        expected = tuple(s.direction for s in rep.segments) or ("increasing",)
-        if rep.classification == "Constant":
-            return
-        assert pred.directions == expected
+# Pool pairs whose G^-1/F^-1, read on logit_grid(4096, P_MIN), lacks a run of its
+# case: in each, that run lies outside the grid (TestCaseAnalysis checks why).
+_LEFT_RUN_BELOW_GRID = {  # case 4b reads (increasing, decreasing)
+    ("tukey:2.3787,1.57462,2.92258", "tukey:2.14151,1.79313,1.08369"),
+    ("tukey:1.46898,0.930831,3.08175", "tukey:2.10749,1.74521,1.04492"),
+    ("tukey:1.33184,0.666952,0.955442", "tukey:2.82179,1.93484,1.40371"),
+    ("tukey:0.692176,0.536593,2.54227", "tukey:0.863045,0.749734,1.04525"),
+    ("tukey:2.61724,1.93618,3.63065", "tukey:1.45072,1.2865,1.09259"),
+    ("tukey:1.76139,1.3646,2.88451", "tukey:0.861163,0.761266,1.04362"),
+    ("tukey:2.09898,1.22843,0.770655", "tukey:1.10252,1.07593,1.51947"),
+    ("tukey:1.55164,0.59679,2.43659", "tukey:1.97974,1.1307,1.01822"),
+    ("tukey:1.08754,0.718723,0.962919", "tukey:1.86128,1.59276,1.57005"),
+    ("tukey:1.70356,0.719145,0.889592", "tukey:0.694075,0.58436,1.74293"),
+}
+_BOTH_RUNS_OFF_GRID = {  # case 4b reads (increasing,): its first run ends below p = 1e-554
+    ("tukey:2.23296,1.37991,0.996333", "tukey:1.46276,1.44906,1.66065"),
+}
+_RIGHT_RUN_ABOVE_GRID = {  # case 2 reads (increasing,)
+    ("tukey:1.41476,0.701861,2.33726", "tukey:2.43668,1.95832,1.01462"),
+}
+
+
+class _PoolCase(NamedTuple):
+    case: str  # "1" to "4b", "refused" (r is not UnimodalMax) or "indeterminate"
+    segments: tuple = ()  # the case's segments of G^-1/F^-1
+    star: tuple = ()  # the star verdict's (status, method)
+    read: tuple = ()  # the segments of G^-1/F^-1 on the grid
+
+
+@pytest.fixture(scope="module")
+def pool_cases(workloads):
+    """{(x spec, y spec): _PoolCase} of every pair of the benchmark's
+    compare-param pool, both ways round."""
+    out = {}
+    for stratum in workloads.load_pool("compare-param").values():
+        for entry in stratum:
+            argv = entry["argv"]
+            specs = argv[argv.index("--x") + 1], argv[argv.index("--y") + 1]
+            models = [parse_spec(spec) for spec in specs]
+            for i, j in ((0, 1), (1, 0)):
+                ctx = PairContext(models[i], models[j])
+                if ctx.shape().classification != UNIMODAL_MAX:
+                    out[specs[i], specs[j]] = _PoolCase("refused")
+                elif (case := _case(ctx)) is None:
+                    out[specs[i], specs[j]] = _PoolCase("indeterminate")
+                else:
+                    star = check_star(ctx)
+                    read = tuple(s.direction for s in ctx.quantile_ratio_shape().segments)
+                    out[specs[i], specs[j]] = _PoolCase(*case, (star.status, star.method), read)
+    return out
+
+
+class TestCaseAnalysis:
+    """The case analysis as a cross-check of the star row, over the compare-param pool."""
+
+    def test_worked_pair_is_case_1(self):
+        ctx = PairContext(X_TUKEY, Y_TUKEY)
+        assert _case(ctx) == ("1", (_INC,))
+        assert [s.direction for s in ctx.quantile_ratio_shape().segments] == [_INC]
+
+    def test_the_pool_splits_by_case(self, pool_cases):
+        counts = Counter(row.case for row in pool_cases.values())
+        assert len(pool_cases) == 3204
+        assert counts == {"refused": 2289, "indeterminate": 19,
+                          "1": 42, "2": 221, "4a": 191, "4b": 442}
+
+    def test_each_star_verdict_matches_its_case(self, pool_cases):
+        # not independent of the star row: both read ctx.delta_lim
+        wrong = {pair: row for pair, row in pool_cases.items() if row.segments
+                 and row.star != (_CASE_STAR.get(row.case, BOTH_FAIL), "theorem")}
+        assert wrong == {}
+
+    def test_the_grid_reads_each_case_but_on_the_pinned_pairs(self, pool_cases):
+        mismatched = {pair: (row.case, row.read) for pair, row in pool_cases.items()
+                      if row.segments != row.read}
+        assert mismatched == {**{pair: ("4b", (_INC, _DEC)) for pair in _LEFT_RUN_BELOW_GRID},
+                              **{pair: ("4b", (_INC,)) for pair in _BOTH_RUNS_OFF_GRID},
+                              **{pair: ("2", (_INC,)) for pair in _RIGHT_RUN_ABOVE_GRID}}
+
+    @pytest.mark.parametrize("pairs, left, right", [
+        (_LEFT_RUN_BELOW_GRID, True, False),
+        (_BOTH_RUNS_OFF_GRID, True, True),
+        (_RIGHT_RUN_ABOVE_GRID, False, True),
+    ])
+    def test_each_missing_run_lies_off_the_grid(self, pairs, left, right):
+        # delta < 0 at the end, but > 0 at the grid's point nearest it: delta's sign
+        # change, and with it the missing decreasing run, lies between the two
+        grid = oracle.logit_grid(4096, P_MIN)
+        for x, y in sorted(pairs):
+            ctx = PairContext(parse_spec(x), parse_spec(y))
+            for end, at, off in ((0, grid[0], left), (1, grid[-1], right)):
+                assert (ctx.delta_lim(end).as_float() < 0.0 < ctx.delta(at)) is off, (x, y, end)

@@ -2,15 +2,13 @@
 ``cli.main`` as the benchmark runs it, against its recorded reference.
 
 The pools and the decoding of a report are the benchmark's own
-(``perfbench/reference/*.json`` and ``perfbench/workloads.py``); they are read
-here and never written, so a status that moves away from a recorded
-determinate cell fails the tests before the benchmark runs.  The full census
-is ``scripts/replay_pools.py``."""
+(``perfbench/reference/*.json`` and ``perfbench/workloads.py``, loaded by the
+``workloads`` fixture); they are read here and never written, so a status that
+moves away from a recorded determinate cell fails the tests before the
+benchmark runs.  The full census is ``scripts/replay_pools.py``."""
 
 import contextlib
-import importlib.util
 import io
-import sys
 from pathlib import Path
 
 import pytest
@@ -19,21 +17,6 @@ from qorder import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 EVERY = 8
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache under perfbench/
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
-
-workloads = _workloads()
 POOLS = sorted(path.stem for path in (PERFBENCH / "reference").glob("*.json"))
 
 
@@ -57,7 +40,7 @@ def test_every_pool_is_replayed():
 
 
 @pytest.mark.parametrize("pool", POOLS)
-def test_pool_argv_keep_their_recorded_statuses(pool, tmp_path):
+def test_pool_argv_keep_their_recorded_statuses(pool, tmp_path, workloads):
     entries = [e for stratum in workloads.load_pool(pool).values() for e in stratum][::EVERY]
     assert entries
     problems = []

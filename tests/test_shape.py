@@ -60,7 +60,7 @@ class TestFindShape:
     def test_constant(self):
         rep = find_shape(lambda p: 3.0 + 0.0 * np.asarray(p))
         assert rep.classification == CONSTANT
-        assert rep.n_modes == 0
+        assert len(rep.modes) == 0
 
     def test_monotone(self):
         assert find_shape(lambda p: np.asarray(p) ** 2).classification == INCREASING
@@ -93,7 +93,7 @@ class TestFindShape:
 
     def test_segments_consistent_with_modes(self):
         rep = find_shape(lambda p: np.sin(2 * math.pi * np.asarray(p)))
-        assert len(rep.segments) == rep.n_modes + 1
+        assert len(rep.segments) == len(rep.modes) + 1
         dirs = [s.direction for s in rep.segments]
         assert dirs == ["increasing", "decreasing", "increasing"]
         locs = [m.location for m in rep.modes]
@@ -151,22 +151,9 @@ def _find_shape_loops(fn, n, values):
     signs[diffs > flat_tol] = 1
     signs[diffs < -flat_tol] = -1
 
-    plateaus = []
-    run_start = None
-    for i, s in enumerate(signs):
-        if s == 0:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            if i - run_start >= 3:
-                plateaus.append((float(grid[run_start]), float(grid[i])))
-            run_start = None
-    if run_start is not None and len(signs) - run_start >= 3:
-        plateaus.append((float(grid[run_start]), float(grid[-1])))
-
     sig_idx = np.nonzero(signs)[0]
     if sig_idx.size == 0:
-        return ShapeReport(CONSTANT, plateaus=plateaus)
+        return ShapeReport(CONSTANT)
 
     brackets = []
     prev = sig_idx[0]
@@ -196,7 +183,7 @@ def _find_shape_loops(fn, n, values):
         cls = UNIMODAL_MAX if modes[0].kind == "max" else UNIMODAL_MIN
     else:
         cls = N_MODAL
-    return ShapeReport(cls, modes=modes, segments=segments, plateaus=plateaus)
+    return ShapeReport(cls, modes=modes, segments=segments)
 
 
 def _runs(*runs):
@@ -205,8 +192,7 @@ def _runs(*runs):
 
 
 def _random_signs(rng):
-    """Runs of random sign and length; flat runs of length 1 to 4 straddle the
-    plateau threshold of 3."""
+    """Runs of random sign and length; flat runs are 1 to 4 panels long."""
     out = []
     for _ in range(rng.integers(1, 24)):
         sign = int(rng.integers(-1, 2))
@@ -261,7 +247,6 @@ class TestSegmentationAgainstLoops:
         new, ref = self._both(monkeypatch, _runs(*runs))
         assert isinstance(ref, ShapeReport)
         assert new == ref
-        assert new.plateaus == ref.plateaus
 
     def test_too_many_flips(self, monkeypatch):
         signs = _runs(*[(s, 2) for s in [1, -1] * 12], (0, 3), (1, 1))
@@ -325,7 +310,7 @@ def _outcome(call):
 
 def _same(got, ref):
     if isinstance(ref, ShapeReport):
-        return got == ref and got.plateaus == ref.plateaus
+        return got == ref
     return (type(got) is type(ref) and str(got) == str(ref)
             and getattr(got, "modes", None) == getattr(ref, "modes", None))
 
@@ -353,7 +338,10 @@ class TestBatchedSegmentation:
         kinds = {g.classification if isinstance(g, ShapeReport) else type(g).__name__ for g in got}
         assert {CONSTANT, INCREASING, UNIMODAL_MAX, UNIMODAL_MIN, N_MODAL, "DomainError",
                 "TooOscillatoryError"} <= kinds
-        assert any(isinstance(g, ShapeReport) and g.plateaus for g in got)
+        # a segmented row with a run of 3 flat panels
+        assert any(isinstance(g, ShapeReport) and g.classification != CONSTANT
+                   and np.any(flat[:-2] & flat[1:-1] & flat[2:])
+                   for g, flat in zip(got, (np.diff(r[1]) == 0.0 for r in rows)))
 
     @pytest.mark.parametrize("n", [3, 512])
     def test_one_row_and_no_rows(self, n):
@@ -524,7 +512,7 @@ class TestTukeyRegion:
 
 
 def _scan_ref(values, n):
-    """Reference: shape._scan as it found flips and plateaus with whole-grid index arrays
+    """Reference: shape._scan as it found flips with whole-grid index arrays
     (flatnonzero of the significant panels, their signs, the products of neighbouring
     signs, the gaps between them and searchsorted row bounds)."""
     grid = logit_grid(n, P_MIN)
@@ -541,12 +529,9 @@ def _scan_ref(values, n):
     lo = grid[(marks[flips] - 1) % n].tolist()
     hi = grid[marks[flips + 1] % n].tolist()
     kinds = ["max" if s > 0 else "min" for s in sig[flips].tolist()]
-    runs = np.flatnonzero(marks[1:] - marks[:-1] > 3)
-    plateaus = list(zip(grid[marks[runs] % n].tolist(), grid[(marks[runs + 1] - 1) % n].tolist()))
     bounds = np.searchsorted(marks, np.arange(0, rows * n + 1, n))
     firsts = sig[bounds[:-1] + 1].tolist()
     flip_at = np.searchsorted(flips, bounds).tolist()
-    run_at = np.searchsorted(runs, bounds).tolist()
     out = []
     for r in range(rows):
         a, b = flip_at[r], flip_at[r + 1]
@@ -558,8 +543,7 @@ def _scan_ref(values, n):
                 modes=[0.5 * (x + y) for x, y in zip(lo[a:b], hi[a:b])],
             ))
         else:
-            out.append((0 if firsts[r] == 2 else firsts[r], kinds[a:b], lo[a:b], hi[a:b],
-                        plateaus[run_at[r]:run_at[r + 1]]))
+            out.append((0 if firsts[r] == 2 else firsts[r], kinds[a:b], lo[a:b], hi[a:b]))
     return out
 
 
@@ -570,9 +554,8 @@ def _scan_bits(entries):
         if isinstance(e, QorderError):
             out.append((type(e), str(e), [repr(m) for m in getattr(e, "modes", None) or []]))
         else:
-            first, kinds, lo, hi, plateaus = e
-            out.append((first, kinds, [repr(x) for x in lo], [repr(x) for x in hi],
-                        [(repr(a), repr(b)) for a, b in plateaus]))
+            first, kinds, lo, hi = e
+            out.append((first, kinds, [repr(x) for x in lo], [repr(x) for x in hi]))
     return out
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qorder import deltas, models, oracle
-from qorder.aging import wa_surrogate
 from qorder.cli import parse_spec
 from qorder.errors import DomainError, QorderError, QuadratureError
 from qorder.models import (
@@ -166,9 +165,9 @@ class TestDecisionFunctionsReadTheModel:
                 deltas.delta_qmit(X, Y, p)
                 deltas.delta_dmrl(X, Y, p)
                 deltas.eps(X, p)
-                deltas.mrl_quantile(X, p)
-                deltas.mit_quantile(X, p)
-                wa_surrogate(X, p)
+                X.upper_weighted_integral(p) / (1 - p)  # the mrl
+                X.lower_weighted_integral(p) / p  # the mit
+                exp1.lower_weighted_integral(p) / X.lower_weighted_integral(p)  # wa_surrogate
         assert calls == []
 
     def test_eps_of_a_zero_quantile_is_inf_without_integrating(self):

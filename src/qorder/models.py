@@ -55,25 +55,14 @@ def check_p(p):
 
 def lower_integrand(X):
     """q -> q*qd_X(q), integrated over (0, p) by the qmit order."""
-    return _lower(X.quantile_density)
+    qd = X.quantile_density
+    return lambda q: q * qd(q)
 
 
 def upper_integrand(X):
     """q -> (1-q)*qd_X(q), integrated over (p, 1) by dmrl, ps and nbue."""
-    return _upper(X.quantile_density)
-
-
-def _lower(qd):
-    return lambda q: q * qd(q)
-
-
-def _upper(qd):
-    def integrand(q):  # (1 - q) * qd(q), allocating one array beyond qd's on an array q
-        out = 1.0 - q
-        out *= qd(q)
-        return out
-
-    return integrand
+    qd = X.quantile_density
+    return lambda q: (1.0 - q) * qd(q)
 
 
 _WEIGHTED_TOL = 1e-8  # relative tolerance of the default weighted integrals
@@ -203,12 +192,17 @@ class GridProfile:
     """Q, qd, lower = int_0^p q*qd and upper = int_p^1 (1-q)*qd on logit_grid(n, p_min), each
     computed on first use; it holds the model weakly, so the model's memo forms no cycle.
 
-    lower and upper share node_qd, the model's qd on the grid's panel nodes, evaluated once.
-    Every value is read-only, like the grid: one copy serves every reader."""
+    lower and upper share one pass over the grid's panel nodes: whichever is read first
+    evaluates the model's qd once per node, oracle.PANEL_SLICE = 512 panels (3,584 nodes,
+    28 KB) at a time, and keeps the other's panel integrals until it is read.  No
+    node-sized array is made: reading both of a built-in model at n = 4096 peaks at 0.58
+    of one 229 KB node array.  Every value is read-only, like the grid: one copy serves
+    every reader."""
 
     def __init__(self, model, n, p_min):
         self._model, self.n, self.p_min = weakref.ref(model), n, p_min
-        self.grid, self.nodes = oracle.logit_grid(n, p_min), oracle.panel_nodes(n, p_min)
+        self.grid = oracle.logit_grid(n, p_min)
+        self._shared = {}  # the panel integrals of the node pass that the other side left
 
     def model(self):
         X = self._model()
@@ -218,16 +212,10 @@ class GridProfile:
 
     q = cached_property(lambda self: _read_only(self.model().quantile(self.grid), float))
     qd = cached_property(lambda self: _read_only(self.model().quantile_density(self.grid), float))
-    node_qd = cached_property(lambda self: _read_only(self.model().quantile_density(self.nodes)))
-    lower = cached_property(
-        lambda self: _read_only(oracle.lower_cumulative(_lower(self._qd()), self.n, self.p_min)))
-    upper = cached_property(
-        lambda self: _read_only(oracle.upper_cumulative(_upper(self._qd()), self.n, self.p_min)))
-
-    def _qd(self):
-        """The model's quantile density, read from node_qd on the panel nodes."""
-        X, nodes = self.model(), self.nodes
-        return lambda p: self.node_qd if p is nodes else X.quantile_density(p)
+    lower = cached_property(lambda self: _read_only(oracle.lower_cumulative(
+        self.model().quantile_density, self.n, self.p_min, self._shared)))
+    upper = cached_property(lambda self: _read_only(oracle.upper_cumulative(
+        self.model().quantile_density, self.n, self.p_min, self._shared)))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ __all__ = [
 
 ORACLE_REL_TOL = 1e-9  # looser than quadrature tolerance by design
 P_MIN = 1e-6  # the engine's grid is logit_grid(n, P_MIN)
+PANEL_SLICE = 512  # panels per slice of the node pass: 3,584 nodes, 28 KB
 
 # the 7-point Gauss-Legendre rule of every grid panel, equal to leggauss(7) bit for
 # bit; the panels are narrow enough that roundoff in p, not the rule's order, sets
@@ -474,30 +475,67 @@ def _logit_grid(n, p_min):
     return grid, half, nodes
 
 
-def _panel_integrals(fn, n, p_min):
-    """7-point Gauss-Legendre on every panel of logit_grid(n, p_min)."""
-    _, half, nodes = _logit_grid(n, p_min)
-    vals = np.asarray(fn(nodes), dtype=float).reshape(half.size, _GL_NODES.size)
-    return half * (vals @ _GL_WEIGHTS)
+def _node_pass(qd, n, p_min):
+    """(lower, upper): the 7-point Gauss-Legendre integrals of q*qd(q) and (1-q)*qd(q)
+    on every panel of logit_grid(n, p_min).
+
+    One pass over panel_nodes(n, p_min), PANEL_SLICE panels at a time: qd runs once per
+    slice, on a read-only view of the nodes, and both integrands are reduced from its
+    values, so no array larger than a slice of nodes is made.  Every panel's integral is
+    the one a pass over the whole node array gives, bit for bit: a slice holds a
+    multiple of 8 panels, so a BLAS kernel that reduces panels 4 or 8 at a time groups
+    them as it would in the whole array."""
+    half, nodes, k = _logit_grid(n, p_min)[1], panel_nodes(n, p_min), _GL_NODES.size
+    lower, upper = np.empty_like(half), np.empty_like(half)
+    for start in range(0, half.size, PANEL_SLICE):
+        span = slice(start, start + PANEL_SLICE)
+        q = nodes[start * k:(start + PANEL_SLICE) * k]
+        vals = qd(q)
+        part = q * vals
+        lower[span] = half[span] * (part.reshape(-1, k) @ _GL_WEIGHTS)
+        np.subtract(1.0, q, out=part)
+        part *= vals
+        upper[span] = half[span] * (part.reshape(-1, k) @ _GL_WEIGHTS)
+        del vals, part  # so that qd on the next slice runs beside none of this one's arrays
+    return lower, upper
 
 
-def lower_cumulative(fn, n, p_min=P_MIN):
-    """I_k = integral of fn over (0, grid[k]) on grid = logit_grid(n, p_min)."""
+def _panels(qd, n, p_min, shared, side):
+    """The panel integrals ``side`` (0 lower, 1 upper) of _node_pass(qd, n, p_min),
+    taken out of ``shared`` (a dict, or None), where a pass run for the other side
+    leaves them.  The caller owns the array it gets, so it may sum in place."""
+    if shared is None:
+        shared = {}
+    if side not in shared:
+        shared.update(enumerate(_node_pass(qd, n, p_min)))
+    return shared.pop(side)
+
+
+def lower_cumulative(qd, n, p_min=P_MIN, shared=None):
+    """I_k = integral of q*qd(q) over (0, grid[k]) on grid = logit_grid(n, p_min).
+
+    The head (0, grid[0]) is integrated first, then the panels in one node pass.  A
+    caller that reads upper_cumulative of the same qd too passes both calls one dict
+    as ``shared``: the first to reach its panels runs the pass for both."""
     grid = logit_grid(n, p_min)
-    head = quadrature(fn, 0.0, float(grid[0]), rel_tol=1e-10)
+    head = quadrature(lambda q: q * qd(q), 0.0, float(grid[0]), rel_tol=1e-10)
+    panels = _panels(qd, n, p_min, shared, 0)
     out = np.empty_like(grid)
     out[0] = head
-    out[1:] = head + np.cumsum(_panel_integrals(fn, n, p_min))
+    np.add(head, np.cumsum(panels, out=panels), out=out[1:])
     return out
 
 
-def upper_cumulative(fn, n, p_min=P_MIN):
-    """U_k = integral of fn over (grid[k], 1) on grid = logit_grid(n, p_min)."""
+def upper_cumulative(qd, n, p_min=P_MIN, shared=None):
+    """U_k = integral of (1-q)*qd(q) over (grid[k], 1) on grid = logit_grid(n, p_min).
+
+    The tail (grid[-1], 1) is integrated first; ``shared`` is lower_cumulative's."""
     grid = logit_grid(n, p_min)
-    tail = quadrature(fn, float(grid[-1]), 1.0, rel_tol=1e-10)
+    tail = quadrature(lambda q: (1.0 - q) * qd(q), float(grid[-1]), 1.0, rel_tol=1e-10)
+    panels = _panels(qd, n, p_min, shared, 1)[::-1]
     out = np.empty_like(grid)
     out[-1] = tail
-    out[:-1] = tail + np.cumsum(_panel_integrals(fn, n, p_min)[::-1])[::-1]
+    np.add(tail, np.cumsum(panels, out=panels)[::-1], out=out[:-1])
     return out
 
 
@@ -517,7 +555,7 @@ class GridVerdict:
     n: int
 
 
-def _classify_signs(grid, deltas, scales):
+def _classify_signs(lo, hi, deltas, scales):
     """Status, margin and worst violation of the steps ``deltas`` at ``scales``.
 
     The counting rule lives here alone: a step rises when it exceeds
@@ -525,11 +563,9 @@ def _classify_signs(grid, deltas, scales):
     exact comparison (|d|/s > ORACLE_REL_TOL is a different test where a margin
     sits at the tolerance).  The margin is the least |d|/s over the counted
     steps; a worst violation, of a Mixed status, is the largest |d| among the
-    minority's steps, as (grid[i], grid[i + 1], |d|).  A monotone verdict has
-    one step fewer than grid points, so this is the step's interval; grid_sign
-    has one value per point, so a violating point i reads as the interval from
-    it to the next point, and the last point as the zero-width
-    (grid[n - 1], grid[n - 1]), an open defect that CHANGES.md records."""
+    minority's steps, as (lo[i], hi[i], |d|): a monotone verdict's step i spans
+    (grid[i], grid[i + 1]), and grid_sign's value i is taken at the point
+    (grid[i], grid[i])."""
     bound = np.multiply(scales, ORACLE_REL_TOL)
     rising = deltas > bound
     np.negative(bound, out=bound)
@@ -544,8 +580,7 @@ def _classify_signs(grid, deltas, scales):
         return ("Increasing" if n_pos else "Decreasing"), margin, None
     size *= falling if n_pos >= n_neg else rising
     idx = int(size.argmax())
-    worst = (float(grid[idx]), float(grid[min(idx + 1, len(grid) - 1)]), float(abs(deltas[idx])))
-    return "Mixed", margin, worst
+    return "Mixed", margin, (float(lo[idx]), float(hi[idx]), float(abs(deltas[idx])))
 
 
 def _monotone_verdict(grid, vals):
@@ -554,15 +589,15 @@ def _monotone_verdict(grid, vals):
     scales = np.maximum(mags[:-1], mags[1:])
     np.maximum(scales, 1e-300, out=scales)
     deltas = np.subtract(vals[1:], vals[:-1], out=mags[:-1])
-    return GridVerdict(*_classify_signs(grid, deltas, scales), len(grid))
+    return GridVerdict(*_classify_signs(grid, grid[1:], deltas, scales), len(grid))
 
 
 def grid_sign(grid, values, scales):
-    """Pointwise sign check: all-positive maps to "Increasing" (forward holds)."""
+    """Pointwise sign check: all-positive maps to "Increasing" (forward holds).  A worst
+    violation names its point i, as (grid[i], grid[i], |values[i]|)."""
     values = np.asarray(values, dtype=float)
     scales = np.maximum(np.asarray(scales, dtype=float), 1e-300)
-    status, margin, worst = _classify_signs(grid, values, scales)
-    return GridVerdict(status, margin, worst, len(grid))
+    return GridVerdict(*_classify_signs(grid, grid, values, scales), len(grid))
 
 
 def order_oracle(X, Y, order, n=4096):

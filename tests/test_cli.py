@@ -226,8 +226,8 @@ class TestCompareCommand:
         capsys.readouterr()
         X, Y = parse_spec(self.ARGS[2]), parse_spec(self.ARGS[4])
         grid = logit_grid(1024, 1e-4)
-        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), 1024, 1e-4)
-        uy = upper_cumulative(lambda q: (1.0 - q) * Y.quantile_density(q), 1024, 1e-4)
+        ux = upper_cumulative(X.quantile_density, 1024, 1e-4)
+        uy = upper_cumulative(Y.quantile_density, 1024, 1e-4)
         rows = []
         for i, p in enumerate(grid):
             fx, gy, r = float(X.quantile(p)), float(Y.quantile(p)), float(ratio_qd(X, Y, p))
@@ -275,8 +275,8 @@ class TestAgingCommand:
         capsys.readouterr()
         X = Govindarajulu(0, 2, 2)
         grid = logit_grid(1024, 1e-4)
-        ux = upper_cumulative(lambda q: (1.0 - q) * X.quantile_density(q), 1024, 1e-4)
-        lx = lower_cumulative(lambda q: q * X.quantile_density(q), 1024, 1e-4)
+        ux = upper_cumulative(X.quantile_density, 1024, 1e-4)
+        lx = lower_cumulative(X.quantile_density, 1024, 1e-4)
         ref = [(p, float(hazard_quantile(X, p)), ux[i] / (1.0 - p), (-math.log1p(-p) - p) / lx[i])
                for i, p in enumerate(grid)]
         _assert_close_to_pointwise(_curve_columns(curves), np.array(ref).T)

@@ -1,12 +1,13 @@
-"""GridProfile's cumulative integrals: one quantile-density evaluation on the panel nodes.
+"""GridProfile's cumulative integrals: one pass over the panel nodes, a slice at a time.
 
-The reference below is the two-evaluation path the profile replaced: each
-integral builds its own panel nodes and evaluates the model on them.  The
-shared path must give the same bits, and the same error where it fails.
+The reference below is the two-evaluation path: each integral builds its own
+panel nodes and evaluates the model on all of them at once.  The sliced pass
+must give the same bits, and the same error where it fails.
 """
 
 import re
-from collections import Counter
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from qorder import oracle
 from qorder.aging import aging_report
 from qorder.cli import parse_spec
+from qorder.dsl import DslModel
 from qorder.errors import ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.orders import PairContext, compare_all
@@ -27,9 +29,9 @@ SPECS = [
     "govindarajulu:0,1,1", "exp1",
     WEIBULL.format(s=2.42016, k=1.99702), WEIBULL.format(s=1, k=0.7),
     LOGLOGISTIC.format(s=2.08376, b=3.36564), LOGLOGISTIC.format(s=0.586315, b=2.59233),
-    "dsl:-s*log(1-p);s=2", "dsl:-s*log(1-p);s=1.84233",
+    "dsl:-s*log(1-p);s=2", "dsl:-s*log(1-p);s=1.84233", "dsl:p+p^3",
 ]
-GRIDS = [3, 64, 512, 4096]
+GRIDS = [3, 4, 64, 512, 513, 1025, 4096]  # slice edges on, before and after n - 1 = 512 k
 
 
 def _reference_panels(fn, grid):
@@ -79,6 +81,9 @@ class TestBitEqualToTheTwoEvaluationPath:
         ref = parse_spec(spec)
         assert got["lower"] == _outcome(_reference_lower, ref, prof.grid)
         assert got["upper"] == _outcome(_reference_upper, ref, prof.grid)
+        # a call with no shared dict runs its own pass
+        assert got["lower"] == _outcome(oracle.lower_cumulative, ref.quantile_density, n, P_MIN)
+        assert got["upper"] == _outcome(oracle.upper_cumulative, ref.quantile_density, n, P_MIN)
 
     def test_a_failing_integral_raises_as_the_reference_does(self):
         # (1-q)*qd and q*qd of a Tukey model with alpha <= -1 diverge at the endpoints
@@ -89,57 +94,110 @@ class TestBitEqualToTheTwoEvaluationPath:
             assert got[0] == "error"
             assert got == _outcome(reference, ref, prof.grid)
 
+    @pytest.mark.parametrize("spec", [LOGLOGISTIC.format(s=0.930371, b=2.74927),
+                                      "dsl:-s*log(1-p);s=2"])
+    @pytest.mark.parametrize("first", ["lower", "upper"])
+    def test_a_failing_tail_raises_as_the_reference_does(self, spec, first):
+        # the head converges and the tail does not: upper raises whether or not lower
+        # has run the pass
+        X, ref = parse_spec(spec), parse_spec(spec)
+        prof = X.profile(512, P_MIN)
+        second = "upper" if first == "lower" else "lower"
+        got = {name: _outcome(getattr, prof, name) for name in (first, second)}
+        assert got["lower"][0] == "ok" and got["upper"][0] == "error"
+        assert got["lower"] == _outcome(_reference_lower, ref, prof.grid)
+        assert got["upper"] == _outcome(_reference_upper, ref, prof.grid)
+
 
 def _node_spy(monkeypatch, n=4096):
-    """Count, per model, the quantile_density calls on the panel-node array of grid n."""
-    size = (n - 1) * oracle._GL_NODES.size
-    calls, arrays = Counter(), {}
-    for cls in (TukeyGeneralized, Govindarajulu, UnitExponential):
+    """Record, per model, (first node, node count, writeable) of each quantile_density
+    call on a view of panel_nodes(n)."""
+    nodes = oracle.panel_nodes(n, P_MIN)
+    start = nodes.__array_interface__["data"][0]
+    views = defaultdict(list)
+    for cls in (TukeyGeneralized, Govindarajulu, UnitExponential, DslModel):
         real = cls.quantile_density
 
         def spy(self, p, real=real):
-            if np.ndim(p) == 1 and np.size(p) == size:
-                calls[id(self)] += 1
-                arrays[id(self)] = p
+            if isinstance(p, np.ndarray) and np.shares_memory(p, nodes):
+                first = (p.__array_interface__["data"][0] - start) // nodes.itemsize
+                views[id(self)].append((first, p.size, p.flags.writeable))
             return real(self, p)
 
         monkeypatch.setattr(cls, "quantile_density", spy)
-    return calls, arrays
+    return views
 
 
-class TestOneNodeEvaluation:
+def _one_pass(n):
+    """The views of one pass: consecutive read-only slices of PANEL_SLICE panels' nodes."""
+    size, step = oracle.panel_nodes(n, P_MIN).size, oracle.PANEL_SLICE * oracle._GL_NODES.size
+    return [(first, min(step, size - first), False) for first in range(0, size, step)]
+
+
+class TestOneNodePass:
     @pytest.mark.parametrize("x, y", [
         ("tukey:4,1,2.5", "tukey:1.5,1,1.5"),
         ("govindarajulu:0,2,2", "exp1"),
+        (WEIBULL.format(s=2.42016, k=1.99702), "dsl:p+p^3"),
     ])
-    def test_both_evaluates_each_model_once_on_the_nodes(self, monkeypatch, x, y):
-        calls, _ = _node_spy(monkeypatch)
+    def test_both_evaluates_each_model_once_on_each_node(self, monkeypatch, x, y):
+        views = _node_spy(monkeypatch)
         X, Y = parse_spec(x), parse_spec(y)  # fresh: no profile memo from other tests
         compare_all(X, Y, method="both")
         assert "lower" in vars(X.profile(4096, P_MIN)) and "upper" in vars(X.profile(4096, P_MIN))
-        assert calls == {id(X): 1, id(Y): 1}
+        assert views == {id(X): _one_pass(4096), id(Y): _one_pass(4096)}
 
-    def test_aging_evaluates_the_model_once_on_the_nodes(self, monkeypatch):
-        calls, _ = _node_spy(monkeypatch)
+    def test_aging_evaluates_the_model_once_on_each_node(self, monkeypatch):
+        views = _node_spy(monkeypatch)
         X = Govindarajulu(0, 2, 2)
         aging_report(X)
-        assert calls[id(X)] == 1
+        assert views[id(X)] == _one_pass(4096)
+        assert all(seen == _one_pass(4096) for seen in views.values())  # Exp(1)'s too
 
-    def test_profiles_on_one_grid_receive_one_read_only_node_array(self, monkeypatch):
-        _, arrays = _node_spy(monkeypatch, n=512)
-        X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
-        px, py = X.profile(512, P_MIN), Y.profile(512, P_MIN)
-        px.lower, py.upper
-        assert px.grid is py.grid
-        assert arrays[id(X)] is arrays[id(Y)]
-        assert not arrays[id(X)].flags.writeable
-        assert oracle.panel_nodes(512, P_MIN) is arrays[id(X)] is px.nodes
+    @pytest.mark.parametrize("n", GRIDS)
+    @pytest.mark.parametrize("first", ["lower", "upper"])
+    def test_the_first_read_runs_the_pass_for_both(self, monkeypatch, n, first):
+        views = _node_spy(monkeypatch, n)
+        X = TukeyGeneralized(4, 1, 2.5)
+        prof = X.profile(n, P_MIN)
+        getattr(prof, first)
+        assert views == {id(X): _one_pass(n)}
+        getattr(prof, "upper" if first == "lower" else "lower")
+        assert views == {id(X): _one_pass(n)}
+        assert prof._shared == {}  # no panel integrals are kept once both are read
+
+
+class TestPeakMemory:
+    """lower and upper hold no node-sized array: at n = 4096 the pass peaks at the two
+    panel arrays and one slice's evaluation, a little over half a node array (229 KB);
+    the whole-array path peaked at 2.6."""
+
+    @pytest.mark.parametrize("spec", ["tukey:4,1,2.5", "govindarajulu:0.5,1,0.5", "exp1",
+                                      WEIBULL.format(s=2.42016, k=1.99702)])
+    def test_lower_and_upper_peak_well_under_one_node_array(self, spec):
+        nodes = oracle.panel_nodes(4096, P_MIN)
+        warm = parse_spec(spec)
+        warm.profile(4096, P_MIN).upper  # anything built once, on first use, is left out
+        X = parse_spec(spec)
+        prof = X.profile(4096, P_MIN)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            prof.lower, prof.upper
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 0.75 * nodes.nbytes
 
 
 class TestDeadModel:
     def test_reading_a_profile_of_a_gone_model_raises(self):
         prof = TukeyGeneralized(4, 1, 2.5).profile(512, P_MIN)  # nothing else holds the model
-        for name in ("q", "qd", "node_qd", "lower", "upper"):
+        for name in ("q", "qd", "lower", "upper"):
             with pytest.raises(ValidationError, match="^the profile's model no longer exists"):
                 getattr(prof, name)
 
@@ -159,7 +217,7 @@ class TestReadOnlyValues:
     def test_a_write_raises(self, spec):
         X = parse_spec(spec)
         prof = X.profile(512, P_MIN)
-        for name in ("q", "qd", "node_qd", "lower", "upper"):
+        for name in ("q", "qd", "lower", "upper"):
             value = getattr(prof, name)
             with pytest.raises(ValueError, match="read-only"):
                 value[:2] *= 0.5

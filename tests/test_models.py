@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qorder import models, oracle
+from qorder import oracle
 from qorder.errors import DomainError, NonFiniteMeanError, ValidationError
 from qorder.models import (Govindarajulu, TukeyGeneralized, UnitExponential, check_p,
                            upper_integrand)
@@ -275,9 +275,3 @@ class TestNodeSizedArrays:
         nodes = oracle.panel_nodes(4096)
         assert _peak_arrays(X.quantile, nodes) <= 2 + self.SLACK
         assert _peak_arrays(X.quantile_density, nodes) <= 2 + self.SLACK
-
-    def test_upper_integrand_allocates_one_array_beyond_node_qd(self):
-        nodes = oracle.panel_nodes(4096)
-        node_qd = TukeyGeneralized(4, 1, 2.5).quantile_density(nodes)
-        integrand = models._upper(lambda p: node_qd)
-        assert _peak_arrays(integrand, nodes) <= 1 + self.SLACK

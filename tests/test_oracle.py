@@ -70,13 +70,13 @@ class TestGrids:
 class TestCumulatives:
     def test_lower_cumulative_closed_form(self):
         grid = logit_grid(512)
-        vals = lower_cumulative(lambda q: q / (1.0 - q), 512)
+        vals = lower_cumulative(lambda q: 1.0 / (1.0 - q), 512)  # q*qd = q/(1-q)
         expected = -np.log1p(-grid) - grid
         assert np.max(np.abs(vals - expected) / np.maximum(expected, 1e-12)) < 1e-9
 
     def test_upper_cumulative_closed_form(self):
         grid = logit_grid(512)
-        vals = upper_cumulative(lambda q: 1.0 - q, 512)
+        vals = upper_cumulative(np.ones_like, 512)  # (1-q)*qd = 1-q
         expected = 0.5 * (1.0 - grid) ** 2
         assert np.max(np.abs(vals - expected) / expected) < 1e-8
 
@@ -126,7 +126,9 @@ class TestOrderOracle:
 # kept as the reference: the fused kernel must give its status, margin and worst
 # violation bit for bit.  The reference monotone verdict passes the whole grid, as
 # _monotone_verdict does since a violation in the last step got its real interval.
-def _classify_signs_ref(grid, deltas, scales):
+# The reference sign check names a violating point by itself (point=True): it read as
+# the interval to the next point before, and the last point as a zero-width interval.
+def _classify_signs_ref(grid, deltas, scales, point=False):
     thr = oracle.ORACLE_REL_TOL * scales
     pos = deltas > thr
     neg = deltas < -thr
@@ -145,7 +147,8 @@ def _classify_signs_ref(grid, deltas, scales):
     worst = None
     if minority is not None:
         idx = int(np.argmax(np.abs(deltas) * minority))
-        worst = (float(grid[idx]), float(grid[min(idx + 1, len(grid) - 1)]), float(abs(deltas[idx])))
+        end = idx if point else min(idx + 1, len(grid) - 1)
+        worst = (float(grid[idx]), float(grid[end]), float(abs(deltas[idx])))
     return status, margin, worst
 
 
@@ -158,7 +161,7 @@ def _monotone_verdict_ref(grid, vals):
 def _grid_sign_ref(grid, values, scales):
     values = np.asarray(values, dtype=float)
     scales = np.maximum(np.asarray(scales, dtype=float), 1e-300)
-    return GridVerdict(*_classify_signs_ref(grid, values, scales), len(grid))
+    return GridVerdict(*_classify_signs_ref(grid, values, scales, point=True), len(grid))
 
 
 def _verdict_bits(v):
@@ -230,6 +233,15 @@ class TestSignTestReference:
         v = oracle._monotone_verdict(grid, np.array([0.0, 1, 2, 1, 2, 3, 2, 3]))
         assert v.status == "Mixed"
         assert v.worst_violation == (grid[2], grid[3], 1.0)
+
+    @pytest.mark.parametrize("i", [0, 3, 7])
+    def test_a_sign_violation_names_its_point(self, i):
+        grid = logit_grid(8)
+        values = np.ones(8)
+        values[i] = -2.0
+        v = grid_sign(grid, values, np.ones(8))
+        assert v.status == "Mixed"
+        assert v.worst_violation == (grid[i], grid[i], 2.0)
 
     def test_a_violation_in_the_last_step_spans_that_step(self):
         grid = logit_grid(8)

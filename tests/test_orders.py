@@ -287,9 +287,9 @@ class TestSharedGridProfile:
         for name in ("lower_cumulative", "upper_cumulative"):
             real = getattr(oracle, name)
 
-            def spy(fn, n, p_min, real=real, name=name):
+            def spy(*args, real=real, name=name):
                 calls[name] += 1
-                return real(fn, n, p_min)
+                return real(*args)
 
             monkeypatch.setattr(oracle, name, spy)
         # fresh instances: the module-level pair may carry profiles from other tests
@@ -700,6 +700,16 @@ _BOTH_RUNS_OFF_GRID = {  # case 4b reads (increasing,): its first run ends below
 _RIGHT_RUN_ABOVE_GRID = {  # case 2 reads (increasing,)
     ("tukey:1.41476,0.701861,2.33726", "tukey:2.43668,1.95832,1.01462"),
 }
+
+
+class TestModesOutsideTheGridWindow:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+    def test_star_does_not_hold_where_the_ratio_has_tail_minima(self):
+        # both models run from 1 to 3, so star cannot hold; the grid window [1e-6, 1 - 1e-6]
+        # misses the ratio's minima near p = 2.4e-8 and 1 - 2.2e-8 and reads UnimodalMax
+        verdicts = compare_all(TukeyGeneralized(2, 1, 1.05), TukeyGeneralized(2, 1, 1.1),
+                               method="theorem")
+        assert {v.order: v.status for v in verdicts}["star"] != "Holds"
 
 
 class _PoolCase(NamedTuple):

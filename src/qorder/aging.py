@@ -39,7 +39,6 @@ from .shape import (
     INCREASING,
     UNIMODAL_MAX,
     UNIMODAL_MIN,
-    P_MIN,
     find_shape,
     shape_class,
 )
@@ -103,7 +102,7 @@ def _hazard_limit0(ctx) -> LimitValue:
 
 
 def _mrl_shape_fallback(ctx):
-    prof = ctx.X.profile(ctx.n, P_MIN)
+    prof = ctx.X.profile(ctx.n)
     return {
         CONSTANT: "Constant",
         INCREASING: "IMRL",
@@ -175,7 +174,7 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
     elif hazard.status == "Decreasing":
         corollary = "DHRWA"
     try:
-        prof = ctx.X.profile(ctx.n, P_MIN)
+        prof = ctx.X.profile(ctx.n)
         num = -np.log1p(-prof.grid) - prof.grid  # integral of q/(1-q) over (0, p)
         surrogate = _SURROGATE_NAMES.get(shape_class(num / prof.lower, ctx.n), "Inconclusive")
     except TooOscillatoryError:

@@ -274,8 +274,18 @@ def _or_nan(read):
         return math.nan
 
 
+CURVE_ROWS = 1024  # the most rows a --curves CSV holds
+
+
+def _curve_rows(cols, n):
+    """Rows of the grid columns ``cols``: every k-th grid point from the first, with
+    k = ceil(n / CURVE_ROWS), so that at most CURVE_ROWS rows are written."""
+    k = -(-n // CURVE_ROWS)
+    return zip(*(col[::k] for col in cols))
+
+
 def _compare_curves(X, Y, fh, n):
-    px, py = X.profile(min(n, 1024), 1e-4), Y.profile(min(n, 1024), 1e-4)
+    px, py = X.profile(n), Y.profile(n)  # the profiles the verdicts were decided on
     ux, uy = _or_nan(lambda: px.upper), _or_nan(lambda: py.upper)
     mx, my = _or_nan(lambda: X.mean), _or_nan(lambda: Y.mean)
     fx, gy = px.q, py.q
@@ -284,7 +294,7 @@ def _compare_curves(X, Y, fh, n):
             np.where(fx != 0.0, gy / fx, math.inf),
             np.where(fx > 0.0, ux / fx, math.inf), np.where(gy > 0.0, uy / gy, math.inf))
     _write_csv(fh, ["p", "ratio_qd", "delta", "delta_ps", "quantile_ratio", "eps_x", "eps_y"],
-               zip(*cols))
+               _curve_rows(cols, n))
 
 
 def run_aging(args):
@@ -307,10 +317,10 @@ def run_aging(args):
 
 
 def _aging_curves(X, fh, n):
-    prof = X.profile(min(n, 1024), 1e-4)
+    prof = X.profile(n)  # the profile the report was decided on
     p, ux, lx = prof.grid, prof.upper, prof.lower
-    _write_csv(fh, ["p", "hazard", "mrl", "wa_surrogate"],
-               zip(p, aging_mod.hazard_quantile(X, p), ux / (1.0 - p), (-np.log1p(-p) - p) / lx))
+    cols = (p, aging_mod.hazard_quantile(X, p), ux / (1.0 - p), (-np.log1p(-p) - p) / lx)
+    _write_csv(fh, ["p", "hazard", "mrl", "wa_surrogate"], _curve_rows(cols, n))
 
 
 def run_empirical(args):
@@ -441,14 +451,16 @@ def _build_parser():
     cmp_p.add_argument("--y", required=True)
     cmp_p.add_argument("--method", choices=("theorem", "oracle", "both"), default="both")
     cmp_p.add_argument("--grid", type=int, default=4096)
-    cmp_p.add_argument("--curves", help="write plot-ready CSV of the decision curves")
+    cmp_p.add_argument("--curves", help="write plot-ready CSV of the decision curves on the "
+                                        f"verdicts' grid, at most {CURVE_ROWS:,} rows")
     cmp_p.add_argument("--out", help="also write the JSON report to this path")
     cmp_p.set_defaults(fn=run_compare)
 
     ag = sub.add_parser("aging", help="classify one distribution's aging behavior")
     ag.add_argument("--x", required=True)
     ag.add_argument("--grid", type=int, default=4096)
-    ag.add_argument("--curves", help="write hazard/mrl/weighted-average CSV")
+    ag.add_argument("--curves", help="write hazard/mrl/weighted-average CSV on the report's "
+                                     f"grid, at most {CURVE_ROWS:,} rows")
     ag.add_argument("--out")
     ag.set_defaults(fn=run_aging)
 

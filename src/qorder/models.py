@@ -169,12 +169,12 @@ class QuantileModel(abc.ABC):
         numerically."""
         return oracle.quadrature(upper_integrand(self), float(p), 1.0, rel_tol=_WEIGHTED_TOL)
 
-    def profile(self, n, p_min) -> "GridProfile":
-        """This model's memo of values on logit_grid(n, p_min)."""
+    def profile(self, n) -> "GridProfile":
+        """This model's memo of values on logit_grid(n)."""
         memo = self.__dict__.setdefault("_profiles", {})  # like mean, kept per instance
-        if (n, p_min) not in memo:
-            memo[n, p_min] = GridProfile(self, n, p_min)
-        return memo[n, p_min]
+        if n not in memo:
+            memo[n] = GridProfile(self, n)
+        return memo[n]
 
     # spec-string used by the CLI; subclasses override
     def label(self) -> str:
@@ -189,7 +189,7 @@ def _read_only(value, dtype=None):
 
 
 class GridProfile:
-    """Q, qd, lower = int_0^p q*qd and upper = int_p^1 (1-q)*qd on logit_grid(n, p_min), each
+    """Q, qd, lower = int_0^p q*qd and upper = int_p^1 (1-q)*qd on logit_grid(n), each
     computed on first use; it holds the model weakly, so the model's memo forms no cycle.
 
     lower and upper share one pass over the grid's panel nodes: whichever is read first
@@ -199,9 +199,9 @@ class GridProfile:
     of one 229 KB node array.  Every value is read-only, like the grid: one copy serves
     every reader."""
 
-    def __init__(self, model, n, p_min):
-        self._model, self.n, self.p_min = weakref.ref(model), n, p_min
-        self.grid = oracle.logit_grid(n, p_min)
+    def __init__(self, model, n):
+        self._model, self.n = weakref.ref(model), n
+        self.grid = oracle.logit_grid(n)
         self._shared = {}  # the panel integrals of the node pass that the other side left
 
     def model(self):
@@ -213,9 +213,9 @@ class GridProfile:
     q = cached_property(lambda self: _read_only(self.model().quantile(self.grid), float))
     qd = cached_property(lambda self: _read_only(self.model().quantile_density(self.grid), float))
     lower = cached_property(lambda self: _read_only(oracle.lower_cumulative(
-        self.model().quantile_density, self.n, self.p_min, self._shared)))
+        self.model().quantile_density, self.n, self._shared)))
     upper = cached_property(lambda self: _read_only(oracle.upper_cumulative(
-        self.model().quantile_density, self.n, self.p_min, self._shared)))
+        self.model().quantile_density, self.n, self._shared)))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 ORACLE_REL_TOL = 1e-9  # looser than quadrature tolerance by design
-P_MIN = 1e-6  # the engine's grid is logit_grid(n, P_MIN)
+P_MIN = 1e-6  # the edge of every grid: logit_grid(n) runs from P_MIN to 1 - P_MIN
 PANEL_SLICE = 512  # panels per slice of the node pass: 3,584 nodes, 28 KB
 
 # the 7-point Gauss-Legendre rule of every grid panel, equal to leggauss(7) bit for
@@ -448,23 +448,22 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def logit_grid(n, p_min=P_MIN):
-    """n points in (0,1), uniform on the logit scale (dense near 0 and 1).
+def logit_grid(n):
+    """n points from P_MIN to 1 - P_MIN, uniform on the logit scale (dense near 0 and 1).
 
-    Built once per (n, p_min) and shared by every caller, so the array is
-    read-only."""
-    return _logit_grid(n, p_min)[0]
+    Built once per n and shared by every caller, so the array is read-only."""
+    return _logit_grid(n)[0]
 
 
-def panel_nodes(n, p_min=P_MIN):
-    """logit_grid(n, p_min)'s 7-point Gauss-Legendre panel nodes, flat: shared, read-only."""
-    return _logit_grid(n, p_min)[2]
+def panel_nodes(n):
+    """logit_grid(n)'s 7-point Gauss-Legendre panel nodes, flat: shared, read-only."""
+    return _logit_grid(n)[2]
 
 
 @functools.lru_cache(maxsize=32)
-def _logit_grid(n, p_min):
+def _logit_grid(n):
     """(grid, panel half-widths, panel nodes)."""
-    lo = math.log(p_min / (1.0 - p_min))
+    lo = math.log(P_MIN / (1.0 - P_MIN))
     t = np.linspace(lo, -lo, n)
     grid = 1.0 / (1.0 + np.exp(-t))
     half = 0.5 * np.diff(grid)
@@ -475,17 +474,17 @@ def _logit_grid(n, p_min):
     return grid, half, nodes
 
 
-def _node_pass(qd, n, p_min):
+def _node_pass(qd, n):
     """(lower, upper): the 7-point Gauss-Legendre integrals of q*qd(q) and (1-q)*qd(q)
-    on every panel of logit_grid(n, p_min).
+    on every panel of logit_grid(n).
 
-    One pass over panel_nodes(n, p_min), PANEL_SLICE panels at a time: qd runs once per
+    One pass over panel_nodes(n), PANEL_SLICE panels at a time: qd runs once per
     slice, on a read-only view of the nodes, and both integrands are reduced from its
     values, so no array larger than a slice of nodes is made.  Every panel's integral is
     the one a pass over the whole node array gives, bit for bit: a slice holds a
     multiple of 8 panels, so a BLAS kernel that reduces panels 4 or 8 at a time groups
     them as it would in the whole array."""
-    half, nodes, k = _logit_grid(n, p_min)[1], panel_nodes(n, p_min), _GL_NODES.size
+    half, nodes, k = _logit_grid(n)[1], panel_nodes(n), _GL_NODES.size
     lower, upper = np.empty_like(half), np.empty_like(half)
     for start in range(0, half.size, PANEL_SLICE):
         span = slice(start, start + PANEL_SLICE)
@@ -500,39 +499,37 @@ def _node_pass(qd, n, p_min):
     return lower, upper
 
 
-def _panels(qd, n, p_min, shared, side):
-    """The panel integrals ``side`` (0 lower, 1 upper) of _node_pass(qd, n, p_min),
-    taken out of ``shared`` (a dict, or None), where a pass run for the other side
-    leaves them.  The caller owns the array it gets, so it may sum in place."""
-    if shared is None:
-        shared = {}
+def _panels(qd, n, shared, side):
+    """The panel integrals ``side`` (0 lower, 1 upper) of _node_pass(qd, n), taken out
+    of the dict ``shared``, where a pass run for the other side leaves them.  The caller
+    owns the array it gets, so it may sum in place."""
     if side not in shared:
-        shared.update(enumerate(_node_pass(qd, n, p_min)))
+        shared.update(enumerate(_node_pass(qd, n)))
     return shared.pop(side)
 
 
-def lower_cumulative(qd, n, p_min=P_MIN, shared=None):
-    """I_k = integral of q*qd(q) over (0, grid[k]) on grid = logit_grid(n, p_min).
+def lower_cumulative(qd, n, shared):
+    """I_k = integral of q*qd(q) over (0, grid[k]) on grid = logit_grid(n).
 
     The head (0, grid[0]) is integrated first, then the panels in one node pass.  A
     caller that reads upper_cumulative of the same qd too passes both calls one dict
     as ``shared``: the first to reach its panels runs the pass for both."""
-    grid = logit_grid(n, p_min)
+    grid = logit_grid(n)
     head = quadrature(lambda q: q * qd(q), 0.0, float(grid[0]), rel_tol=1e-10)
-    panels = _panels(qd, n, p_min, shared, 0)
+    panels = _panels(qd, n, shared, 0)
     out = np.empty_like(grid)
     out[0] = head
     np.add(head, np.cumsum(panels, out=panels), out=out[1:])
     return out
 
 
-def upper_cumulative(qd, n, p_min=P_MIN, shared=None):
-    """U_k = integral of (1-q)*qd(q) over (grid[k], 1) on grid = logit_grid(n, p_min).
+def upper_cumulative(qd, n, shared):
+    """U_k = integral of (1-q)*qd(q) over (grid[k], 1) on grid = logit_grid(n).
 
     The tail (grid[-1], 1) is integrated first; ``shared`` is lower_cumulative's."""
-    grid = logit_grid(n, p_min)
+    grid = logit_grid(n)
     tail = quadrature(lambda q: (1.0 - q) * qd(q), float(grid[-1]), 1.0, rel_tol=1e-10)
-    panels = _panels(qd, n, p_min, shared, 1)[::-1]
+    panels = _panels(qd, n, shared, 1)[::-1]
     out = np.empty_like(grid)
     out[-1] = tail
     np.add(tail, np.cumsum(panels, out=panels)[::-1], out=out[:-1])
@@ -607,7 +604,7 @@ def order_oracle(X, Y, order, n=4096):
     verdict of the defining ratio; ps and nbue return a pointwise sign
     verdict (see GridVerdict).
     """
-    px, py = X.profile(n, P_MIN), Y.profile(n, P_MIN)
+    px, py = X.profile(n), Y.profile(n)
     grid = px.grid
     if order == "convex":
         vals = py.qd / px.qd

@@ -37,7 +37,6 @@ from .shape import (
     N_MODAL,
     UNIMODAL_MAX,
     UNIMODAL_MIN,
-    P_MIN,
     Mode,
     Segment,
     ShapeReport,
@@ -177,7 +176,7 @@ def _flip_shape(sh: ShapeReport) -> ShapeReport:
 
 
 class PairContext:
-    """Shared per-pair cache on logit_grid(n, P_MIN): ratio shape, limits, mode values, oracle runs."""
+    """Shared per-pair cache on logit_grid(n): ratio shape, limits, mode values, oracle runs."""
 
     def __init__(self, X, Y, n=4096, _shape=None):
         if not isinstance(n, numbers.Integral):
@@ -216,7 +215,7 @@ class PairContext:
         return self._shape
 
     def _profiles(self):
-        return self.X.profile(self.n, P_MIN), self.Y.profile(self.n, P_MIN)
+        return self.X.profile(self.n), self.Y.profile(self.n)
 
     def swap(self) -> "PairContext":
         def build():
@@ -249,8 +248,8 @@ class PairContext:
         """True when G^-1 = c * F^-1 on the probe grid (delta identically 0)."""
 
         def probe():
-            fx = self.X.profile(64, P_MIN).q
-            gy = self.Y.profile(64, P_MIN).q
+            fx = self.X.profile(64).q
+            gy = self.Y.profile(64).q
             c = gy[32] / fx[32]  # at the probe's middle
             scale = np.max(np.abs(gy)) + abs(c) * np.max(np.abs(fx))
             return bool(np.max(np.abs(gy - c * fx)) <= 1e-9 * max(scale, 1e-300))

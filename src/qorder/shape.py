@@ -22,7 +22,6 @@ from .errors import DomainError, QorderError, TooOscillatoryError, ValidationErr
 from .oracle import P_MIN, logit_grid
 
 __all__ = [
-    "P_MIN",
     "MAX_MODES",
     "Mode",
     "Segment",
@@ -56,7 +55,7 @@ _FLAT_REL = 1e-13
 # its slope there, and its value then misses the extremum by about 1e-20 relative
 _MODE_XTOL = 1e-10
 
-# past MAX_MODES sign changes a function is too oscillatory; P_MIN, the grid's edge, is oracle's
+# past MAX_MODES sign changes a function is too oscillatory
 MAX_MODES = 16
 
 
@@ -180,7 +179,7 @@ def _panel_signs(vals):
 def _scan(values, n):
     """The one grid scan behind find_shapes, find_shape and shape_class.
 
-    ``values`` holds one row per function on logit_grid(n, P_MIN).  On the
+    ``values`` holds one row per function on logit_grid(n).  On the
     flattened rows the scan finds every panel's sign (0 if flat) and the runs of
     equal signs, and walks the runs: a flip is a significant run whose sign is
     the opposite of the significant run before it in its row, bracketed (lo, hi)
@@ -190,7 +189,7 @@ def _scan(values, n):
     entry per row: the QorderError find_shape raises for that row, or the
     tuple (the sign of its first significant panel, 0 if none; the flips'
     kinds; their lo; their hi)."""
-    grid = logit_grid(n, P_MIN)
+    grid = logit_grid(n)
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
         raise ValidationError(f"find_shapes needs one row per function, got shape {vals.shape}")
@@ -261,7 +260,7 @@ def _raise_or(result):
 
 def shape_class(values, n=4096):
     """The classification find_shape(fn, n, values) gives, read off the
-    values on logit_grid(n, P_MIN) without refining any mode."""
+    values on logit_grid(n) without refining any mode."""
     first, kinds, *_ = _raise_or(_scan(np.reshape(values, (1, -1)), n)[0])
     return _classify(first, kinds)
 
@@ -282,7 +281,7 @@ def _report(fn, scanned):
 
 def find_shapes(fns, n, values):
     """Segment a stack of functions in one grid scan: row i of ``values`` holds
-    fns[i] on logit_grid(n, P_MIN), and fns[i] is called on scalars only, to
+    fns[i] on logit_grid(n), and fns[i] is called on scalars only, to
     refine that row's modes.  Returns, for each row, the ShapeReport
     find_shape(fns[i], n, values[i]) gives, or the QorderError it raises."""
     scans = _scan(values, n)
@@ -301,10 +300,10 @@ def find_shapes(fns, n, values):
 
 def find_shape(fn, n=4096, values=None):
     """Segment fn on (0,1) into monotone pieces and type its modes.  fn must be
-    vectorized unless ``values`` already holds its values on logit_grid(n,
-    P_MIN); fn is then called on scalars only, to refine the modes."""
+    vectorized unless ``values`` already holds its values on logit_grid(n);
+    fn is then called on scalars only, to refine the modes."""
     if values is None:
-        values = fn(logit_grid(n, P_MIN))
+        values = fn(logit_grid(n))
     return _report(fn, _raise_or(_scan(np.reshape(values, (1, -1)), n)[0]))
 
 

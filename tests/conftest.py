@@ -1,12 +1,16 @@
 """Emit one pass/fail line per acceptance criterion in the terminal summary
-(the in-test prints are only visible under -s), and load the benchmark's
-workload module for the tests that read its input pools."""
+(the in-test prints are only visible under -s), load the benchmark's workload
+module for the tests that read its input pools, and keep the helpers that
+several test modules share."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from qorder import oracle
+from qorder.deltas import delta, delta_limit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,6 +28,20 @@ def workloads():
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+def oracle_can_resolve(X, Y):
+    """The grid oracle sees (P_MIN, 1 - P_MIN); a pair whose only sign change
+    of delta lies beyond the grid edge is undecidable at that resolution, so
+    theorem/oracle agreement is only asserted where the two routes measure
+    the same thing.  Detected by comparing delta's sign at the grid edge with
+    its endpoint limit."""
+    for end, edge in ((0.0, oracle.P_MIN), (1.0, 1.0 - oracle.P_MIN)):
+        lim = delta_limit(X, Y, end)
+        if lim.kind == "finite" and lim.value * delta(X, Y, edge) < 0.0:
+            return False
+    return True
+
 
 _LABELS = {
     "test_tukey_worked_example": "tukey-worked-example",

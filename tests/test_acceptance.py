@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import oracle_can_resolve
 
 from qorder.aging import aging_report
 from qorder.deltas import delta, delta_limit, delta_ps, eps
@@ -175,17 +176,6 @@ def _random_region_pair(rng):
         )
 
 
-def _oracle_can_resolve(X, Y, p_min=1e-6):
-    # the grid oracle sees (p_min, 1-p_min): skip pairs whose only sign
-    # change of delta hides beyond the grid edge, where the two routes
-    # measure different intervals
-    for end, edge in ((0.0, p_min), (1.0, 1.0 - p_min)):
-        lim = delta_limit(X, Y, end)
-        if lim.kind == "finite" and lim.value * delta(X, Y, edge) < 0.0:
-            return False
-    return True
-
-
 MIRROR = {HOLDS: HOLDS_REVERSED, HOLDS_REVERSED: HOLDS, BOTH_FAIL: BOTH_FAIL,
           EQUIVALENT: EQUIVALENT, INCONCLUSIVE: INCONCLUSIVE}
 
@@ -221,7 +211,7 @@ def test_property_suites():
     agreed = 0
     while agreed < 200:
         X, Y = _random_region_pair(rng)
-        if not _oracle_can_resolve(X, Y):
+        if not oracle_can_resolve(X, Y):
             continue
         try:
             compare_all(X, Y, method="both")

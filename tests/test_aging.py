@@ -16,7 +16,7 @@ from qorder.aging import (
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
 from qorder.orders import PairContext
-from qorder.shape import P_MIN, find_shape, ratio_qd
+from qorder.shape import find_shape, ratio_qd
 
 GOV = Govindarajulu(0, 2, 2)
 EXP = UnitExponential()
@@ -222,7 +222,7 @@ class TestGridProfileShapes:
         mrl = lambda X, p: X.upper_weighted_integral(p) / (1 - p)  # noqa: E731
         wa = lambda X, p: EXP.lower_weighted_integral(p) / X.lower_weighted_integral(p)  # noqa: E731
         refs = [mrl, wa][-expected:]
-        grid = logit_grid(n, P_MIN)
+        grid = logit_grid(n)
         for (values, cls), ref in zip(seen, refs):
             scalar = np.vectorize(lambda p, ref=ref: ref(X, float(p)), otypes=[float])
             assert values[::37] == pytest.approx(scalar(grid[::37]), rel=1e-6)
@@ -243,7 +243,7 @@ class TestGridProfileShapes:
         monkeypatch.setattr(oracle, "quadrature", spy)
         classify_ihrwa(ctx, hazard, {})
         # only the head of the profile's lower cumulative integral
-        assert calls == [(0.0, float(logit_grid(ctx.n, P_MIN)[0]))]
+        assert calls == [(0.0, float(logit_grid(ctx.n)[0]))]
 
     def test_report_lets_the_model_die_without_the_cyclic_collector(self):
         X = TukeyGeneralized(1.5, 1, 4.5)

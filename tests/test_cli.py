@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from qorder import cli
 from qorder.cli import dumps, main, parse_spec
 from qorder.empirical import SampleSet
 from qorder.errors import ParseError, QorderError, ValidationError
-from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
+from qorder.models import Govindarajulu, GridProfile, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid, lower_cumulative, upper_cumulative
 from qorder.orders import PairContext, theorem_status
 from qorder.shape import ratio_qd, tukey_unimodal_region
@@ -225,9 +226,10 @@ class TestCompareCommand:
         main(self.ARGS + ["--method", "theorem", "--curves", str(curves)])
         capsys.readouterr()
         X, Y = parse_spec(self.ARGS[2]), parse_spec(self.ARGS[4])
-        grid = logit_grid(1024, 1e-4)
-        ux = upper_cumulative(X.quantile_density, 1024, 1e-4)
-        uy = upper_cumulative(Y.quantile_density, 1024, 1e-4)
+        every = slice(None, None, 4)  # every 4th point of the 4096-point grid: 1,024 rows
+        grid = logit_grid(4096)[every]
+        ux = upper_cumulative(X.quantile_density, 4096, {})[every]
+        uy = upper_cumulative(Y.quantile_density, 4096, {})[every]
         rows = []
         for i, p in enumerate(grid):
             fx, gy, r = float(X.quantile(p)), float(Y.quantile(p)), float(ratio_qd(X, Y, p))
@@ -238,7 +240,7 @@ class TestCompareCommand:
         _assert_close_to_pointwise(_curve_columns(curves), np.array(rows).T)
 
     def test_curves_with_a_failing_integral_keep_the_verdicts(self, tmp_path, capsys):
-        # Y's mean and its upper tail on (1 - 1e-4, 1) diverge; the verdicts do not need them
+        # Y's mean and its upper tail on (1 - 1e-6, 1) diverge; the verdicts do not need them
         argv = ["compare", "--x", "tukey:2,1,0.5", "--y", "dsl:p/(1-p);qdf=1/(1-p)^2",
                 "--method", "theorem"]
         assert main(argv) == 2
@@ -274,12 +276,72 @@ class TestAgingCommand:
         main(["aging", "--x", "govindarajulu:0,2,2", "--curves", str(curves)])
         capsys.readouterr()
         X = Govindarajulu(0, 2, 2)
-        grid = logit_grid(1024, 1e-4)
-        ux = upper_cumulative(X.quantile_density, 1024, 1e-4)
-        lx = lower_cumulative(X.quantile_density, 1024, 1e-4)
+        every = slice(None, None, 4)  # every 4th point of the 4096-point grid: 1,024 rows
+        grid = logit_grid(4096)[every]
+        ux = upper_cumulative(X.quantile_density, 4096, {})[every]
+        lx = lower_cumulative(X.quantile_density, 4096, {})[every]
         ref = [(p, float(hazard_quantile(X, p)), ux[i] / (1.0 - p), (-math.log1p(-p) - p) / lx[i])
                for i, p in enumerate(grid)]
         _assert_close_to_pointwise(_curve_columns(curves), np.array(ref).T)
+
+
+class TestCurvesOnTheVerdictGrid:
+    """--curves writes the profiles that the verdicts were decided on: every k-th point
+    of logit_grid(n) from the first, k = ceil(n / CURVE_ROWS)."""
+
+    COMMANDS = {"compare": ["compare", "--x", "tukey:4,1,2.5", "--y", "tukey:1.5,1,1.5",
+                            "--method", "theorem"],
+                "aging": ["aging", "--x", "govindarajulu:0,2,2"]}
+
+    @pytest.mark.parametrize("n, k", [(512, 1), (4096, 4), (5000, 5)])
+    @pytest.mark.parametrize("command", ["compare", "aging"])
+    def test_rows_are_every_kth_grid_point(self, tmp_path, capsys, command, n, k):
+        curves = tmp_path / "curves.csv"
+        main(self.COMMANDS[command] + ["--grid", str(n), "--curves", str(curves)])
+        capsys.readouterr()
+        p = _curve_columns(curves)[0]
+        assert cli.CURVE_ROWS == 1024 and p.size <= 1024
+        assert p.tobytes() == logit_grid(n)[::k].tobytes()
+
+    def test_ratio_turns_at_each_certified_mode(self, tmp_path, capsys):
+        x, y = "tukey:2,1,1.05", "tukey:2,1,1.2"  # an NModal ratio, modes 9.35e-6 from each end
+        curves = tmp_path / "curves.csv"
+        main(["compare", "--x", x, "--y", y, "--method", "theorem", "--curves", str(curves)])
+        capsys.readouterr()
+        modes = PairContext(parse_spec(x), parse_spec(y)).shape().modes
+        p, ratio = _curve_columns(curves)[:2]
+        steps = np.sign(np.diff(ratio))
+        moving = np.flatnonzero(steps)
+        turns = [i for prev, i in zip(moving, moving[1:]) if steps[prev] != steps[i]]
+        assert len(turns) == len(modes) == 3
+        for row, mode in zip(turns, modes):  # the row where the column turns, within one row
+            assert p[row - 1] <= mode.location <= p[row + 1], (row, mode)
+
+    @pytest.mark.parametrize("command, n", [("compare", 4096), ("compare", 512),
+                                            ("aging", 4096), ("aging", 512)])
+    def test_each_model_is_profiled_once_per_grid_size(self, tmp_path, capsys, monkeypatch,
+                                                       command, n):
+        seen = Counter()  # (model type, model id, grid size)
+        real = GridProfile.__init__
+
+        def spy(self, model, size):
+            seen[type(model).__name__, id(model), size] += 1
+            real(self, model, size)
+
+        monkeypatch.setattr(GridProfile, "__init__", spy)
+        argv = self.COMMANDS[command] + ["--grid", str(n)]
+        if command == "compare":
+            argv[argv.index("theorem")] = "both"
+        assert main(argv + ["--curves", str(tmp_path / "curves.csv")]) in (0, 2)
+        capsys.readouterr()
+        assert set(seen.values()) == {1}
+        # the verdicts' grid and the 64-point probe; aging's Exp(1) is shared, so it may
+        # have been profiled before
+        assert {size for _, _, size in seen} == {n, 64}
+        fresh = {(kind, i) for kind, i, _ in seen if kind != "UnitExponential"}
+        assert len(fresh) == (2 if command == "compare" else 1)
+        for model in fresh:
+            assert sorted(size for *key, size in seen if tuple(key) == model) == [64, n]
 
 
 class TestEmpiricalCommand:

@@ -19,7 +19,6 @@ from qorder.dsl import DslModel
 from qorder.errors import ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.orders import PairContext, compare_all
-from qorder.shape import P_MIN
 
 WEIBULL = "dsl:s*(-log(1-p))^(1/k);qdf=s/k*(-log(1-p))^(1/k-1)/(1-p);s={s};k={k}"
 LOGLOGISTIC = "dsl:s*(p/(1-p))^(1/b);qdf=s/b*(p/(1-p))^(1/b-1)/(1-p)^2;s={s};b={b}"
@@ -75,20 +74,20 @@ class TestBitEqualToTheTwoEvaluationPath:
     @pytest.mark.parametrize("first", ["lower", "upper"])
     def test_lower_and_upper(self, spec, n, first):
         X = parse_spec(spec)
-        prof = X.profile(n, P_MIN)
+        prof = X.profile(n)
         second = "upper" if first == "lower" else "lower"
         got = {name: _outcome(getattr, prof, name) for name in (first, second)}
         ref = parse_spec(spec)
         assert got["lower"] == _outcome(_reference_lower, ref, prof.grid)
         assert got["upper"] == _outcome(_reference_upper, ref, prof.grid)
-        # a call with no shared dict runs its own pass
-        assert got["lower"] == _outcome(oracle.lower_cumulative, ref.quantile_density, n, P_MIN)
-        assert got["upper"] == _outcome(oracle.upper_cumulative, ref.quantile_density, n, P_MIN)
+        # a call with a dict of its own runs its own pass
+        assert got["lower"] == _outcome(oracle.lower_cumulative, ref.quantile_density, n, {})
+        assert got["upper"] == _outcome(oracle.upper_cumulative, ref.quantile_density, n, {})
 
     def test_a_failing_integral_raises_as_the_reference_does(self):
         # (1-q)*qd and q*qd of a Tukey model with alpha <= -1 diverge at the endpoints
         X, ref = TukeyGeneralized(0.0, -1.0, -1.5), TukeyGeneralized(0.0, -1.0, -1.5)
-        prof = X.profile(512, P_MIN)
+        prof = X.profile(512)
         for name, reference in (("upper", _reference_upper), ("lower", _reference_lower)):
             got = _outcome(getattr, prof, name)
             assert got[0] == "error"
@@ -101,7 +100,7 @@ class TestBitEqualToTheTwoEvaluationPath:
         # the head converges and the tail does not: upper raises whether or not lower
         # has run the pass
         X, ref = parse_spec(spec), parse_spec(spec)
-        prof = X.profile(512, P_MIN)
+        prof = X.profile(512)
         second = "upper" if first == "lower" else "lower"
         got = {name: _outcome(getattr, prof, name) for name in (first, second)}
         assert got["lower"][0] == "ok" and got["upper"][0] == "error"
@@ -112,7 +111,7 @@ class TestBitEqualToTheTwoEvaluationPath:
 def _node_spy(monkeypatch, n=4096):
     """Record, per model, (first node, node count, writeable) of each quantile_density
     call on a view of panel_nodes(n)."""
-    nodes = oracle.panel_nodes(n, P_MIN)
+    nodes = oracle.panel_nodes(n)
     start = nodes.__array_interface__["data"][0]
     views = defaultdict(list)
     for cls in (TukeyGeneralized, Govindarajulu, UnitExponential, DslModel):
@@ -130,7 +129,7 @@ def _node_spy(monkeypatch, n=4096):
 
 def _one_pass(n):
     """The views of one pass: consecutive read-only slices of PANEL_SLICE panels' nodes."""
-    size, step = oracle.panel_nodes(n, P_MIN).size, oracle.PANEL_SLICE * oracle._GL_NODES.size
+    size, step = oracle.panel_nodes(n).size, oracle.PANEL_SLICE * oracle._GL_NODES.size
     return [(first, min(step, size - first), False) for first in range(0, size, step)]
 
 
@@ -144,7 +143,7 @@ class TestOneNodePass:
         views = _node_spy(monkeypatch)
         X, Y = parse_spec(x), parse_spec(y)  # fresh: no profile memo from other tests
         compare_all(X, Y, method="both")
-        assert "lower" in vars(X.profile(4096, P_MIN)) and "upper" in vars(X.profile(4096, P_MIN))
+        assert "lower" in vars(X.profile(4096)) and "upper" in vars(X.profile(4096))
         assert views == {id(X): _one_pass(4096), id(Y): _one_pass(4096)}
 
     def test_aging_evaluates_the_model_once_on_each_node(self, monkeypatch):
@@ -159,7 +158,7 @@ class TestOneNodePass:
     def test_the_first_read_runs_the_pass_for_both(self, monkeypatch, n, first):
         views = _node_spy(monkeypatch, n)
         X = TukeyGeneralized(4, 1, 2.5)
-        prof = X.profile(n, P_MIN)
+        prof = X.profile(n)
         getattr(prof, first)
         assert views == {id(X): _one_pass(n)}
         getattr(prof, "upper" if first == "lower" else "lower")
@@ -175,11 +174,11 @@ class TestPeakMemory:
     @pytest.mark.parametrize("spec", ["tukey:4,1,2.5", "govindarajulu:0.5,1,0.5", "exp1",
                                       WEIBULL.format(s=2.42016, k=1.99702)])
     def test_lower_and_upper_peak_well_under_one_node_array(self, spec):
-        nodes = oracle.panel_nodes(4096, P_MIN)
+        nodes = oracle.panel_nodes(4096)
         warm = parse_spec(spec)
-        warm.profile(4096, P_MIN).upper  # anything built once, on first use, is left out
+        warm.profile(4096).upper  # anything built once, on first use, is left out
         X = parse_spec(spec)
-        prof = X.profile(4096, P_MIN)
+        prof = X.profile(4096)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -196,14 +195,14 @@ class TestPeakMemory:
 
 class TestDeadModel:
     def test_reading_a_profile_of_a_gone_model_raises(self):
-        prof = TukeyGeneralized(4, 1, 2.5).profile(512, P_MIN)  # nothing else holds the model
+        prof = TukeyGeneralized(4, 1, 2.5).profile(512)  # nothing else holds the model
         for name in ("q", "qd", "lower", "upper"):
             with pytest.raises(ValidationError, match="^the profile's model no longer exists"):
                 getattr(prof, name)
 
     def test_values_read_before_the_model_went_stay(self):
         X = TukeyGeneralized(4, 1, 2.5)
-        prof = X.profile(512, P_MIN)
+        prof = X.profile(512)
         q = prof.q
         del X
         assert prof.q is q
@@ -216,7 +215,7 @@ class TestReadOnlyValues:
                                       WEIBULL.format(s=2.42016, k=1.99702)])
     def test_a_write_raises(self, spec):
         X = parse_spec(spec)
-        prof = X.profile(512, P_MIN)
+        prof = X.profile(512)
         for name in ("q", "qd", "lower", "upper"):
             value = getattr(prof, name)
             with pytest.raises(ValueError, match="read-only"):
@@ -225,7 +224,7 @@ class TestReadOnlyValues:
     def test_the_worked_pair_keeps_its_star_verdict(self):
         X, Y = TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5)
         with pytest.raises(ValueError):
-            X.profile(4096, P_MIN).q[:2048] *= 0.5
+            X.profile(4096).q[:2048] *= 0.5
         star = {v.order: v.status for v in compare_all(X, Y, method="oracle")}["star"]
         assert star == "Holds"
 

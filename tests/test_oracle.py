@@ -24,16 +24,16 @@ ORDERS = ("convex", "star", "qmit", "dmrl", "ps", "nbue")
 
 class TestGrids:
     def test_logit_grid_shape_and_symmetry(self):
-        g = logit_grid(101, 1e-6)
+        g = logit_grid(101)
+        assert oracle.P_MIN == 1e-6
         assert g[0] == pytest.approx(1e-6, rel=1e-9)
         assert g[-1] == pytest.approx(1 - 1e-6, rel=1e-9)
         assert np.allclose(g + g[::-1], 1.0)
         assert np.all(np.diff(g) > 0)
 
     def test_logit_grid_shared_and_read_only(self):
-        g = logit_grid(257, 1e-4)
-        assert logit_grid(257, 1e-4) is g
-        assert logit_grid(257, p_min=1e-4) is g
+        g = logit_grid(257)
+        assert logit_grid(257) is g
         assert not g.flags.writeable
         with pytest.raises(ValueError):
             g[0] = 0.5
@@ -70,13 +70,13 @@ class TestGrids:
 class TestCumulatives:
     def test_lower_cumulative_closed_form(self):
         grid = logit_grid(512)
-        vals = lower_cumulative(lambda q: 1.0 / (1.0 - q), 512)  # q*qd = q/(1-q)
+        vals = lower_cumulative(lambda q: 1.0 / (1.0 - q), 512, {})  # q*qd = q/(1-q)
         expected = -np.log1p(-grid) - grid
         assert np.max(np.abs(vals - expected) / np.maximum(expected, 1e-12)) < 1e-9
 
     def test_upper_cumulative_closed_form(self):
         grid = logit_grid(512)
-        vals = upper_cumulative(np.ones_like, 512)  # (1-q)*qd = 1-q
+        vals = upper_cumulative(np.ones_like, 512, {})  # (1-q)*qd = 1-q
         expected = 0.5 * (1.0 - grid) ** 2
         assert np.max(np.abs(vals - expected) / expected) < 1e-8
 

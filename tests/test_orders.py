@@ -5,6 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from conftest import oracle_can_resolve
 
 from qorder import deltas, oracle, orders
 from qorder.cli import parse_spec
@@ -37,7 +38,6 @@ from qorder.shape import (
     DECREASING,
     INCREASING,
     N_MODAL,
-    P_MIN,
     UNIMODAL_MAX,
     UNIMODAL_MIN,
     Mode,
@@ -422,7 +422,7 @@ class TestGridSizeDrivesEveryRoute:
         for order in ORDERS:
             assert ctx.oracle(order).n == 512
         for m in (X, Y):
-            assert set(m.__dict__["_profiles"]) == {(512, P_MIN)}
+            assert set(m.__dict__["_profiles"]) == {512}
 
 
 class TestQuantileRatioShapeFromProfiles:
@@ -616,23 +616,6 @@ class TestClosedFormStarCondition:
             assert holds == (lhs > rhs), (lam1, eta1, a1, lam2, eta2, a2, v.status)
 
 
-def oracle_can_resolve(X, Y, p_min=1e-6):
-    """The grid oracle sees (p_min, 1-p_min); a pair whose only sign change
-    of delta lies beyond the grid edge is undecidable at that resolution, so
-    theorem/oracle agreement is only asserted where the two routes measure
-    the same thing.  Detected by comparing delta's sign at the grid edge with
-    its endpoint limit."""
-    from qorder.deltas import delta, delta_limit
-
-    for end, edge in ((0.0, p_min), (1.0, 1.0 - p_min)):
-        lim = delta_limit(X, Y, end)
-        if lim.kind != "finite":
-            continue
-        if lim.value * delta(X, Y, edge) < 0.0:
-            return False
-    return True
-
-
 class TestTheoremOracleAgreement:
     def test_random_unimodal_region_pairs(self):
         rng = np.random.default_rng(42)
@@ -680,7 +663,7 @@ def _case(ctx):
     return "4b", (_DEC, _INC, _DEC)
 
 
-# Pool pairs whose G^-1/F^-1, read on logit_grid(4096, P_MIN), lacks a run of its
+# Pool pairs whose G^-1/F^-1, read on logit_grid(4096), lacks a run of its
 # case: in each, that run lies outside the grid (TestCaseAnalysis checks why).
 _LEFT_RUN_BELOW_GRID = {  # case 4b reads (increasing, decreasing)
     ("tukey:2.3787,1.57462,2.92258", "tukey:2.14151,1.79313,1.08369"),
@@ -777,7 +760,7 @@ class TestCaseAnalysis:
     def test_each_missing_run_lies_off_the_grid(self, pairs, left, right):
         # delta < 0 at the end, but > 0 at the grid's point nearest it: delta's sign
         # change, and with it the missing decreasing run, lies between the two
-        grid = oracle.logit_grid(4096, P_MIN)
+        grid = oracle.logit_grid(4096)
         for x, y in sorted(pairs):
             ctx = PairContext(parse_spec(x), parse_spec(y))
             for end, at, off in ((0, grid[0], left), (1, grid[-1], right)):

@@ -18,7 +18,6 @@ from numpy.polynomial.legendre import leggauss
 
 from qorder import oracle
 from qorder.cli import parse_spec
-from qorder.shape import P_MIN
 
 WEIBULL = "dsl:s*(-log(1-p))^(1/k);qdf=s/k*(-log(1-p))^(1/k-1)/(1-p);s={s};k={k}"
 WEIBULL_LOG1P = "dsl:s*(-log1p(-p))^(1/k);qdf=s/k*(-log1p(-p))^(1/k-1)/(1-p);s={s};k={k}"
@@ -48,7 +47,7 @@ def _panel_parts(X, n, nodes, weights):
 
 
 def _profile_parts(X, n):
-    prof = X.profile(n, P_MIN)
+    prof = X.profile(n)
     return prof.lower - prof.lower[0], prof.upper - prof.upper[-1]
 
 

@@ -17,7 +17,6 @@ from qorder.shape import (
     N_MODAL,
     UNIMODAL_MAX,
     UNIMODAL_MIN,
-    P_MIN,
     Mode,
     Segment,
     ShapeReport,
@@ -119,17 +118,17 @@ class TestFindShape:
     def test_values_from_a_larger_grid_rejected(self):
         fn = lambda p: (np.asarray(p) - 0.3) ** 2
         with pytest.raises(ValidationError, match=r"4096 values .* 512-point grid"):
-            find_shape(fn, 512, values=fn(logit_grid(4096, 1e-6)))
+            find_shape(fn, 512, values=fn(logit_grid(4096)))
         with pytest.raises(ValidationError, match=r"4096 values .* 512-point grid"):
-            shape_class(fn(logit_grid(4096, 1e-6)), 512)
+            shape_class(fn(logit_grid(4096)), 512)
 
     def test_values_from_a_smaller_grid_rejected(self):
-        # unchecked, these read as a mode near p_min instead of at 0.3
+        # unchecked, these read as a mode near P_MIN instead of at 0.3
         fn = lambda p: (np.asarray(p) - 0.3) ** 2
         with pytest.raises(ValidationError, match=r"512 values .* 4096-point grid"):
-            find_shape(fn, 4096, values=fn(logit_grid(512, 1e-6)))
+            find_shape(fn, 4096, values=fn(logit_grid(512)))
         with pytest.raises(ValidationError, match=r"512 values .* 4096-point grid"):
-            shape_class(fn(logit_grid(512, 1e-6)), 4096)
+            shape_class(fn(logit_grid(512)), 4096)
 
     def test_non_finite_values_rejected(self):
         values = np.linspace(1.0, 2.0, 512)
@@ -142,7 +141,7 @@ class TestFindShape:
 
 def _find_shape_loops(fn, n, values):
     """Reference: find_shape as it walked the panel signs in Python loops."""
-    grid = logit_grid(n, P_MIN)
+    grid = logit_grid(n)
     vals = np.asarray(values, dtype=float)
     diffs = np.diff(vals)
     local = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
@@ -208,7 +207,7 @@ class TestSegmentationAgainstLoops:
         # exact binary steps: a 0 sign is a zero difference, +-1 far above the flat tolerance
         vals = 8.0 + np.concatenate(([0.0], np.cumsum(signs))) * 2.0**-10
         monkeypatch.setattr(shape, "MAX_MODES", max_modes)
-        grid = logit_grid(vals.size, P_MIN)
+        grid = logit_grid(vals.size)
         fn = lambda p: np.interp(p, grid, vals)  # scalar-callable, for the mode refinement
         out = []
         for find in (find_shape, _find_shape_loops):
@@ -256,7 +255,7 @@ class TestSegmentationAgainstLoops:
 
 
 def _sign_row(n, *runs):
-    """Values on logit_grid(n, P_MIN) whose panel signs follow (sign, length)
+    """Values on logit_grid(n) whose panel signs follow (sign, length)
     runs, the last run cut or stretched to fill the n - 1 panels."""
     signs = _runs(*runs)[: n - 1]
     signs = np.concatenate((signs, np.full(n - 1 - signs.size, signs[-1], dtype=int)))
@@ -277,12 +276,12 @@ def _ratio_rows(n, rng):
         models.append((parse_spec(f"dsl:s*(-log(1-p))^(1/k);qdf=s/k*(-log(1-p))^(1/k-1)/(1-p);"
                                   f"s={s!r};k={k!r}"), UnitExponential()))
     models.append((parse_spec("dsl:-s*log(1-p);s=2"), TukeyGeneralized(4, 1, 2.5)))  # oscillatory
-    grid = logit_grid(n, P_MIN)
+    grid = logit_grid(n)
     return [(lambda p, X=X, Y=Y: ratio_qd(X, Y, p), ratio_qd(X, Y, grid)) for X, Y in models]
 
 
 def _edge_rows(n):
-    grid = logit_grid(n, P_MIN)
+    grid = logit_grid(n)
     interp = lambda vals: (lambda p: np.interp(p, grid, vals))
     rows = [np.full(n, 3.0), _sign_row(n, (1, 5), (-1, 5))]
     for bad in (math.inf, -math.inf, math.nan):
@@ -445,7 +444,7 @@ class TestRefineModeAgainstMpmath:
 
     def test_evaluations_per_off_centre_mode(self):
         X, Y = TukeyGeneralized(2, 1, 4.85), TukeyGeneralized(2, 1, 0.4)
-        grid = logit_grid(512, P_MIN)
+        grid = logit_grid(512)
         i = int(np.searchsorted(grid, 0.1057))
         calls = []
         _refine_mode(lambda p: calls.append(p) or ratio_qd(X, Y, p), grid[i - 1], grid[i + 1], "min")
@@ -456,7 +455,7 @@ class TestRefineModeAgainstMpmath:
         # the grid point between the last rising and the first falling panel
         n = 41
         vals = 8.0 + np.concatenate(([0.0], np.cumsum(_runs((1, 13), (-1, 27))))) * 2.0**-10
-        grid = logit_grid(n, P_MIN)
+        grid = logit_grid(n)
         fn = lambda p: np.interp(p, grid, vals)
         kink = grid[13]
         got = _refine_mode(fn, grid[12], grid[14], "max")
@@ -515,7 +514,7 @@ def _scan_ref(values, n):
     """Reference: shape._scan as it found flips with whole-grid index arrays
     (flatnonzero of the significant panels, their signs, the products of neighbouring
     signs, the gaps between them and searchsorted row bounds)."""
-    grid = logit_grid(n, P_MIN)
+    grid = logit_grid(n)
     vals = np.asarray(values, dtype=float)
     rows, size = vals.shape
     finite = np.isfinite(vals).all(axis=1)
@@ -566,7 +565,7 @@ def _flips_row(n, flips):
 
 
 def _framed_row(n, head, tail, fill):
-    """Values on logit_grid(n, P_MIN) whose panel signs are the (sign, length) runs
+    """Values on logit_grid(n) whose panel signs are the (sign, length) runs
     ``head``, then ``fill`` up to the runs ``tail``, which end the row; cut to n - 1 panels."""
     head, tail = _runs(*head), _runs(*tail)
     middle = np.full(max(n - 1 - head.size - tail.size, 0), fill, dtype=int)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deltas import finite_mean
-from .errors import InternalConsistencyError, TooOscillatoryError
+from .errors import InternalConsistencyError, ModelIntegrityError, TooOscillatoryError
 from .limits import LimitValue, limit_at, ratio_qd_tail
 from .models import UnitExponential
 from .orders import (
@@ -58,8 +58,15 @@ _EXP = UnitExponential()
 
 
 def hazard_quantile(X, p):
-    """Hazard rate at the p-th quantile, r(F^-1(p)) = f(F^-1(p))/(1-p)."""
-    return X.density_at_quantile(p) / (1.0 - p)
+    """Hazard rate at the p-th quantile, r(F^-1(p)) = f(F^-1(p))/(1-p) = 1/qd(p)/(1-p)."""
+    return _hazard(X.quantile_density(p), p)
+
+
+def _hazard(qd, p):
+    """1/qd/(1-p) from the quantile density qd at p, which must be positive."""
+    if np.any(np.asarray(qd) <= 0.0):
+        raise ModelIntegrityError("quantile density must be positive")
+    return 1.0 / qd / (1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -84,11 +91,11 @@ def classify_hazard(ctx: PairContext) -> HazardShape:
     """Shape of the hazard quantile function of ctx.X in reliability vocabulary.
 
     The hazard quantile is ratio_qd(X, Exp(1)), whose shape ctx.shape() also
-    finds; it is segmented here on its own so that the convex cross-check in
-    ``aging_report`` compares two evaluations."""
-    X = ctx.X
+    finds; it is segmented here on its own, from X's profile, so that the convex
+    cross-check in ``aging_report`` compares two segmentations."""
+    X, prof = ctx.X, ctx.X.profile(ctx.n)
     try:
-        sh = find_shape(lambda p: hazard_quantile(X, p), ctx.n)
+        sh = find_shape(lambda p: hazard_quantile(X, p), ctx.n, _hazard(prof.qd, prof.grid))
     except TooOscillatoryError as exc:
         return HazardShape("NModal", tuple((m, "?") for m in exc.modes))
     name = _HAZARD_NAMES.get(sh.classification, "NModal")
@@ -153,9 +160,10 @@ _SURROGATE_NAMES = {
 def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
     """Hazard-rate-weighted-average class of ctx.X: IHRWA, DHRWA, BT, UBT or Both.
 
-    The corollary criterion is the limit at 1- of
-    r(F^-1(p))*(F^-1(p)-E[X]) + log(1-p) + 1; the numeric surrogate shape is
-    always computed as well and wins on conflict (recorded in the evidence).
+    The numeric surrogate's shape decides whenever it is determinate, else the
+    corollary criterion: the hazard's monotonicity, or for a BT/UBT hazard the
+    sign of the limit at 1- of r(F^-1(p))*(F^-1(p)-E[X]) + log(1-p) + 1.  Both
+    are recorded in the evidence, with a note when they disagree.
     """
     if hazard.status == "Constant":
         return "Both"
@@ -181,24 +189,17 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
         surrogate = "Inconclusive"
     evidence["ihrwa_corollary"] = corollary
     evidence["ihrwa_surrogate"] = surrogate
-    if corollary is None:
-        return surrogate
-    if surrogate not in ("Inconclusive", corollary):
+    if corollary is not None and surrogate not in ("Inconclusive", corollary):
         evidence["ihrwa_conflict"] = (
             f"corollary says {corollary}, surrogate shape says {surrogate}; "
             "surrogate wins"
         )
-        return surrogate
-    if corollary in ("BT", "UBT"):
-        # the endpoint criterion only rules out one monotone class here; the
-        # bathtub-vs-upside-down call is genuinely settled by the surrogate,
-        # so record that both routes were consulted
+    elif corollary in ("BT", "UBT"):
+        # the endpoint criterion only rules out one monotone class here
         evidence["ihrwa_arbitration"] = (
             "endpoint criterion non-monotone; shape confirmed by the numeric surrogate"
         )
-        if surrogate != "Inconclusive":
-            return surrogate
-    return corollary
+    return corollary if surrogate == "Inconclusive" and corollary else surrogate
 
 
 def classify_ifra(ctx: PairContext, hazard: HazardShape, evidence: dict):
@@ -210,7 +211,7 @@ def classify_ifra(ctx: PairContext, hazard: HazardShape, evidence: dict):
         return "IFRA"
     if hazard.status == "Decreasing":
         return "DFRA"
-    if hazard.status not in ("BT", "UBT") or not hazard.modes:
+    if hazard.status not in ("BT", "UBT"):
         return _ifra_oracle(ctx)
     lim0 = ctx.delta_lim(0)
     lim1 = ctx.delta_lim(1)

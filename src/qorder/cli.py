@@ -319,7 +319,7 @@ def run_aging(args):
 def _aging_curves(X, fh, n):
     prof = X.profile(n)  # the profile the report was decided on
     p, ux, lx = prof.grid, prof.upper, prof.lower
-    cols = (p, aging_mod.hazard_quantile(X, p), ux / (1.0 - p), (-np.log1p(-p) - p) / lx)
+    cols = (p, 1.0 / prof.qd / (1.0 - p), ux / (1.0 - p), (-np.log1p(-p) - p) / lx)
     _write_csv(fh, ["p", "hazard", "mrl", "wa_surrogate"], _curve_rows(cols, n))
 
 
@@ -348,6 +348,10 @@ def run_empirical(args):
 
 
 def run_sweep(args):
+    if args.lam1 is None:  # by default each family's support starts at 1
+        args.lam1 = args.eta1 + 1.0
+    if args.lam2 is None:
+        args.lam2 = args.eta2 + 1.0
     for dest in ("alpha1_min", "alpha1_max", "alpha2_min", "alpha2_max", "step"):
         value = getattr(args, dest)
         if not math.isfinite(value):
@@ -381,15 +385,16 @@ def _sweep_rows(args, n1, n2):
     unimodal region and the theorem statuses.
 
     Every model is built before the first row, so a parameter that a model
-    refuses fails the run before anything is written.  The column models are
-    kept for the whole sweep, so each one's grid profile is computed once."""
+    refuses fails the run before anything is written.  A row's model is dropped
+    with its row; the column models are kept for the whole sweep, so each one's
+    grid profile is computed once."""
     alphas1 = [args.alpha1_min + i * args.step for i in range(n1)]
     alphas2 = [args.alpha2_min + j * args.step for j in range(n2)]
-    for a1 in alphas1:
-        TukeyGeneralized(args.lam1, args.eta1, a1)
+    xs = [TukeyGeneralized(args.lam1, args.eta1, a1) for a1 in alphas1]
     ys = [TukeyGeneralized(args.lam2, args.eta2, a2) for a2 in alphas2]
+    xs.reverse()  # popped row by row
     for a1 in alphas1:
-        X = TukeyGeneralized(args.lam1, args.eta1, a1)
+        X = xs.pop()
         for start in range(0, n2, SWEEP_BATCH):
             cells = []
             for a2, Y in zip(alphas2[start:start + SWEEP_BATCH], ys[start:start + SWEEP_BATCH]):
@@ -501,11 +506,6 @@ def main(argv=None):
     if _parser is None:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
-    if args.command == "sweep":
-        if args.lam1 is None:
-            args.lam1 = args.eta1 + 1.0
-        if args.lam2 is None:
-            args.lam2 = args.eta2 + 1.0
     try:
         if getattr(args, "grid", 3) < 3:  # compare, aging and sweep
             raise ValidationError(f"--grid must be at least 3, got {args.grid}")

@@ -473,19 +473,26 @@ class DslModel(QuantileModel):
         self._validate()
 
     def _validate(self):
-        grid = np.linspace(1.0 / 1025.0, 1024.0 / 1025.0, 1024)
-        vals = self._qf_fn(grid)
+        """Q finite and strictly increasing and qd finite and positive on the default
+        grid, whose profile the engine then reuses; each failure names its first point."""
+        prof = self.profile(4096)
+        grid, vals, qd = prof.grid, prof.q, prof.qd
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             i = int(bad[0])
-            raise ValidationError(f"quantile expression is not finite: qf({grid[i]:.6f}) = {vals[i]:.9g}")
-        bad = np.nonzero(np.diff(vals) <= 0.0)[0]
+            raise ValidationError(f"quantile expression is not finite: qf({grid[i]:.9g}) = {vals[i]:.9g}")
+        bad = np.flatnonzero(np.diff(vals) <= 0.0)
         if bad.size:
             i = int(bad[0])
             raise ValidationError(
                 "quantile expression is not strictly increasing: "
-                f"qf({grid[i]:.6f}) = {vals[i]:.9g} >= qf({grid[i + 1]:.6f}) = {vals[i + 1]:.9g}"
+                f"qf({grid[i]:.9g}) = {vals[i]:.9g} >= qf({grid[i + 1]:.9g}) = {vals[i + 1]:.9g}"
             )
+        bad = np.flatnonzero(~(np.isfinite(qd) & (qd > 0.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(
+                f"quantile density is not finite and positive: qd({grid[i]:.9g}) = {qd[i]:.9g}")
 
     def quantile(self, p):
         return self._qf_fn(check_p(p))

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .errors import DomainError, ModelIntegrityError, NonFiniteMeanError, ValidationError
+from .errors import DomainError, NonFiniteMeanError, ValidationError
 
 __all__ = [
     "GridProfile",
@@ -121,13 +121,6 @@ class QuantileModel(abc.ABC):
     @abc.abstractmethod
     def quantile_density(self, p):
         """dF^-1/dp, strictly positive on (0,1)."""
-
-    def density_at_quantile(self, p):
-        """f(F^-1(p)) = 1 / quantile_density(p)."""
-        qd = self.quantile_density(p)
-        if np.any(np.asarray(qd) <= 0.0):
-            raise ModelIntegrityError("quantile density must be positive")
-        return 1.0 / qd
 
     @property
     def support_lo(self) -> float:

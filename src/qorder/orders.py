@@ -245,12 +245,11 @@ class PairContext:
         return self._memo(("pslim",), lambda: deltas.delta_ps_limit(self.X, self.Y, 0))
 
     def proportional(self):
-        """True when G^-1 = c * F^-1 on the probe grid (delta identically 0)."""
+        """True when G^-1 = c * F^-1 on the pair's grid (delta identically 0)."""
 
         def probe():
-            fx = self.X.profile(64).q
-            gy = self.Y.profile(64).q
-            c = gy[32] / fx[32]  # at the probe's middle
+            fx, gy = (prof.q for prof in self._profiles())
+            c = gy[self.n // 2] / fx[self.n // 2]  # at the grid's middle
             scale = np.max(np.abs(gy)) + abs(c) * np.max(np.abs(fx))
             return bool(np.max(np.abs(gy - c * fx)) <= 1e-9 * max(scale, 1e-300))
 

@@ -13,6 +13,7 @@ from qorder.aging import (
     classify_mrl,
     hazard_quantile,
 )
+from qorder.errors import ModelIntegrityError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
 from qorder.orders import PairContext
@@ -30,6 +31,20 @@ class TestHazardQuantile:
     def test_exponential_is_constant_one(self):
         for p in (0.05, 0.5, 0.95):
             assert hazard_quantile(EXP, p) == pytest.approx(1.0, rel=1e-12)
+
+    def test_density_at_quantile(self):
+        # f(F^-1(p)) = (1 - p) * r(F^-1(p)) = 1 - p for the unit exponential
+        assert (1 - 0.25) * hazard_quantile(EXP, 0.25) == pytest.approx(0.75)
+
+    def test_non_positive_quantile_density_is_refused(self):
+        class Flat(UnitExponential):
+            def quantile_density(self, p):
+                return 0.0 * np.asarray(p) if np.ndim(p) else 0.0
+
+        with pytest.raises(ModelIntegrityError, match="quantile density must be positive"):
+            hazard_quantile(Flat(), 0.25)
+        with pytest.raises(ModelIntegrityError, match="quantile density must be positive"):
+            classify_hazard(_ctx(Flat()))
 
     def test_worked_value_at_mode(self):
         assert hazard_quantile(GOV, 1 / 3) == pytest.approx(0.5625, rel=1e-12)

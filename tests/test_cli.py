@@ -7,9 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qorder import aging as aging_mod
 from qorder.aging import hazard_quantile
 from qorder import cli
 from qorder.cli import dumps, main, parse_spec
+from qorder.dsl import DslModel
 from qorder.empirical import SampleSet
 from qorder.errors import ParseError, QorderError, ValidationError
 from qorder.models import Govindarajulu, GridProfile, TukeyGeneralized, UnitExponential
@@ -335,13 +337,11 @@ class TestCurvesOnTheVerdictGrid:
         assert main(argv + ["--curves", str(tmp_path / "curves.csv")]) in (0, 2)
         capsys.readouterr()
         assert set(seen.values()) == {1}
-        # the verdicts' grid and the 64-point probe; aging's Exp(1) is shared, so it may
-        # have been profiled before
-        assert {size for _, _, size in seen} == {n, 64}
+        # the verdicts' grid alone; aging's Exp(1) is shared, so it may have been
+        # profiled before
+        assert {size for _, _, size in seen} == {n}
         fresh = {(kind, i) for kind, i, _ in seen if kind != "UnitExponential"}
         assert len(fresh) == (2 if command == "compare" else 1)
-        for model in fresh:
-            assert sorted(size for *key, size in seen if tuple(key) == model) == [64, n]
 
 
 class TestEmpiricalCommand:
@@ -506,6 +506,43 @@ class TestSweepInBatches:
         assert not (tmp_path / "new.csv").exists()
 
 
+class TestOneGridEvaluationPerModel:
+    """At the default grid every verdict reads one profile per model: each model's Q
+    and quantile density run on the grid once, whichever stages need them."""
+
+    @pytest.mark.parametrize("argv, fresh", [
+        (["compare", "--x", "tukey:4,1,2.5", "--y", "tukey:1.5,1,1.5", "--method", "both"], 2),
+        (["compare", "--x", "dsl:s*(-log(1-p))^(1/k);qdf=s/k*(-log(1-p))^(1/k-1)/(1-p);s=1;k=2",
+          "--y", "exp1", "--method", "both"], 2),
+        (["compare", "--x", "dsl:p+p^2", "--y", "tukey:1.5,1,1.5", "--method", "both"], 2),
+        (["aging", "--x", "govindarajulu:0,2,2"], 1),
+        (["aging", "--x", "dsl:s*(-log(1-p))^(1/k);qdf=s/k*(-log(1-p))^(1/k-1)/(1-p);s=1;k=2"], 1),
+    ])
+    def test_q_and_qd_run_once_on_the_grid(self, tmp_path, capsys, monkeypatch, argv, fresh):
+        seen = Counter()  # (model type, model id, method)
+
+        def spy(cls, name):
+            real = getattr(cls, name)
+
+            def wrapped(self, p):
+                if np.ndim(p) == 1 and np.size(p) == 4096:  # the grid, not panel nodes
+                    seen[type(self).__name__, id(self), name] += 1
+                return real(self, p)
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+        for cls in (TukeyGeneralized, Govindarajulu, UnitExponential, DslModel):
+            spy(cls, "quantile")
+            spy(cls, "quantile_density")
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) in (0, 2)
+        capsys.readouterr()
+        models = {key[:2] for key in seen}
+        # aging's Exp(1) is shared, so it may have been profiled before
+        assert len(models - {("UnitExponential", id(aging_mod._EXP))}) == fresh
+        assert seen == Counter({model + (name,): 1 for model in models
+                                for name in ("quantile", "quantile_density")})
+
+
 class TestNonFiniteModelInput:
     @pytest.mark.parametrize("argv, message", [
         (["compare", "--x", "tukey:nan,1,2", "--y", "exp1", "--method", "theorem"],
@@ -515,7 +552,15 @@ class TestNonFiniteModelInput:
         (["compare", "--x", "tukey:inf,1,2", "--y", "tukey:2,1,2"],
          "Tukey family requires a finite lam, got inf"),
         (["compare", "--x", "dsl:exp(1000*p)", "--y", "exp1"],
-         "quantile expression is not finite: qf(0.710244) = inf"),
+         "quantile expression is not finite: qf(0.711112122) = inf"),
+        # decreasing below p = 1e-4 only, inside the engine's grid
+        (["compare", "--x", "dsl:p-1e-4*log(p)+1;qdf=1-1e-4/p", "--y", "exp1", "--method", "both"],
+         "quantile expression is not strictly increasing: "
+         "qf(1e-06) = 1.00138255 >= qf(1.00677031e-06) = 1.00138188"),
+        (["compare", "--x", "dsl:p;qdf=-1+0*p", "--y", "exp1"],
+         "quantile density is not finite and positive: qd(1e-06) = -1"),
+        (["compare", "--x", "dsl:p;qdf=0*p", "--y", "exp1"],
+         "quantile density is not finite and positive: qd(1e-06) = 0"),
         (["aging", "--x", "tukey:1,1,nan"], "Tukey family requires a finite alpha, got nan"),
         (["aging", "--x", "govindarajulu:0,inf,1"], "Govindarajulu requires a finite sigma, got inf"),
     ])

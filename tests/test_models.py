@@ -140,11 +140,6 @@ class TestUnitExponential:
         e = UnitExponential()
         assert e.quantile(1 - math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
 
-    def test_density_at_quantile(self):
-        e = UnitExponential()
-        # f(F^-1(p)) = 1 - p for the unit exponential
-        assert e.density_at_quantile(0.25) == pytest.approx(0.75)
-
     def test_mean_and_tails(self):
         e = UnitExponential()
         assert e.mean == 1.0

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 FUNCTIONS = ("log", "log1p", "exp", "expm1", "sqrt", "abs")
+QDF_RTOL = 1e-3  # how far a given qdf's panel integrals may stray from Q's rises
 
 
 class Expression:
@@ -249,29 +250,20 @@ def render(expr: Expression) -> str:
     raise TypeError(f"not an Expression: {expr!r}")
 
 
-# Domain tests, one table per operand form: a scalar operand (the scalar
-# path's np.float64, or any value that does not depend on p) is compared as a
-# plain number, an array operand is reduced once with ndarray.any().  Both
-# raise on the same values.
-_SCALAR_TESTS = {
+# Domain tests as raw comparisons.  A scalar operand (the scalar path's
+# np.float64, or any value that does not depend on p) gives one flag, an array
+# operand (a plain ndarray: ``compile`` converts p) one flag per point, which
+# each guard reduces with ndarray.any(): both forms of p raise on the same values.
+_ARRAY = np.ndarray
+_TESTS = {
     "zero": lambda x: x == 0.0,
     "negative": lambda x: x < 0.0,
     "non-positive": lambda x: x <= 0.0,
     "at most -1": lambda x: x <= -1.0,
-    "zero^neg": lambda a, b: a == 0.0 and b < 0.0,
-    "neg^frac": lambda a, b: a < 0.0 and b != np.floor(b),
 }
-_ARRAY_TESTS = {
-    "zero": lambda x: (x == 0.0).any(),
-    "negative": lambda x: (x < 0.0).any(),
-    "non-positive": lambda x: (x <= 0.0).any(),
-    "at most -1": lambda x: (x <= -1.0).any(),
-    "zero^neg": lambda a, b: ((a == 0.0) & (b < 0.0)).any(),
-    "neg^frac": lambda a, b: ((a < 0.0) & (b != np.floor(b))).any(),
-}
-_CHECKED_CALLS = {"log": (np.log, "non-positive", "log of a non-positive value"),
-                  "log1p": (np.log1p, "at most -1", "log1p of a value at most -1"),
-                  "sqrt": (np.sqrt, "negative", "sqrt of a negative value")}
+_CHECKED_CALLS = {"log": (np.log, _TESTS["non-positive"], "log of a non-positive value"),
+                  "log1p": (np.log1p, _TESTS["at most -1"], "log1p of a value at most -1"),
+                  "sqrt": (np.sqrt, _TESTS["negative"], "sqrt of a negative value")}
 _CALLS = {"exp": np.exp, "expm1": np.expm1, "abs": np.abs}
 _ZERO_NEG = "zero raised to a negative power"
 _NEG_FRAC = "negative base with non-integer exponent"
@@ -291,104 +283,93 @@ def _folded(value):
 
 
 def _node(build, *children):
-    """(closures, what is known of the value) of a node over ``children``.
+    """(closure, what is known of the value) of a node over ``children``.
 
-    ``children`` are the operands' (closures, value) pairs, left to right, and
-    ``build(tests, *operands)`` makes the node's closure over one closure per
-    operand, ``tests`` being the table for operands that depend on p.  A node
-    that depends on p gets one closure per form of p.  A p-free node gets one
-    closure for both forms, because its operands use _SCALAR_TESTS in either.
-    When its operands are all folded it is evaluated once, now, under the
-    np.errstate(all="raise") that ``compile`` sets: when that raises nothing,
-    so sets no floating-point flag either, every call returns the same value.
-    Otherwise it runs on every call, so its error or warning surfaces there,
-    in evaluation order."""
-    known = None
-    for _, value in children:
-        if value is _VARIES:
-            scalar_fn = build(_SCALAR_TESTS, *[fns[0] for fns, _ in children])
-            array_fn = build(_ARRAY_TESTS, *[fns[1] for fns, _ in children])
-            return (scalar_fn, array_fn), _VARIES
-        if value is _UNFOLDED:
-            known = _UNFOLDED
-    fn = build(_SCALAR_TESTS, *[fns[0] for fns, _ in children])
-    if known is _UNFOLDED:
-        return (fn, fn), _UNFOLDED
+    ``children`` are the operands' (closure, value) pairs, left to right, and
+    ``build(*operands)`` makes the node's closure over the operands' closures;
+    it serves a scalar and an array p alike.  A p-free node whose operands are
+    all folded is evaluated once, now, under the np.errstate(all="raise") that
+    ``compile`` sets: when that raises nothing, so sets no floating-point flag
+    either, every call returns the same value.  Otherwise the node runs on
+    every call, so its error or warning surfaces there, in evaluation order."""
+    fn = build(*[operand for operand, _ in children])
+    for mark in (_VARIES, _UNFOLDED):
+        if any(value is mark for _, value in children):
+            return fn, mark
     try:
         value = fn(None)
     except Exception:  # whatever it is, the call raises it again
-        return (fn, fn), _UNFOLDED
+        return fn, _UNFOLDED
     return _constant(value)
 
 
 def _constant(value):
-    """The closures and value of a node that returns ``value`` on every call."""
-    const = lambda p: value
-    return (const, const), value
+    """The closure and value of a node that returns ``value`` on every call."""
+    return (lambda p: value), value
 
 
 def _guarded(node, operand, bad, what, apply):
     """p -> apply(operand(p)), raising DomainError(what) where bad(operand)."""
     def guarded(p):
         x = operand(p)
-        if bad(x):
+        flags = bad(x)
+        if flags.any() if type(flags) is _ARRAY else flags:
             raise _domain_error(node, what)
         return apply(x)
     return guarded
 
 
-def _divide(node, left, right, b, tests):
+def _divide(node, left, right, b):
     if _folded(b) and not b == 0.0:  # settled: this divisor is never zero
         return lambda p: left(p) / b
-    zero = tests["zero"] if b is _VARIES else _SCALAR_TESTS["zero"]
 
     def divide(p):
         a, d = left(p), right(p)
-        if zero(d):
+        flags = d == 0.0
+        if flags.any() if type(flags) is _ARRAY else flags:
             raise _domain_error(node, "division by zero")
         return a / d
     return divide
 
 
-def _power(node, left, a, right, b, tests):
+def _power(node, left, right, b):
     if _folded(b):  # a constant exponent rules out what it cannot produce
-        t = tests if a is _VARIES else _SCALAR_TESTS
         neg, frac = b < 0.0, b != np.floor(b)
         if neg and frac:
-            nonpos, zero = t["non-positive"], t["zero"]
-
             def power(p):
                 x = left(p)
-                if nonpos(x):  # one pass; the precise test only picks the message
-                    raise _domain_error(node, _ZERO_NEG if zero(x) else _NEG_FRAC)
+                flags = x <= 0.0  # one pass; the precise test only picks the message
+                if flags.any() if type(flags) is _ARRAY else flags:
+                    zero = (x == 0.0).any() if type(flags) is _ARRAY else x == 0.0
+                    raise _domain_error(node, _ZERO_NEG if zero else _NEG_FRAC)
                 return np.power(x, b)
             return power
         if neg or frac:
             test, what = ("zero", _ZERO_NEG) if neg else ("negative", _NEG_FRAC)
-            return _guarded(node, left, t[test], what, lambda x: np.power(x, b))
+            return _guarded(node, left, _TESTS[test], what, lambda x: np.power(x, b))
         return lambda p: np.power(left(p), b)
-    t = tests if a is _VARIES or b is _VARIES else _SCALAR_TESTS
-    zero_neg, neg_frac = t["zero^neg"], t["neg^frac"]
 
     def power(p):
         x, y = left(p), right(p)
-        if zero_neg(x, y):
+        flags = (x == 0.0) & (y < 0.0)
+        if flags.any() if type(flags) is _ARRAY else flags:
             raise _domain_error(node, _ZERO_NEG)
-        if neg_frac(x, y):
+        flags = (x < 0.0) & (y != np.floor(y))
+        if flags.any() if type(flags) is _ARRAY else flags:
             raise _domain_error(node, _NEG_FRAC)
         return np.power(x, y)
     return power
 
 
 _ARITHMETIC = {
-    "+": lambda tests, left, right: lambda p: left(p) + right(p),
-    "-": lambda tests, left, right: lambda p: left(p) - right(p),
-    "*": lambda tests, left, right: lambda p: left(p) * right(p),
+    "+": lambda left, right: lambda p: left(p) + right(p),
+    "-": lambda left, right: lambda p: left(p) - right(p),
+    "*": lambda left, right: lambda p: left(p) * right(p),
 }
 
 
 def _compile(node, bindings):
-    """((scalar-p closure, array-p closure), folded value or _VARIES or _UNFOLDED).
+    """(closure, folded value or _VARIES or _UNFOLDED) of ``node``.
 
     One bottom-up pass: children run left to right, then the node's own domain
     test, then its numpy ufunc or Python operator.  A p-free subtree is folded
@@ -398,32 +379,30 @@ def _compile(node, bindings):
     if isinstance(node, Var):
         name = node.name
         if name == "p":
-            identity = lambda p: p
-            return (identity, identity), _VARIES
+            return (lambda p: p), _VARIES
         if name not in bindings:
             def unbound(p):
                 raise ValidationError(f"unbound parameter {name!r}")
-            return (unbound, unbound), _UNFOLDED
+            return unbound, _UNFOLDED
         raw = bindings[name]
-        return _node(lambda tests: lambda p: float(raw))
+        return _node(lambda: lambda p: float(raw))
     if isinstance(node, Neg):
-        return _node(lambda tests, child: lambda p: -child(p),
-                     _compile(node.child, bindings))
+        return _node(lambda child: lambda p: -child(p), _compile(node.child, bindings))
     if isinstance(node, Call):
         arg = _compile(node.arg, bindings)
         if node.fn in _CALLS:
             ufunc = _CALLS[node.fn]
-            return _node(lambda tests, x: lambda p: ufunc(x(p)), arg)
+            return _node(lambda x: lambda p: ufunc(x(p)), arg)
         ufunc, test, what = _CHECKED_CALLS[node.fn]
-        return _node(lambda tests, x: _guarded(node, x, tests[test], what, ufunc), arg)
+        return _node(lambda x: _guarded(node, x, test, what, ufunc), arg)
     if isinstance(node, Bin):
         left = _compile(node.left, bindings)
         right = _compile(node.right, bindings)
-        a, b = left[1], right[1]
+        b = right[1]
         if node.op == "/":
-            return _node(lambda tests, x, y: _divide(node, x, y, b, tests), left, right)
+            return _node(lambda x, y: _divide(node, x, y, b), left, right)
         if node.op == "^":
-            return _node(lambda tests, x, y: _power(node, x, a, y, b, tests), left, right)
+            return _node(lambda x, y: _power(node, x, y, b), left, right)
         return _node(_ARITHMETIC[node.op], left, right)
     raise TypeError(f"not an Expression: {node!r}")
 
@@ -431,22 +410,23 @@ def _compile(node, bindings):
 def compile(expr: Expression, bindings=None):
     """Compile ``expr`` once into a callable p -> value (scalar or array p).
 
-    Parameters are looked up in ``bindings`` now; an unbound one raises
-    ValidationError when the callable runs, in evaluation order.  Values equal
-    a walk of the tree bit for bit: every node applies the same ufunc or
-    operator to the same operand types.  A subtree that does not depend on p
-    is evaluated here, once, when that raises nothing and sets no
-    floating-point flag; otherwise on every call, so errors and warnings are
-    those of the walk.
+    One tree of closures serves both forms of p; the callable only converts p
+    to np.float64 or to an array, and the result back.  Parameters are looked
+    up in ``bindings`` now; an unbound one raises ValidationError when the
+    callable runs, in evaluation order.  Values equal a walk of the tree bit
+    for bit: every node applies the same ufunc or operator to the same operand
+    types.  A subtree that does not depend on p is evaluated here, once, when
+    that raises nothing and sets no floating-point flag; otherwise on every
+    call, so errors and warnings are those of the walk.
     """
     bindings = bindings or {}
     with np.errstate(all="raise"):  # for _node's folding; nothing else here computes
-        (scalar_fn, array_fn), _ = _compile(expr, bindings)
+        fn, _ = _compile(expr, bindings)
 
     def compiled(p):
         if type(p) is float or np.isscalar(p) or (isinstance(p, np.ndarray) and p.ndim == 0):
-            return float(scalar_fn(np.float64(p)))
-        out = array_fn(np.asarray(p, dtype=float))
+            return float(fn(np.float64(p)))
+        out = fn(np.asarray(p, dtype=float))
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(p)).copy() \
             if np.shape(out) != np.shape(p) else out
     return compiled
@@ -473,15 +453,16 @@ class DslModel(QuantileModel):
         self._validate()
 
     def _validate(self):
-        """Q finite and strictly increasing and qd finite and positive on the default
-        grid, whose profile the engine then reuses; each failure names its first point."""
+        """Q finite and strictly increasing, qd finite, positive and, if given, Q's derivative
+        on the default grid, whose profile the engine reuses; a failure names where it is."""
         prof = self.profile(4096)
         grid, vals, qd = prof.grid, prof.q, prof.qd
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             i = int(bad[0])
             raise ValidationError(f"quantile expression is not finite: qf({grid[i]:.9g}) = {vals[i]:.9g}")
-        bad = np.flatnonzero(np.diff(vals) <= 0.0)
+        rise = np.diff(vals)
+        bad = np.flatnonzero(rise <= 0.0)
         if bad.size:
             i = int(bad[0])
             raise ValidationError(
@@ -493,6 +474,27 @@ class DslModel(QuantileModel):
             i = int(bad[0])
             raise ValidationError(
                 f"quantile density is not finite and positive: qd({grid[i]:.9g}) = {qd[i]:.9g}")
+        if self._qdf is None:
+            return
+        # On each panel qd's trapezoid is within QDF_RTOL of Q's rise, or else, less its error
+        # h^3/12 qd'' (qd'' of the quadratic through the panel's nodes and the next; the last panel
+        # takes its neighbour's), within QDF_RTOL of the rise plus |error| plus 9 ulps of Q.
+        h = np.diff(grid)
+        integral = (0.5 * qd[:-1] + 0.5 * qd[1:]) * h
+        if not (np.abs(rise - integral) > QDF_RTOL * rise).any():
+            return
+        w, dqd, size = h[:-1] ** 3 / (6.0 * (h[:-1] + h[1:])), np.diff(qd), np.abs(vals)
+        err = w / h[1:] * dqd[1:] - w / h[:-1] * dqd[:-1]
+        err = np.append(err, err[-1] * (h[-1] / h[-2]) ** 3)
+        integral -= err
+        slack = QDF_RTOL * rise + np.abs(err) + 2e-15 * np.maximum(size[:-1], size[1:])
+        bad = np.flatnonzero(np.abs(rise - integral) > slack)
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(
+                "quantile density does not integrate to the quantile expression: "
+                f"qf({grid[i + 1]:.9g}) - qf({grid[i]:.9g}) = {rise[i]:.9g} but qd integrates "
+                f"to {integral[i]:.9g} on that panel")
 
     def quantile(self, p):
         return self._qf_fn(check_p(p))

@@ -126,10 +126,6 @@ class QuantileModel(abc.ABC):
     def support_lo(self) -> float:
         return self.tail_quantile(0)
 
-    @property
-    def support_hi(self) -> float:
-        return self.tail_quantile(1)
-
     def tail_quantile(self, end: int) -> float:
         """Limit of the quantile function at the endpoint (0 or 1).
 

@@ -561,6 +561,15 @@ class TestNonFiniteModelInput:
          "quantile density is not finite and positive: qd(1e-06) = -1"),
         (["compare", "--x", "dsl:p;qdf=0*p", "--y", "exp1"],
          "quantile density is not finite and positive: qd(1e-06) = 0"),
+        # qd = 2 where Q' = 1: the first panel's integral is twice Q's rise
+        (["compare", "--x", "dsl:p;qdf=2-p*0", "--y", "exp1"],
+         "quantile density does not integrate to the quantile expression: "
+         "qf(1.00677031e-06) - qf(1e-06) = 6.77031048e-09 but qd integrates to 1.3540621e-08 "
+         "on that panel"),
+        (["aging", "--x", "dsl:p;qdf=2-p*0"],
+         "quantile density does not integrate to the quantile expression: "
+         "qf(1.00677031e-06) - qf(1e-06) = 6.77031048e-09 but qd integrates to 1.3540621e-08 "
+         "on that panel"),
         (["aging", "--x", "tukey:1,1,nan"], "Tukey family requires a finite alpha, got nan"),
         (["aging", "--x", "govindarajulu:0,inf,1"], "Govindarajulu requires a finite sigma, got inf"),
     ])

@@ -149,6 +149,22 @@ def test_non_monotone_rejected_with_witness():
         as_quantile_model("1-p")
 
 
+@pytest.mark.parametrize("qf,qdf", [
+    ("p^45", "45*p^44"),  # steep near p = 0, where the logit grid's panels are widest in log p
+    ("exp(300*p)", "300*exp(300*p)"),  # qd triples across a mid-grid panel
+    ("1e5+p", "1+0*p"),  # Q's rise on a tail panel is a few ulps of Q
+])
+def test_a_qdf_that_is_the_derivative_of_q_is_accepted(qf, qdf):
+    as_quantile_model(qf, qdf=qdf)
+
+
+@pytest.mark.parametrize("qdf", ["2.01*p", "2*p+1e-3", "2*p^1.001"])  # Q' = 2*p
+def test_a_qdf_that_is_not_the_derivative_of_q_is_refused(qdf):
+    with pytest.raises(ValidationError, match=r"^quantile density does not integrate to the "
+                       r"quantile expression: qf\(\S+\) - qf\(\S+\) = \S+ but qd integrates"):
+        as_quantile_model("p^2", qdf=qdf)
+
+
 def test_support_endpoints_from_limits():
     m = as_quantile_model("p^2")
     assert m.tail_quantile(0) == pytest.approx(0.0, abs=1e-9)
@@ -291,6 +307,15 @@ class TestCompiledAgainstTree:
         ("0^(-p)", DomainError, "zero raised to a negative power in subexpression '0 ^ (-p)'"),
         ("(p-1)^0.5", DomainError,
          "negative base with non-integer exponent in subexpression '(p - 1) ^ 0.5'"),
+        ("(p-1)^p", DomainError,
+         "negative base with non-integer exponent in subexpression '(p - 1) ^ p'"),
+        # a folded negative fractional exponent: the base's sign picks the message
+        ("(p-p)^(0-0.5)", DomainError,
+         "zero raised to a negative power in subexpression '(p - p) ^ (0 - 0.5)'"),
+        ("(p-1)^(0-0.5)", DomainError,
+         "negative base with non-integer exponent in subexpression '(p - 1) ^ (0 - 0.5)'"),
+        ("(p-p)^(0-p)", DomainError,
+         "zero raised to a negative power in subexpression '(p - p) ^ (0 - p)'"),
         ("x+p", ValidationError, "unbound parameter 'x'"),
         # left to right: the log fails before the unbound parameter is read
         ("log(p-1)+q", DomainError, "log of a non-positive value in subexpression 'log(p - 1)'"),
@@ -411,10 +436,9 @@ def test_p_free_subtrees_fold_only_when_clean():
         with np.errstate(all="raise"):  # as dsl.compile calls it
             return dsl._compile(parse(text), bindings or {})
 
-    (scalar_fn, array_fn), value = compiled("s/k", dict(s=2.42016, k=1.99702))
+    fn, value = compiled("s/k", dict(s=2.42016, k=1.99702))
     assert value == 2.42016 / 1.99702
-    assert scalar_fn is array_fn  # one closure serves both forms of p
-    assert scalar_fn(0.25) is value and scalar_fn(0.75) is value
+    assert fn(0.25) is value and fn(np.array([0.25, 0.75])) is value  # either form of p
     assert compiled("1/k-1", dict(k=2.0))[1] == -0.5
     assert compiled("exp(1000)")[1] is dsl._UNFOLDED  # it overflows
     assert compiled("1/(k-k)", dict(k=2.0))[1] is dsl._UNFOLDED  # it raises
@@ -432,7 +456,7 @@ def test_a_p_free_subtree_is_evaluated_once_per_compile():
             return float.__float__(self)
 
     fn = dsl.compile(parse("s*p + s"), dict(s=Counted(2.0)))
-    assert Counted.reads == 2  # each leaf once, for the scalar and the array closures alike
+    assert Counted.reads == 2  # each leaf once, for a scalar and an array p alike
     assert fn(0.25) == 2.5 and list(fn(np.array([0.25, 0.5]))) == [2.5, 3.0]
     assert Counted.reads == 2
 

@@ -79,7 +79,7 @@ class TestTukey:
     def test_support_and_tails(self):
         t = TukeyGeneralized(4.0, 1.0, 2.5)
         assert t.support_lo == 3.0
-        assert t.support_hi == 5.0
+        assert t.tail_quantile(1) == 5.0
         assert t.tail_qdensity(0) == 2.5  # eta*alpha for alpha > 1
 
     def test_mean_is_lambda(self):
@@ -121,7 +121,7 @@ class TestGovindarajulu:
     def test_support(self):
         g = Govindarajulu(0.5, 2.0, 3.0)
         assert g.support_lo == 0.5
-        assert g.support_hi == 2.5
+        assert g.tail_quantile(1) == 2.5
 
     def test_tail_density_classification(self):
         assert Govindarajulu(0, 1, 2.0).tail_qdensity(0) == 0.0
@@ -144,7 +144,7 @@ class TestUnitExponential:
         e = UnitExponential()
         assert e.mean == 1.0
         assert e.support_lo == 0.0
-        assert e.support_hi == math.inf
+        assert e.tail_quantile(1) == math.inf
 
     def test_mean_matches_quadrature(self):
         from qorder.oracle import quadrature

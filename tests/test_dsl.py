@@ -151,7 +151,11 @@ def test_non_monotone_rejected_with_witness():
 
 @pytest.mark.parametrize("qf,qdf", [
     ("p^45", "45*p^44"),  # steep near p = 0, where the logit grid's panels are widest in log p
-    ("exp(300*p)", "300*exp(300*p)"),  # qd triples across a mid-grid panel
+    ("exp(300*p)", "300*exp(300*p)"),  # qd grows 1.66-fold across the widest panel, at p = 0.5
+    # qd with a kink: inside a panel (p = 0.5, the logit grid's middle) and off-centre in one
+    ("p+4*(p-0.5)*abs(p-0.5)", "1+8*abs(p-0.5)"),
+    ("p+40*(p-0.3)*abs(p-0.3)", "1+80*abs(p-0.3)"),
+    ("p+0.5*abs(p-0.3)", "1+0.5*(p-0.3)/abs(p-0.3)"),  # qd with a jump
     ("1e5+p", "1+0*p"),  # Q's rise on a tail panel is a few ulps of Q
 ])
 def test_a_qdf_that_is_the_derivative_of_q_is_accepted(qf, qdf):

@@ -12,7 +12,7 @@ two routes can never silently drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class HazardShape:
     status: str  # Increasing | Decreasing | BT | UBT | NModal | Constant
     modes: tuple = ()  # (p, kind) pairs
 
-    def to_dict(self):
-        return {"status": self.status, "modes": [list(m) for m in self.modes]}
-
 
 _HAZARD_NAMES = {
     CONSTANT: "Constant",
@@ -123,8 +120,10 @@ def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
     """Mean-residual-life class of ctx.X: DMRL, IMRL, BT, UBT or Constant.
 
     For a BT/UBT hazard the endpoint criterion applies: the mrl is monotone
-    exactly when lim_{p->0+} r(F^-1(p)) falls on the right side of 1/E[X];
-    otherwise it inherits the opposite bathtub shape.
+    exactly when lim_{p->0+} r(F^-1(p)) falls on the right side of
+    1/(E[X] - a), the reciprocal of the mrl E[X] - a at the left endpoint a of
+    the support (the mrl m obeys m' = r*m - 1); otherwise it inherits the
+    opposite bathtub shape.
     """
     mu = finite_mean(ctx.X)
     if hazard.status == "Constant":
@@ -137,10 +136,14 @@ def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
         return _mrl_shape_fallback(ctx)
     lim = _hazard_limit0(ctx)
     evidence["hazard_limit_0"] = lim.to_dict()
-    evidence["mean_reciprocal"] = 1.0 / mu
+    spread = mu - ctx.X.support_lo  # E[X] - a
+    if not spread > 0.0:  # rounded away: the support starts far above its width
+        return _mrl_shape_fallback(ctx)
+    threshold = 1.0 / spread
+    evidence["mean_reciprocal"] = threshold
     if not lim.is_determinate:
         return _mrl_shape_fallback(ctx)
-    gap = lim.as_float() - 1.0 / mu
+    gap = lim.as_float() - threshold
     if abs(gap) <= TOL:
         return _mrl_shape_fallback(ctx)
     if hazard.status == "BT":
@@ -254,16 +257,6 @@ class AgingReport:
     evidence: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "hazard": self.hazard.to_dict(),
-            "mrl_class": self.mrl_class,
-            "ihrwa_class": self.ihrwa_class,
-            "ifra_class": self.ifra_class,
-            "evidence": self.evidence,
-            "notes": list(self.notes),
-        }
-
 
 # class label -> the order-engine statuses versus Exp(1) it allows; a label
 # not listed here (Inconclusive) is not enforced
@@ -284,7 +277,7 @@ def _cross_check(notes, name, label, verdict):
         raise InternalConsistencyError(
             f"aging class {name}={label} contradicts the order engine "
             f"({verdict.order} vs Exp(1) is {verdict.status}); "
-            f"certificate: {verdict.certificate.to_dict()}"
+            f"certificate: {asdict(verdict.certificate)}"
         )
     notes.append(f"{name}: class {label} agrees with {verdict.order}={verdict.status}")
 

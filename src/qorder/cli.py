@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -140,11 +142,36 @@ _WRITERS = {str: _escape, float: _number, int: str, bool: _bool, np.bool_: _bool
             type(None): lambda obj: "null"}
 
 
+class _Layouts(dict):
+    """type -> (the escaped keys of its fields, a getter of their values) for a
+    dataclass, written as an object of its fields in declaration order; None
+    for any other type.  Each type is looked up once."""
+
+    def __missing__(self, cls):
+        layout = None
+        if dataclasses.is_dataclass(cls):
+            names = [f.name for f in dataclasses.fields(cls)]
+            # attrgetter of one name returns the bare value, not a tuple
+            get = (operator.attrgetter(*names) if len(names) > 1
+                   else lambda obj: [getattr(obj, name) for name in names])
+            layout = [_escape(name) + ": " for name in names], get
+        self[cls] = layout
+        return layout
+
+
+_LAYOUTS = _Layouts()
+
+
 def dumps(obj, indent=0):
-    """Serialize with fixed key order (insertion) and %.17g floats."""
+    """Serialize with fixed key order (insertion, or a dataclass's field order)
+    and %.17g floats."""
     write = _WRITERS.get(type(obj))
     if write is not None:
         return write(obj)
+    layout = _LAYOUTS[type(obj)]
+    if layout is not None:
+        keys, get = layout
+        return _block([k + dumps(v, indent + 2) for k, v in zip(keys, get(obj))], indent, "{}")
     # subclasses and numpy scalars; no type is both a container and a number
     if isinstance(obj, dict):
         return _block([_escape(str(k)) + ": " + dumps(v, indent + 2) for k, v in obj.items()],
@@ -257,7 +284,7 @@ def run_compare(args):
             "y": Y.label(),
             "method": args.method,
             "grid_n": args.grid,
-            "verdicts": [v.to_dict() for v in verdicts],
+            "verdicts": verdicts,
         }
         if curves:
             _compare_curves(X, Y, curves, args.grid)
@@ -306,7 +333,7 @@ def run_aging(args):
             "command": "aging",
             "x": X.label(),
             "grid_n": args.grid,
-            "report": report_obj.to_dict(),
+            "report": report_obj,
         }
         if curves:
             _aging_curves(X, curves, args.grid)

@@ -43,9 +43,6 @@ class SampleSet:
     def n(self):
         return len(self.values)
 
-    # marker consumed by the order engine: no smooth quantile density exists
-    supports_theorem_paths = False
-
 
 def load_samples(path) -> SampleSet:
     """Read one numeric value per record (comma- or newline-separated).

@@ -102,13 +102,11 @@ def _log_complement(x, c):
 
 
 def _match(p, value):
-    # scalar in -> float out, array in -> array out; an array skips np.isscalar,
-    # which takes a tenth of a model's evaluation on a quadrature's 42 nodes
-    if type(p) is float:
+    # p is what check_p returned, a float or an ndarray: scalar in -> float out,
+    # array in -> array out
+    if type(p) is float or p.ndim == 0:
         return float(value)
-    if isinstance(p, np.ndarray):
-        return float(value) if p.ndim == 0 else value
-    return float(value) if np.isscalar(p) else value
+    return value
 
 
 class QuantileModel(abc.ABC):

@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .limits import LimitValue
+from .models import QuantileModel
 from .oracle import GridVerdict, order_oracle
 from .shape import (
     CONSTANT,
@@ -85,30 +86,12 @@ class Condition:
     threshold: str
     satisfied: bool | None
 
-    def to_dict(self):
-        v = self.value
-        if isinstance(v, float) and not math.isfinite(v):
-            v = "+inf" if v > 0 else "-inf"
-        return {
-            "name": self.name,
-            "value": v,
-            "threshold": self.threshold,
-            "satisfied": self.satisfied,
-        }
-
 
 @dataclass
 class Certificate:
     theorem: str
     conditions: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "theorem": self.theorem,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "notes": list(self.notes),
-        }
 
 
 @dataclass
@@ -117,14 +100,6 @@ class OrderVerdict:
     status: str
     method: str  # "theorem" | "numeric-fallback" | "implication"
     certificate: Certificate
-
-    def to_dict(self):
-        return {
-            "order": self.order,
-            "status": self.status,
-            "method": self.method,
-            "certificate": self.certificate.to_dict(),
-        }
 
 
 def _tri(x, sense):
@@ -184,7 +159,7 @@ class PairContext:
         if n < 3:  # the ratio's shape needs two grid steps
             raise ValidationError(f"grid size must be at least 3, got {n}")
         for m, name in ((X, "X"), (Y, "Y")):
-            if not getattr(m, "supports_theorem_paths", True):
+            if not isinstance(m, QuantileModel):
                 raise ValidationError(
                     f"{name} has no smooth quantile density; only empirical diagnostics apply"
                 )
@@ -527,9 +502,12 @@ def _combine(fwd, rev):
     return INCONCLUSIVE
 
 
-def _finish(ctx, order, theorem, fwd, rev, conds):
-    method = "theorem"
-    if fwd is None or rev is None:
+def _finish(order, theorem, conds, fwd, rev, ctx=None, method="theorem"):
+    """The verdict of order from its directions fwd and rev (True/False, or None
+    when undecided), certified by theorem and the conditions conds.  Given the
+    pair's context ctx, a direction left None is the grid oracle's, recorded
+    in conds, and the method is "numeric-fallback"; without it, it stays None."""
+    if ctx is not None and (fwd is None or rev is None):
         gv = ctx.oracle(order)
         conds.append(_oracle_cond(order, gv, "grid monotonicity at "))
         of, orv = _oracle_directions(gv)
@@ -537,31 +515,26 @@ def _finish(ctx, order, theorem, fwd, rev, conds):
             fwd, method = of, "numeric-fallback"
         if rev is None:
             rev, method = orv, "numeric-fallback"
-    cert = Certificate(theorem, conds)
-    return OrderVerdict(order, _combine(fwd, rev), method, cert)
+    return OrderVerdict(order, _combine(fwd, rev), method, Certificate(theorem, conds))
 
 
 def _equivalent_verdict(order, theorem):
-    cert = Certificate(theorem, [Condition("delta_identically_zero", 0.0,
-                                           "G^-1 = c F^-1 on the probe grid", True)])
-    return OrderVerdict(order, EQUIVALENT, "theorem", cert)
+    return _finish(order, theorem, [Condition("delta_identically_zero", 0.0,
+                                              "G^-1 = c F^-1 on the probe grid", True)],
+                   True, True)
 
 
 def check_convex(ctx: PairContext):
     if ctx.proportional():
         return _equivalent_verdict("convex", "constant quantile-density ratio")
-    conds = []
     try:
         cls = ctx.shape().classification
     except TooOscillatoryError as exc:
-        cert = Certificate("quantile-density ratio monotonicity",
-                           [Condition("ratio_shape", "too oscillatory", str(exc), None)])
-        return OrderVerdict("convex", INCONCLUSIVE, "theorem", cert)
-    conds.append(Condition("ratio_shape", cls, "monotone ratio decides convex", None))
-    fwd = cls in (CONSTANT, INCREASING)
-    rev = cls in (CONSTANT, DECREASING)
-    cert = Certificate("quantile-density ratio monotonicity (definition)", conds)
-    return OrderVerdict("convex", _combine(fwd, rev), "theorem", cert)
+        return _finish("convex", "quantile-density ratio monotonicity",
+                       [Condition("ratio_shape", "too oscillatory", str(exc), None)], None, None)
+    return _finish("convex", "quantile-density ratio monotonicity (definition)",
+                   [Condition("ratio_shape", cls, "monotone ratio decides convex", None)],
+                   cls in (CONSTANT, INCREASING), cls in (CONSTANT, DECREASING))
 
 
 # certificate theorem of each order the theorem stage decides
@@ -579,7 +552,7 @@ def _check(order, ctx: PairContext):
         return _equivalent_verdict(order, "proportional quantiles")
     conds = []
     fwd, rev = _directions(ctx, order, conds)
-    return _finish(ctx, order, _THEOREMS[order], fwd, rev, conds)
+    return _finish(order, _THEOREMS[order], conds, fwd, rev, ctx)
 
 
 def check_star(ctx: PairContext):
@@ -608,8 +581,8 @@ def check_ps(ctx: PairContext, star: OrderVerdict):
         rev = _ps_rev(ctx, conds, star_rev)
     except TooOscillatoryError:
         fwd = rev = None
-    verdict = _finish(ctx, "ps", "endpoint limits of delta and delta_ps (unimodal-ratio cases)",
-                      fwd, rev, conds)
+    verdict = _finish("ps", "endpoint limits of delta and delta_ps (unimodal-ratio cases)",
+                      conds, fwd, rev, ctx)
     if verdict.status in (HOLDS, EQUIVALENT) and star_fwd and fwd is True:
         verdict.method = "implication"  # conds[0] is implied_by_star
     return verdict
@@ -627,11 +600,11 @@ def _nbue_from(ctx: PairContext, verdicts: dict, zero_left_support: bool):
         deltas.finite_mean(ctx.X), deltas.finite_mean(ctx.Y)
         conds.append(Condition("left_support_endpoint", max(ctx.X.support_lo, ctx.Y.support_lo),
                                "= 0 for star, dmrl, ps => nbue", False))
-        return _finish(ctx, "nbue", "dense-grid check of the definition", None, None, conds)
+        return _finish("nbue", "dense-grid check of the definition", conds, None, None, ctx)
     # there is no direct nbue decision procedure; a direction no stronger
     # order propagates stays undecided, never False
-    return OrderVerdict("nbue", _combine(fwd or None, rev or None), "implication",
-                        Certificate("implication from stronger orders", conds))
+    return _finish("nbue", "implication from stronger orders", conds, fwd or None, rev or None,
+                   method="implication")
 
 
 _EDGES = (
@@ -690,8 +663,8 @@ def _compare_theorem(ctx: PairContext):
         try:
             return fn(*args)
         except NonFiniteMeanError as exc:
-            cert = Certificate("not run", [Condition("finite_mean", "missing", str(exc), False)])
-            return OrderVerdict(name, INCONCLUSIVE, "theorem", cert)
+            return _finish(name, "not run", [Condition("finite_mean", "missing", str(exc), False)],
+                           None, None)
 
     verdicts["qmit"] = mean_guarded("qmit", check_qmit, ctx)
     verdicts["dmrl"] = mean_guarded("dmrl", check_dmrl, ctx)
@@ -707,8 +680,8 @@ def _compare_oracle(ctx: PairContext):
     out = []
     for order in ORDERS:
         gv = ctx.oracle(order)
-        cert = Certificate("dense-grid check of the definition", [_oracle_cond(order, gv)])
-        out.append(OrderVerdict(order, _combine(*_oracle_directions(gv)), "numeric-fallback", cert))
+        out.append(_finish(order, "dense-grid check of the definition", [_oracle_cond(order, gv)],
+                           *_oracle_directions(gv), method="numeric-fallback"))
     return out
 
 

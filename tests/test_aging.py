@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -13,7 +15,8 @@ from qorder.aging import (
     classify_mrl,
     hazard_quantile,
 )
-from qorder.errors import ModelIntegrityError
+from qorder.cli import dumps, parse_spec
+from qorder.errors import ModelIntegrityError, QorderError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
 from qorder.orders import PairContext
@@ -130,6 +133,55 @@ class TestScaleInvariance:
         assert scaled.ifra_class == base.ifra_class
 
 
+class TestShiftInvariance:
+    """Shifting X by c shifts its hazard and its mrl along with it, so no class
+    moves; the mrl criterion of a BT/UBT hazard compares lim h(0+) with
+    1/(E[X] - a), the reciprocal of the mrl at the support's left end a."""
+
+    def test_support_above_zero_reads_the_mrl_at_its_left_end(self):
+        X = TukeyGeneralized(2.57145, 0.994598, 1.55534)  # support starts at lam - eta
+        rep = aging_report(X)
+        assert (rep.hazard.status, rep.mrl_class, rep.ihrwa_class, rep.ifra_class) == (
+            "BT", "DMRL", "BT", "IFRA")
+        assert rep.evidence["mean_reciprocal"] == 1.0 / (X.mean - X.support_lo)
+
+    def test_width_rounded_away_by_the_location_takes_the_shape_fallback(self):
+        # E[X] - a rounds to 0: no threshold is read, and no division by zero escapes
+        X = Govindarajulu(1e17, 1, 2)
+        assert X.mean - X.support_lo == 0.0
+        ctx = PairContext(X, EXP, 512)
+        hazard = classify_hazard(ctx)
+        evidence = {}
+        assert hazard.status == "BT"
+        assert classify_mrl(ctx, hazard, evidence) in ("DMRL", "IMRL", "BT", "UBT", "Inconclusive")
+        assert "mean_reciprocal" not in evidence
+
+    @staticmethod
+    def _hazard_and_mrl(X):
+        try:
+            ctx = PairContext(X, EXP, 512)
+            hazard = classify_hazard(ctx)
+            return hazard.status, classify_mrl(ctx, hazard, {})
+        except QorderError as exc:
+            return type(exc).__name__
+
+    def test_shifted_aging_pool_models_keep_their_classes(self, workloads):
+        entries = [e for stratum in workloads.load_pool("aging-param").values() for e in stratum]
+        moved = []
+        for entry in entries[::6]:  # about 300 Tukey and Govindarajulu models
+            X = parse_spec(entry["argv"][2])
+            base = self._hazard_and_mrl(X)
+            for c in (0.5, 3.0):
+                if isinstance(X, TukeyGeneralized):
+                    shifted = dataclasses.replace(X, lam=X.lam + c)
+                else:
+                    shifted = dataclasses.replace(X, theta=X.theta + c)
+                classes = self._hazard_and_mrl(shifted)
+                if classes != base:
+                    moved.append((shifted.label(), base, classes))
+        assert moved == []
+
+
 class TestSurrogate:
     def test_exponential_surrogate_is_one(self):
         for p in (0.1, 0.5, 0.9):
@@ -206,7 +258,7 @@ class TestOneContext:
 
 class TestReportSerialization:
     def test_to_dict_round_trips_labels(self):
-        d = aging_report(GOV).to_dict()
+        d = json.loads(dumps(aging_report(GOV)))
         assert d["mrl_class"] == "UBT"
         assert d["ihrwa_class"] == "BT"
         assert d["ifra_class"] == "Neither"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from qorder import aging as aging_mod
-from qorder.aging import hazard_quantile
+from qorder.aging import aging_report, hazard_quantile
 from qorder import cli
 from qorder.cli import dumps, main, parse_spec
 from qorder.dsl import DslModel
@@ -16,7 +17,7 @@ from qorder.empirical import SampleSet
 from qorder.errors import ParseError, QorderError, ValidationError
 from qorder.models import Govindarajulu, GridProfile, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid, lower_cumulative, upper_cumulative
-from qorder.orders import PairContext, theorem_status
+from qorder.orders import Condition, PairContext, compare_all, theorem_status
 from qorder.shape import ratio_qd, tukey_unimodal_region
 
 
@@ -103,6 +104,34 @@ def _dumps_ref(obj, indent=0):
     return _dumps_ref(str(obj))
 
 
+# the reference layout of the result types: what each wrote through a to_dict of its own
+def _condition_ref(c):
+    v = c.value
+    if isinstance(v, float) and not math.isfinite(v):
+        v = "+inf" if v > 0 else "-inf"
+    return {"name": c.name, "value": v, "threshold": c.threshold, "satisfied": c.satisfied}
+
+
+def _certificate_ref(cert):
+    return {"theorem": cert.theorem, "conditions": [_condition_ref(c) for c in cert.conditions],
+            "notes": list(cert.notes)}
+
+
+def _verdict_ref(v):
+    return {"order": v.order, "status": v.status, "method": v.method,
+            "certificate": _certificate_ref(v.certificate)}
+
+
+def _hazard_ref(h):
+    return {"status": h.status, "modes": [list(m) for m in h.modes]}
+
+
+def _aging_ref(r):
+    return {"hazard": _hazard_ref(r.hazard), "mrl_class": r.mrl_class,
+            "ihrwa_class": r.ihrwa_class, "ifra_class": r.ifra_class, "evidence": r.evidence,
+            "notes": list(r.notes)}
+
+
 class _Label:
     def __str__(self):
         return "label \u00e9\n"
@@ -134,7 +163,8 @@ def _random_report(rng, depth=0):
 
 
 class TestDumpsReference:
-    """dumps writes the reference's bytes for every type it accepts, at every indent."""
+    """dumps writes the reference's bytes for every type it accepts, at every indent,
+    and a result (a dataclass) in the reference layout of its type."""
 
     @pytest.mark.parametrize("value", _SCALARS, ids=repr)
     def test_scalars(self, value):
@@ -153,6 +183,35 @@ class TestDumpsReference:
         for _ in range(300):
             report = _random_report(rng)
             assert dumps(report) == _dumps_ref(report)
+
+    def test_worked_pair_verdicts(self):
+        verdicts = compare_all(TukeyGeneralized(4, 1, 2.5), TukeyGeneralized(1.5, 1, 1.5),
+                               method="both")
+        assert len(verdicts) == 6
+        for indent in (0, 3):
+            assert dumps(verdicts, indent) == _dumps_ref([_verdict_ref(v) for v in verdicts],
+                                                         indent)
+
+    def test_aging_report(self):
+        report = aging_report(Govindarajulu(0, 2, 2))
+        assert dumps(report) == _dumps_ref(_aging_ref(report))
+
+    def test_infinite_condition_values(self):
+        for value in (math.inf, -math.inf, 0.25, "indeterminate"):
+            cond = Condition("lim_delta_0", value, ">= 0", None)
+            assert dumps(cond) == _dumps_ref(_condition_ref(cond))
+
+    def test_dataclass_of_one_field(self):
+        @dataclasses.dataclass
+        class One:
+            values: list
+
+        for indent in (0, 2):
+            assert dumps(One([1.5, None]), indent) == _dumps_ref({"values": [1.5, None]}, indent)
+
+    def test_nan_condition_value_reads_nan(self):
+        assert json.loads(dumps(Condition("delta_at_pstar", math.nan, ">= 0", None))) == {
+            "name": "delta_at_pstar", "value": "nan", "threshold": ">= 0", "satisfied": None}
 
     def test_command_reports(self, tmp_path):
         for argv in (["compare", "--x", "tukey:4,1,2.5", "--y", "tukey:1.5,1,1.5"],

@@ -25,9 +25,6 @@ class TestSampleSet:
         with pytest.raises(ValidationError):
             SampleSet((1.0, float("inf")))
 
-    def test_theorem_paths_marker(self):
-        assert SampleSet((1.0, 2.0)).supports_theorem_paths is False
-
 
 class TestLoadSamples(object):
     def test_newline_and_comma_mix(self, tmp_path):

@@ -511,7 +511,7 @@ class TestDegenerateAndErrorPaths:
     def test_sample_backed_model_refused(self):
         from qorder.empirical import SampleSet
 
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no smooth quantile density"):
             check_convex(PairContext(SampleSet((1.0, 2.0, 3.0)), EXP))
 
 

@@ -8,7 +8,12 @@ the ``src`` tree next to this script.  For each pool the census prints the
 count of each exit code, then the argv that exit 1, grouped by the message
 class that ``perfbench/workloads.py`` gives their error line
 (``classify_error``).  Each group lists how many of its argv have each
-family of ``--x`` (``workloads.family``) and one example argv.
+family of ``--x`` (``workloads.family``) and one example argv.  Then it
+prints, for each command of the pool and each column of its reports (the
+six orders of compare; hazard, mrl, ihrwa and ifra of aging; ratio_shape,
+star, qmit and dmrl of each sweep cell), how many of the written reports give
+each status, as ``workloads.decode`` reads them, so that a change that moves
+verdicts without changing exit codes shows.
 
 Then every compare argv of the compare-param and dsl pools runs again with
 ``--method theorem``, and the census prints, for each order, how many of the
@@ -38,6 +43,8 @@ PERFBENCH = ROOT / "perfbench"
 POOLS = ("compare-param", "dsl", "aging-param", "sweep")
 ROUTE_POOLS = ("compare-param", "dsl")
 ROUTES = ("theorem", "implication", "numeric-fallback")
+COLUMNS = {"aging": ("hazard", "mrl", "ihrwa", "ifra"),
+           "sweep": ("ratio_shape", "star", "qmit", "dmrl")}
 
 
 def load_workloads():
@@ -68,6 +75,26 @@ def error_class(workloads, stderr):
     return workloads.classify_error(lines[-1][len("qorder: error:"):] if lines else "")
 
 
+def status_columns(workloads, argv, rc, stderr, report):
+    """{column: statuses} of one call's report; empty when the call failed."""
+    outcome = workloads.decode(argv[0], rc, report, stderr, None)
+    if not outcome.ok:
+        return {}
+    if argv[0] == "sweep":  # one cell per row: in_region/ratio_shape/star/qmit/dmrl
+        rows = [cell.split("/")[1:] for cell in outcome.cells]
+    else:
+        rows = [outcome.cells]
+    return dict(zip(COLUMNS.get(argv[0], workloads.ORDERS), zip(*rows)))
+
+
+def print_statuses(statuses):
+    """One line per command and column: the count of each status."""
+    for command, columns in statuses.items():
+        for column, counts in columns.items():
+            print(f"  {command} {column:<11} "
+                  + ", ".join(f"{status} {n:,}" for status, n in sorted(counts.items())))
+
+
 def theorem_argv(argv):
     """The compare argv with its --method set to theorem."""
     argv = list(argv)
@@ -87,10 +114,14 @@ def main():
     with tempfile.TemporaryDirectory() as work:
         for name, argvs in pools.items():
             codes, groups, examples = Counter(), defaultdict(Counter), {}
+            statuses = defaultdict(lambda: defaultdict(Counter))  # command -> column -> status
             for argv in argvs:
                 out = Path(work, "rows.csv" if argv[0] == "sweep" else "report.json")
-                rc, stderr, _ = run(argv, out)
+                rc, stderr, report = run(argv, out)
                 codes[rc] += 1
+                for column, cells in status_columns(workloads, argv, rc, stderr,
+                                                    report).items():
+                    statuses[argv[0]][column].update(cells)
                 if rc == 1:
                     group = error_class(workloads, stderr)
                     groups[group][workloads.family(argv[2])] += 1
@@ -101,6 +132,7 @@ def main():
                 print(f"  exit 1 x {families.total()}: {group}")
                 print("    " + ", ".join(f"{fam} {n}" for fam, n in families.most_common()))
                 print(f"    e.g. {examples[group]}")
+            print_statuses(statuses)
         for name in ROUTE_POOLS:
             for argv in pools[name]:
                 if argv[0] != "compare":

@@ -1,7 +1,8 @@
 """One-sided endpoint limits on (0,1).
 
 A limit is either supplied analytically (closed-form tails of the built-in
-families, composed by extended-real arithmetic) or classified numerically by
+families, leading terms of their quantile densities where both models state
+one, composed by extended-real arithmetic) or classified numerically by
 evaluating at geometrically shrinking distances from the endpoint and
 extrapolating.  Indeterminate is a value, not an error: callers fall back to
 their numeric-oracle path when they see it.
@@ -195,7 +196,18 @@ def _ext_sub(a, b):
 
 
 def ratio_qd_tail(X, Y, endpoint):
-    """Analytic limit of qd_Y/qd_X at the endpoint, or None when unknown."""
+    """Analytic limit of qd_Y/qd_X at the endpoint, or None when unknown.
+
+    When both models state a leading term c*t^beta, the terms decide: 0 if
+    beta_Y > beta_X, inf if beta_Y < beta_X, c_Y/c_X if they are equal.
+    Otherwise the point values of the quantile densities do, which leave
+    inf/inf and 0/0 undecided."""
+    tx, ty = X.tail_term(endpoint), Y.tail_term(endpoint)
+    if tx is not None and ty is not None:
+        (cx, bx), (cy, by) = tx, ty
+        if by != bx:
+            return 0.0 if by > bx else math.inf
+        return cy / cx
     qdx = X.tail_qdensity(endpoint)
     qdy = Y.tail_qdensity(endpoint)
     if qdx is None or qdy is None:

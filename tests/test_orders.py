@@ -267,9 +267,10 @@ class TestTheoremStatusOnTheTukeyMap:
                 certified = orders._combine(*orders._directions(fresh, order, []))
                 assert orders.theorem_status(ctx, order) == certified, (X, Y, order)
         assert set(shapes) == {CONSTANT, UNIMODAL_MAX, UNIMODAL_MIN, N_MODAL}
-        # where both alphas are below 1 there is no tail hint: the limits are extrapolated
+        # where both alphas are below 1 both quantile densities are infinite at the ends;
+        # their leading terms still give the limits in closed form
         lim = deltas.delta_limit(TukeyGeneralized(2, 1, 0.25), TukeyGeneralized(2, 1, 0.5), 0)
-        assert lim.method == "extrapolation"
+        assert lim.method == "analytic-hint"
 
     def test_swap_gives_the_statuses_of_a_fresh_swapped_pair(self):
         for X, Y in _map_cells():
@@ -676,6 +677,7 @@ _LEFT_RUN_BELOW_GRID = {  # case 4b reads (increasing, decreasing)
     ("tukey:1.55164,0.59679,2.43659", "tukey:1.97974,1.1307,1.01822"),
     ("tukey:1.08754,0.718723,0.962919", "tukey:1.86128,1.59276,1.57005"),
     ("tukey:1.70356,0.719145,0.889592", "tukey:0.694075,0.58436,1.74293"),
+    ("tukey:2.29289,1.71698,0.918156", "tukey:0.713267,0.674127,0.965497"),
 }
 _BOTH_RUNS_OFF_GRID = {  # case 4b reads (increasing,): its first run ends below p = 1e-554
     ("tukey:2.23296,1.37991,0.996333", "tukey:1.46276,1.44906,1.66065"),
@@ -736,8 +738,7 @@ class TestCaseAnalysis:
     def test_the_pool_splits_by_case(self, pool_cases):
         counts = Counter(row.case for row in pool_cases.values())
         assert len(pool_cases) == 3204
-        assert counts == {"refused": 2289, "indeterminate": 19,
-                          "1": 42, "2": 221, "4a": 191, "4b": 442}
+        assert counts == {"refused": 2289, "1": 42, "2": 221, "4a": 195, "4b": 457}
 
     def test_each_star_verdict_matches_its_case(self, pool_cases):
         # not independent of the star row: both read ctx.delta_lim

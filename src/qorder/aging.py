@@ -18,7 +18,7 @@ import numpy as np
 
 from .deltas import finite_mean
 from .errors import InternalConsistencyError, ModelIntegrityError, TooOscillatoryError
-from .limits import LimitValue, limit_at, ratio_qd_tail
+from .limits import LimitValue, closed_form, limit_at, ratio_qd_tail
 from .models import UnitExponential
 from .orders import (
     BOTH_FAIL,
@@ -101,8 +101,7 @@ def classify_hazard(ctx: PairContext) -> HazardShape:
 
 def _hazard_limit0(ctx) -> LimitValue:
     X = ctx.X
-    hint = LimitValue.from_extended(ratio_qd_tail(X, ctx.Y, 0))
-    return limit_at(lambda p: hazard_quantile(X, p), 0, hint)
+    return limit_at(lambda p: hazard_quantile(X, p), 0, closed_form(ratio_qd_tail(X, ctx.Y, 0)))
 
 
 def _mrl_shape_fallback(ctx):
@@ -172,7 +171,7 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
         return "Both"
     corollary = None
     if hazard.status in ("BT", "UBT"):
-        lim = ctx.centered_lim(1)
+        lim = ctx.limit("centered_delta", 1)
         evidence["ihrwa_limit_1"] = lim.to_dict()
         if lim.is_determinate:
             v = lim.as_float()
@@ -216,8 +215,8 @@ def classify_ifra(ctx: PairContext, hazard: HazardShape, evidence: dict):
         return "DFRA"
     if hazard.status not in ("BT", "UBT"):
         return _ifra_oracle(ctx)
-    lim0 = ctx.delta_lim(0)
-    lim1 = ctx.delta_lim(1)
+    lim0 = ctx.limit("delta", 0)
+    lim1 = ctx.limit("delta", 1)
     pstar = hazard.modes[0][0]
     a_star = ctx.delta(pstar)
     evidence["ifra_limit_0"] = lim0.to_dict()

@@ -3,8 +3,9 @@
 These are the quantities whose signs at modes and endpoint limits decide each
 transform order: delta, delta_ps, delta_qmit, delta_dmrl, the centered variant
 used by the qmit/dmrl endpoint conditions, and the expected proportional
-shortfall.  Endpoint limits go through :func:`qorder.limits.limit_at`, preferring
-the analytic tail hints of the built-in families; the weighted integrals
+shortfall.  Each function with endpoint conditions has its closed-form tail
+beside it, and :func:`endpoint_limit` hands that tail to
+:func:`qorder.limits.limit_at` as an analytic hint; the weighted integrals
 come from the model's ``lower_weighted_integral`` / ``upper_weighted_integral``,
 closed forms for the built-in families.
 """
@@ -14,13 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NonFiniteMeanError, QuadratureError
-from .limits import (
-    LimitValue,
-    centered_delta_tail_hint,
-    delta_ps_tail_hint,
-    delta_tail_hint,
-    limit_at,
-)
+from .limits import LimitValue, closed_form, limit_at, ratio_qd_tail
 from .shape import ratio_qd
 
 __all__ = [
@@ -30,9 +25,7 @@ __all__ = [
     "delta_dmrl",
     "centered_delta",
     "eps",
-    "delta_limit",
-    "centered_delta_limit",
-    "delta_ps_limit",
+    "endpoint_limit",
     "finite_mean",
 ]
 
@@ -91,14 +84,42 @@ def eps(X, p):
     return X.upper_weighted_integral(p) / q
 
 
-def delta_limit(X, Y, endpoint) -> LimitValue:
-    return limit_at(lambda p: delta(X, Y, p), endpoint, delta_tail_hint(X, Y, endpoint))
+# Closed-form tails: the limit of each function below at an end (0 or 1), or NaN
+# when unknown.  A tail reads the tail quantiles only when the ratio's limit is
+# known, since a DSL model's tail_quantile extrapolates.
 
 
-def centered_delta_limit(X, Y, endpoint) -> LimitValue:
-    hint = centered_delta_tail_hint(X, Y, endpoint)
-    return limit_at(lambda p: centered_delta(X, Y, p), endpoint, hint)
+def _delta_tail(X, Y, end):
+    c = ratio_qd_tail(X, Y, end)
+    if math.isnan(c):
+        return c
+    return X.tail_quantile(end) * c - Y.tail_quantile(end)
 
 
-def delta_ps_limit(X, Y, endpoint) -> LimitValue:
-    return limit_at(lambda p: delta_ps(X, Y, p), endpoint, delta_ps_tail_hint(X, Y, endpoint))
+def _centered_delta_tail(X, Y, end):
+    c = ratio_qd_tail(X, Y, end)
+    if math.isnan(c):
+        return c
+    qx, qy = X.tail_quantile(end), Y.tail_quantile(end)
+    return c * (qx - X.mean) - (qy - Y.mean)
+
+
+def _delta_ps_tail(X, Y, end):
+    qx, qy = X.tail_quantile(end), Y.tail_quantile(end)
+    return qx * (1.0 / X.mean) - qy * (1.0 / Y.mean)
+
+
+# name -> (the function, its closed-form tail)
+_LIMITS = {
+    "delta": (delta, _delta_tail),
+    "centered_delta": (centered_delta, _centered_delta_tail),
+    "delta_ps": (delta_ps, _delta_ps_tail),
+}
+
+
+def endpoint_limit(name, X, Y, end) -> LimitValue:
+    """Limit at p -> 0+ (end 0) or 1- (end 1) of the function ``name``:
+    "delta", "centered_delta" or "delta_ps".  Its closed-form tail decides
+    where known; otherwise limit_at extrapolates."""
+    fn, tail = _LIMITS[name]
+    return limit_at(lambda p: fn(X, Y, p), end, closed_form(tail(X, Y, end)))

@@ -1,11 +1,12 @@
 """One-sided endpoint limits on (0,1).
 
-A limit is either supplied analytically (closed-form tails of the built-in
-families, leading terms of their quantile densities where both models state
-one, composed by extended-real arithmetic) or classified numerically by
-evaluating at geometrically shrinking distances from the endpoint and
-extrapolating.  Indeterminate is a value, not an error: callers fall back to
-their numeric-oracle path when they see it.
+A limit is an extended real: a float, +-inf, or NaN when it is
+indeterminate.  It is either supplied analytically (closed-form tails of the
+built-in families, leading terms of their quantile densities where both
+models state one, composed by IEEE float arithmetic, whose NaN marks 0*inf and
+inf - inf) or classified numerically by evaluating at geometrically shrinking
+distances from the endpoint and extrapolating.  Indeterminate is a value, not
+an error: callers fall back to their numeric-oracle path when they see it.
 """
 
 from __future__ import annotations
@@ -13,19 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = [
-    "LimitValue",
-    "limit_at",
-    "ratio_qd_tail",
-    "delta_tail_hint",
-    "centered_delta_tail_hint",
-    "delta_ps_tail_hint",
-]
-
-FINITE = "finite"
-PLUS_INF = "+inf"
-MINUS_INF = "-inf"
-INDETERMINATE = "indeterminate"
+__all__ = ["LimitValue", "limit_at", "ratio_qd_tail", "closed_form"]
 
 _CAUCHY_REL = 1e-9
 _DIVERGE_MAG = 1e12
@@ -33,48 +22,40 @@ _DIVERGE_MAG = 1e12
 
 @dataclass(frozen=True)
 class LimitValue:
-    kind: str
-    value: float | None = None
+    x: float  # the limit: a float, +-inf, or NaN when indeterminate
     method: str = "extrapolation"  # "analytic-hint" | "extrapolation"
     diagnostics: list = field(default_factory=list)
 
-    @staticmethod
-    def finite(value, method="extrapolation", diagnostics=()):
-        return LimitValue(FINITE, float(value), method, list(diagnostics))
+    @property
+    def kind(self):
+        """One of finite, +inf, -inf and indeterminate."""
+        if math.isnan(self.x):
+            return "indeterminate"
+        if math.isinf(self.x):
+            return "+inf" if self.x > 0 else "-inf"
+        return "finite"
 
-    @staticmethod
-    def infinite(sign, method="extrapolation", diagnostics=()):
-        return LimitValue(PLUS_INF if sign > 0 else MINUS_INF, None, method, list(diagnostics))
-
-    @staticmethod
-    def indeterminate(diagnostics=()):
-        return LimitValue(INDETERMINATE, None, "extrapolation", list(diagnostics))
-
-    @staticmethod
-    def from_extended(x):
-        """Build from an extended real (float, may be +-inf); None stays None."""
-        if x is None:
-            return None
-        if math.isinf(x):
-            return LimitValue.infinite(1 if x > 0 else -1, "analytic-hint")
-        return LimitValue.finite(x, "analytic-hint")
+    @property
+    def value(self):
+        """The finite limit, or None."""
+        return self.x if math.isfinite(self.x) else None
 
     @property
     def is_determinate(self):
-        return self.kind != INDETERMINATE
+        return not math.isnan(self.x)
 
     def as_float(self):
         """Extended-real view: finite value, +-inf, or NaN when indeterminate."""
-        if self.kind == FINITE:
-            return self.value
-        if self.kind == PLUS_INF:
-            return math.inf
-        if self.kind == MINUS_INF:
-            return -math.inf
-        return math.nan
+        return self.x
 
     def to_dict(self):
         return {"kind": self.kind, "value": self.value, "method": self.method}
+
+
+def closed_form(x):
+    """The analytic hint for limit_at given by the extended real x, or None when
+    x is NaN (no closed form, or an indeterminate one)."""
+    return None if math.isnan(x) else LimitValue(float(x), "analytic-hint")
 
 
 def _close(a, b):
@@ -112,7 +93,7 @@ def limit_at(fn, endpoint, hint: LimitValue | None = None):
     """Classify the one-sided limit of fn at p -> 0+ or p -> 1-.
 
     ``endpoint`` is 0 or 1.  An analytic hint wins and is returned as it is
-    (LimitValue.from_extended tags it "analytic-hint"); otherwise the function
+    (closed_form tags it "analytic-hint"); otherwise the function
     is sampled at distances 2^-k for k = 8..40, and the sequence is
     classified: monotone divergence past 1e12 maps to an infinity, a Cauchy
     tail of (extrapolated) values maps to a finite limit, anything else is
@@ -159,44 +140,23 @@ def _classify(samples):
     """The limit that samples (farthest from the endpoint first) give."""
     diag = samples[-10:]
     if len(samples) < 6:
-        return LimitValue.indeterminate(diag)
+        return LimitValue(math.nan, diagnostics=diag)
     vals = [v for _, v in samples]
     sign = _diverges(vals[-5:])
     if sign:
-        return LimitValue.infinite(sign, diagnostics=diag)
+        return LimitValue(math.copysign(math.inf, sign), diagnostics=diag)
     finite_vals = [v for v in vals if math.isfinite(v)]
     if len(finite_vals) >= 4 and _cauchy(finite_vals[-4:]):
-        return LimitValue.finite(finite_vals[-1], diagnostics=diag)
+        return LimitValue(finite_vals[-1], diagnostics=diag)
     extrapolants = [e for e in map(_extrapolant, finite_vals, finite_vals[1:], finite_vals[2:])
                     if e is not None]
     if len(extrapolants) >= 3 and _cauchy(extrapolants[-3:]):
-        return LimitValue.finite(extrapolants[-1], diagnostics=diag)
-    return LimitValue.indeterminate(diag)
-
-
-# ---------------------------------------------------------------------------
-# extended-real arithmetic for composing analytic tail hints
-# None propagates and means "indeterminate at this level; go numeric"
-
-
-def _ext_mul(a, b):
-    if a is None or b is None:
-        return None
-    if (math.isinf(a) and b == 0.0) or (math.isinf(b) and a == 0.0):
-        return None  # 0 * inf
-    return a * b
-
-
-def _ext_sub(a, b):
-    if a is None or b is None:
-        return None
-    if math.isinf(a) and math.isinf(b) and (a > 0) == (b > 0):
-        return None  # inf - inf
-    return a - b
+        return LimitValue(extrapolants[-1], diagnostics=diag)
+    return LimitValue(math.nan, diagnostics=diag)
 
 
 def ratio_qd_tail(X, Y, endpoint):
-    """Analytic limit of qd_Y/qd_X at the endpoint, or None when unknown.
+    """Analytic limit of qd_Y/qd_X at the endpoint, or NaN when unknown.
 
     When both models state a leading term c*t^beta, the terms decide: 0 if
     beta_Y > beta_X, inf if beta_Y < beta_X, c_Y/c_X if they are equal.
@@ -211,37 +171,7 @@ def ratio_qd_tail(X, Y, endpoint):
     qdx = X.tail_qdensity(endpoint)
     qdy = Y.tail_qdensity(endpoint)
     if qdx is None or qdy is None:
-        return None
-    if math.isinf(qdx):
-        return None if math.isinf(qdy) else 0.0
-    if qdx == 0.0:
-        return None if qdy == 0.0 else math.inf
+        return math.nan
+    if qdx == 0.0:  # float division by zero raises rather than giving inf or NaN
+        return math.nan if qdy == 0.0 else math.inf
     return qdy / qdx
-
-
-def delta_tail_hint(X, Y, endpoint):
-    """Closed-form limit of delta(p) = F^-1(p)*ratio(p) - G^-1(p), or None."""
-    c = ratio_qd_tail(X, Y, endpoint)
-    if c is None:
-        return None
-    qx = X.tail_quantile(endpoint)
-    qy = Y.tail_quantile(endpoint)
-    return LimitValue.from_extended(_ext_sub(_ext_mul(qx, c), qy))
-
-
-def centered_delta_tail_hint(X, Y, endpoint):
-    """Closed-form limit of ratio(p)*(F^-1(p)-E[X]) - (G^-1(p)-E[Y]), or None."""
-    c = ratio_qd_tail(X, Y, endpoint)
-    if c is None:
-        return None
-    qx = X.tail_quantile(endpoint)
-    qy = Y.tail_quantile(endpoint)
-    val = _ext_sub(_ext_mul(c, _ext_sub(qx, X.mean)), _ext_sub(qy, Y.mean))
-    return LimitValue.from_extended(val)
-
-
-def delta_ps_tail_hint(X, Y, endpoint):
-    """Closed-form limit of F^-1(p)/E[X] - G^-1(p)/E[Y], or None."""
-    qx = X.tail_quantile(endpoint)
-    qy = Y.tail_quantile(endpoint)
-    return LimitValue.from_extended(_ext_sub(_ext_mul(qx, 1.0 / X.mean), _ext_mul(qy, 1.0 / Y.mean)))

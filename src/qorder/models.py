@@ -124,14 +124,9 @@ class QuantileModel(abc.ABC):
     def support_lo(self) -> float:
         return self.tail_quantile(0)
 
+    @abc.abstractmethod
     def tail_quantile(self, end: int) -> float:
-        """Limit of the quantile function at the endpoint (0 or 1).
-
-        The default extrapolates crudely from nearby evaluations; parametric
-        subclasses override with exact values.
-        """
-        eps = 1e-12
-        return float(self.quantile(eps if end == 0 else 1.0 - eps))
+        """Limit of the quantile function at the endpoint (0 or 1)."""
 
     def tail_term(self, end: int):
         """Leading term (c, beta) of the quantile density at the endpoint, if known.

@@ -210,14 +210,10 @@ class PairContext:
     def delta(self, p):
         return deltas.delta(self.X, self.Y, p)
 
-    def delta_lim(self, end) -> LimitValue:
-        return self._memo(("dlim", end), lambda: deltas.delta_limit(self.X, self.Y, end))
-
-    def centered_lim(self, end) -> LimitValue:
-        return self._memo(("clim", end), lambda: deltas.centered_delta_limit(self.X, self.Y, end))
-
-    def ps_lim0(self) -> LimitValue:
-        return self._memo(("pslim",), lambda: deltas.delta_ps_limit(self.X, self.Y, 0))
+    def limit(self, name, end) -> LimitValue:
+        """deltas.endpoint_limit of the function ``name`` on this pair, kept."""
+        return self._memo(("limit", name, end),
+                          lambda: deltas.endpoint_limit(name, self.X, self.Y, end))
 
     def proportional(self):
         """True when G^-1 = c * F^-1 on the pair's grid (delta identically 0)."""
@@ -289,7 +285,7 @@ def _limit_cond(conds, lim: LimitValue, sense, name, *args):
     """Sign of the limit lim, recorded in conds as the condition named
     name % args.  conds is None when the caller keeps no certificate: then
     nothing is recorded and the name is never formatted."""
-    sat = _tri(lim, sense) if lim.is_determinate else None
+    sat = _tri(lim, sense)
     if conds is not None:
         value = lim.as_float()
         conds.append(Condition(name % args, value if not math.isnan(value) else "indeterminate",
@@ -314,9 +310,9 @@ class _Rule:
     """One direction of the star, qmit or dmrl theorem.
 
     ``steps`` are read in order, each appending its condition: (end,
-    direction) reads the endpoint limit of the ``limit`` family ("delta" or
-    "centered_delta") at that end when the ratio's segment there runs in that
-    direction; "min" or "max" reads the function ``delta`` of deltas at every
+    direction) reads the endpoint limit of the function ``limit`` of deltas
+    ("delta" or "centered_delta") at that end when the ratio's segment there
+    runs in that direction; "min" or "max" reads the function ``delta`` of deltas at every
     mode of that kind.  Each is tested with ``sense``.  ``hypothesis`` is the
     (index, kind) of the mode the theorem needs; when it is unmet, the
     direction is the other one on the swapped pair if ``swap``, else
@@ -383,8 +379,8 @@ def _apply(ctx: PairContext, order, direction, conds, tag=""):
             continue
         end, run = step
         if sh.segments[-1 if end else 0].direction == run:
-            lim = ctx.delta_lim(end) if rule.limit == "delta" else ctx.centered_lim(end)
-            checks.append(_limit_cond(conds, lim, rule.sense, "%slim_%s_%d", tag, rule.limit, end))
+            checks.append(_limit_cond(conds, ctx.limit(rule.limit, end), rule.sense,
+                                      "%slim_%s_%d", tag, rule.limit, end))
     return _and(*checks)
 
 
@@ -418,9 +414,9 @@ def _ps_fwd(ctx: PairContext, conds, star_fwd, tag=""):
         return _ps_rev(ctx.swap(), conds, None, tag + "swapped.")
     if sh.classification != UNIMODAL_MAX:
         return None
-    a = _limit_cond(conds, ctx.delta_lim(0), "<=", "%slim_delta_0", tag)
-    b = _limit_cond(conds, ctx.delta_lim(1), ">=", "%slim_delta_1", tag)
-    c = _limit_cond(conds, ctx.ps_lim0(), ">=", "%slim_delta_ps_0", tag)
+    a = _limit_cond(conds, ctx.limit("delta", 0), "<=", "%slim_delta_0", tag)
+    b = _limit_cond(conds, ctx.limit("delta", 1), ">=", "%slim_delta_1", tag)
+    c = _limit_cond(conds, ctx.limit("delta_ps", 0), ">=", "%slim_delta_ps_0", tag)
     res = _and(a, b, c)
     # the case conditions are sufficient; their failure alone does not refute ps
     return True if res is True else None
@@ -435,9 +431,9 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
         return _ps_fwd(ctx.swap(), conds, None, tag + "swapped.")
     if sh.classification != UNIMODAL_MAX:
         return None
-    lim0 = _tri(ctx.delta_lim(0), ">=")
-    lim1 = _tri(ctx.delta_lim(1), "<=")
-    ps0 = _tri(ctx.ps_lim0(), "<=")
+    lim0 = _tri(ctx.limit("delta", 0), ">=")
+    lim1 = _tri(ctx.limit("delta", 1), "<=")
+    ps0 = _tri(ctx.limit("delta_ps", 0), "<=")
     # case a: delta starts non-negative, ends negative
     case_a = _and(lim0, lim1, ps0)
     conds.append(Condition(tag + "case_a(lim0>=0, lim1<0, ps0<=0)",
@@ -446,8 +442,8 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
     if case_a is True:
         return True
     # case b: both delta limits negative, positive spike at the ratio mode
-    neg0 = _tri(ctx.delta_lim(0), "<=")
-    neg1 = _tri(ctx.delta_lim(1), "<=")
+    neg0 = _tri(ctx.limit("delta", 0), "<=")
+    neg1 = _tri(ctx.limit("delta", 1), "<=")
     spike = _tri(ctx.delta(sh.modes[0].location), ">=")
     pieces = [neg0, neg1, spike, ps0]
     if _and(*pieces) is True:

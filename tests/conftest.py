@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qorder import oracle
-from qorder.deltas import delta, delta_limit
+from qorder.deltas import delta, endpoint_limit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,7 +37,7 @@ def oracle_can_resolve(X, Y):
     the same thing.  Detected by comparing delta's sign at the grid edge with
     its endpoint limit."""
     for end, edge in ((0.0, oracle.P_MIN), (1.0, 1.0 - oracle.P_MIN)):
-        lim = delta_limit(X, Y, end)
+        lim = endpoint_limit("delta", X, Y, end)
         if lim.kind == "finite" and lim.value * delta(X, Y, edge) < 0.0:
             return False
     return True

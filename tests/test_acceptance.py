@@ -13,7 +13,7 @@ from conftest import oracle_can_resolve
 
 from qorder import orders
 from qorder.aging import aging_report
-from qorder.deltas import delta, delta_limit, delta_ps, eps
+from qorder.deltas import delta, delta_ps, endpoint_limit, eps
 from qorder.empirical import SampleSet, qq_transform
 from qorder.errors import DomainError
 from qorder.limits import limit_at
@@ -65,8 +65,8 @@ def test_tukey_worked_example():
 
 
 def test_closed_form_delta_limits():
-    l0 = delta_limit(X_TUKEY, Y_TUKEY, 0)
-    l1 = delta_limit(X_TUKEY, Y_TUKEY, 1)
+    l0 = endpoint_limit("delta", X_TUKEY, Y_TUKEY, 0)
+    l1 = endpoint_limit("delta", X_TUKEY, Y_TUKEY, 1)
     n0 = limit_at(lambda p: delta(X_TUKEY, Y_TUKEY, p), 0)
     n1 = limit_at(lambda p: delta(X_TUKEY, Y_TUKEY, p), 1)
     ok = (

@@ -5,7 +5,7 @@ import pytest
 
 from qorder import deltas
 from qorder.errors import DomainError, NonFiniteMeanError
-from qorder.limits import LimitValue, limit_at, ratio_qd_tail
+from qorder.limits import LimitValue, closed_form, limit_at, ratio_qd_tail
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import quadrature
 from qorder.shape import ratio_qd
@@ -21,13 +21,13 @@ class TestDelta:
             assert deltas.delta(X_TUKEY, X_TUKEY, p) == 0.0
 
     def test_limit_0_closed_form(self):
-        lim = deltas.delta_limit(X_TUKEY, Y_TUKEY, 0)
+        lim = deltas.endpoint_limit("delta", X_TUKEY, Y_TUKEY, 0)
         assert lim.method == "analytic-hint"
         # (eta2*alpha2/(eta1*alpha1)) * (lam1-eta1) - (lam2-eta2) = 0.6*3 - 0.5
         assert lim.as_float() == pytest.approx(1.3, rel=1e-12)
 
     def test_limit_1_closed_form(self):
-        lim = deltas.delta_limit(X_TUKEY, Y_TUKEY, 1)
+        lim = deltas.endpoint_limit("delta", X_TUKEY, Y_TUKEY, 1)
         assert lim.as_float() == pytest.approx(0.5, rel=1e-12)
 
     def test_limits_by_extrapolation(self):
@@ -110,8 +110,8 @@ class TestWeightedDeltas:
             assert deltas.delta_qmit(X_TUKEY, Y_TUKEY, float(p)) >= -1e-10
 
     def test_centered_delta_limits(self):
-        lim1 = deltas.centered_delta_limit(X_TUKEY, Y_TUKEY, 1)
-        lim0 = deltas.centered_delta_limit(X_TUKEY, Y_TUKEY, 0)
+        lim1 = deltas.endpoint_limit("centered_delta", X_TUKEY, Y_TUKEY, 1)
+        lim0 = deltas.endpoint_limit("centered_delta", X_TUKEY, Y_TUKEY, 0)
         # eta2*(alpha2/2 - 1) and eta2*(1 - alpha2/2) for alpha1 = 2.5 > 2
         assert lim1.as_float() == pytest.approx(-0.4, rel=1e-6)
         assert lim0.as_float() == pytest.approx(0.4, rel=1e-6)
@@ -201,12 +201,12 @@ class TestLimitEvaluator:
         # with alpha1 < 1 the ratio vanishes at 0+, so delta -> -(lam2 - eta2)
         X = TukeyGeneralized(1.0, 1.0, 0.5)
         Y = Y_TUKEY
-        lim = deltas.delta_limit(X, Y, 0)
+        lim = deltas.endpoint_limit("delta", X, Y, 0)
         assert lim.as_float() == pytest.approx(-(1.5 - 1.0), rel=1e-9)
 
     def test_govindarajulu_hazard_diverges_at_zero(self):
         g = Govindarajulu(0, 2, 2)
-        hint = LimitValue.from_extended(ratio_qd_tail(g, EXP, 0))
+        hint = closed_form(ratio_qd_tail(g, EXP, 0))
         lim = limit_at(lambda p: ratio_qd(g, EXP, p), 0, hint)
         assert lim.kind == "+inf"
 
@@ -232,9 +232,43 @@ class TestLimitEvaluator:
         assert lim.value == pytest.approx(1.0, abs=1e-6)
 
     def test_hint_wins_and_is_tagged(self):
-        lim = limit_at(lambda p: 99.0, 1, hint=LimitValue.from_extended(7.0))
+        lim = limit_at(lambda p: 99.0, 1, hint=closed_form(7.0))
         assert lim.method == "analytic-hint"
         assert lim.value == 7.0
+
+
+class TestEndpointLimit:
+    @pytest.mark.parametrize("X, Y, end, form", [
+        (Govindarajulu(0, 1, 0.5), Govindarajulu(0, 1, 0.7), 0, "inf/inf"),
+        (Govindarajulu(0, 1, 2), Govindarajulu(0, 1, 3), 1, "0/0"),
+        (EXP, EXP, 1, "inf - inf"),
+        (EXP, TukeyGeneralized(2, 1, 2.5), 1, "0 * inf"),
+    ])
+    def test_an_indeterminate_form_gives_no_hint(self, X, Y, end, form):
+        assert math.isnan(deltas._LIMITS["delta"][1](X, Y, end)), form
+        assert deltas.endpoint_limit("delta", X, Y, end).method == "extrapolation", form
+
+    def test_zero_times_inf_extrapolates_to_its_limit(self):
+        # the ratio of the quantile densities vanishes at 1-, so delta -> -(lam + eta)
+        lim = deltas.endpoint_limit("delta", EXP, TukeyGeneralized(2, 1, 2.5), 1)
+        assert lim.as_float() == pytest.approx(-3.0, rel=1e-9)
+
+
+class TestLimitValue:
+    @pytest.mark.parametrize("x, kind, value", [
+        (2.5, "finite", 2.5),
+        (math.inf, "+inf", None),
+        (-math.inf, "-inf", None),
+        (math.nan, "indeterminate", None),
+    ])
+    def test_to_dict_keeps_the_evidence_format(self, x, kind, value):
+        assert LimitValue(x).to_dict() == {"kind": kind, "value": value,
+                                           "method": "extrapolation"}
+
+    def test_closed_form(self):
+        assert closed_form(math.nan) is None
+        assert closed_form(-math.inf).to_dict() == {"kind": "-inf", "value": None,
+                                                    "method": "analytic-hint"}
 
 
 class TestQuadratureContracts:
@@ -272,18 +306,18 @@ def _limit_at_all_points(fn, endpoint):
             samples.append((eps, v))
     diag = samples[-10:]
     if len(samples) < 6:
-        return LimitValue.indeterminate(diag)
+        return LimitValue(math.nan, diagnostics=diag)
     vals = [v for _, v in samples]
     tail = vals[-5:]
     if all(abs(v) > 1e12 for v in tail):
         mags = [abs(v) for v in tail]
         if len({math.copysign(1.0, v) for v in tail}) == 1 and all(
                 m2 >= m1 for m1, m2 in zip(mags, mags[1:])):
-            return LimitValue.infinite(1 if tail[-1] > 0 else -1, diagnostics=diag)
+            return LimitValue(math.inf if tail[-1] > 0 else -math.inf, diagnostics=diag)
     close = lambda a, b: abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
     fin = [v for v in vals if math.isfinite(v)]
     if len(fin) >= 4 and all(close(a, b) for a, b in zip(fin[-4:], fin[-3:])):
-        return LimitValue.finite(fin[-1], diagnostics=diag)
+        return LimitValue(fin[-1], diagnostics=diag)
     ext = []
     for i in range(len(fin) - 2):
         d1, d2 = fin[i + 1] - fin[i], fin[i + 2] - fin[i + 1]
@@ -291,8 +325,8 @@ def _limit_at_all_points(fn, endpoint):
             lam = d2 / d1
             ext.append(fin[i + 2] + d2 * lam / (1.0 - lam))
     if len(ext) >= 3 and all(close(a, b) for a, b in zip(ext[-3:], ext[-2:])):
-        return LimitValue.finite(ext[-1], diagnostics=diag)
-    return LimitValue.indeterminate(diag)
+        return LimitValue(ext[-1], diagnostics=diag)
+    return LimitValue(math.nan, diagnostics=diag)
 
 
 def _raising_at(fn, ks, exc):

@@ -269,7 +269,8 @@ class TestTheoremStatusOnTheTukeyMap:
         assert set(shapes) == {CONSTANT, UNIMODAL_MAX, UNIMODAL_MIN, N_MODAL}
         # where both alphas are below 1 both quantile densities are infinite at the ends;
         # their leading terms still give the limits in closed form
-        lim = deltas.delta_limit(TukeyGeneralized(2, 1, 0.25), TukeyGeneralized(2, 1, 0.5), 0)
+        lim = deltas.endpoint_limit("delta", TukeyGeneralized(2, 1, 0.25),
+                                    TukeyGeneralized(2, 1, 0.5), 0)
         assert lim.method == "analytic-hint"
 
     def test_swap_gives_the_statuses_of_a_fresh_swapped_pair(self):
@@ -653,7 +654,7 @@ _CASE_STAR = {"1": HOLDS, "4a": HOLDS_REVERSED}  # cases 2, 3 and 4b: BOTH_FAIL
 def _case(ctx):
     """(case, segments of G^-1/F^-1) of a pair whose ratio is UnimodalMax, or
     None when a delta limit is indeterminate."""
-    lim0, lim1 = ctx.delta_lim(0), ctx.delta_lim(1)
+    lim0, lim1 = ctx.limit("delta", 0), ctx.limit("delta", 1)
     if not (lim0.is_determinate and lim1.is_determinate):
         return None
     key = (lim0.as_float() >= 0.0, lim1.as_float() >= 0.0)
@@ -741,7 +742,7 @@ class TestCaseAnalysis:
         assert counts == {"refused": 2289, "1": 42, "2": 221, "4a": 195, "4b": 457}
 
     def test_each_star_verdict_matches_its_case(self, pool_cases):
-        # not independent of the star row: both read ctx.delta_lim
+        # not independent of the star row: both read ctx.limit("delta", end)
         wrong = {pair: row for pair, row in pool_cases.items() if row.segments
                  and row.star != (_CASE_STAR.get(row.case, BOTH_FAIL), "theorem")}
         assert wrong == {}
@@ -765,4 +766,4 @@ class TestCaseAnalysis:
         for x, y in sorted(pairs):
             ctx = PairContext(parse_spec(x), parse_spec(y))
             for end, at, off in ((0, grid[0], left), (1, grid[-1], right)):
-                assert (ctx.delta_lim(end).as_float() < 0.0 < ctx.delta(at)) is off, (x, y, end)
+                assert (ctx.limit("delta", end).as_float() < 0.0 < ctx.delta(at)) is off, (x, y, end)

@@ -138,5 +138,5 @@ def test_terms_agree_with_the_point_values_wherever_those_decide():
 
 def test_a_model_without_a_term_keeps_the_point_rules():
     G, T = Govindarajulu(0, 2, 0.5), TukeyGeneralized(2, 1, 0.5)  # both qd infinite at 0
-    assert ratio_qd_tail(G, T, 0) is None and ratio_qd_tail(T, G, 0) is None
+    assert math.isnan(ratio_qd_tail(G, T, 0)) and math.isnan(ratio_qd_tail(T, G, 0))
     assert ratio_qd_tail(G, T, 1) == math.inf  # qd_G(1-) = 0

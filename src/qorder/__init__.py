@@ -12,7 +12,7 @@ from .errors import (
     ValidationError,
 )
 from .models import Govindarajulu, QuantileModel, TukeyGeneralized, UnitExponential
-from .shape import Mode, Segment, ShapeReport, find_shape, ratio_qd, shape_class, tukey_unimodal_region
+from .shape import Mode, Segment, ShapeReport, find_shape, shape_class, tukey_unimodal_region
 from .limits import LimitValue, limit_at
 from .deltas import (
     centered_delta,
@@ -21,6 +21,7 @@ from .deltas import (
     delta_ps,
     delta_qmit,
     eps,
+    ratio_qd,
 )
 from .oracle import GridVerdict, order_oracle, quadrature
 from .orders import (

@@ -18,7 +18,6 @@ import numpy as np
 
 from .deltas import finite_mean
 from .errors import InternalConsistencyError, ModelIntegrityError, TooOscillatoryError
-from .limits import LimitValue, closed_form, limit_at, ratio_qd_tail
 from .models import UnitExponential
 from .orders import (
     BOTH_FAIL,
@@ -75,13 +74,22 @@ class HazardShape:
     modes: tuple = ()  # (p, kind) pairs
 
 
-_HAZARD_NAMES = {
-    CONSTANT: "Constant",
-    INCREASING: "Increasing",
-    DECREASING: "Decreasing",
-    UNIMODAL_MIN: "BT",
-    UNIMODAL_MAX: "UBT",
+# shape class -> its label as the shape of the hazard, of the mrl and of the
+# hazard-rate weighted average; a class not listed (NModal) has none
+_SHAPE_LABELS = {
+    CONSTANT: ("Constant", "Constant", "Both"),
+    INCREASING: ("Increasing", "IMRL", "IHRWA"),
+    DECREASING: ("Decreasing", "DMRL", "DHRWA"),
+    UNIMODAL_MAX: ("UBT", "UBT", "UBT"),
+    UNIMODAL_MIN: ("BT", "BT", "BT"),
 }
+
+
+def _shape_label(cls, column, default):
+    """Column 0 (hazard), 1 (mrl) or 2 (weighted average) of the label of the
+    shape class cls, or default when cls has none."""
+    labels = _SHAPE_LABELS.get(cls)
+    return default if labels is None else labels[column]
 
 
 def classify_hazard(ctx: PairContext) -> HazardShape:
@@ -95,24 +103,13 @@ def classify_hazard(ctx: PairContext) -> HazardShape:
         sh = find_shape(lambda p: hazard_quantile(X, p), ctx.n, _hazard(prof.qd, prof.grid))
     except TooOscillatoryError as exc:
         return HazardShape("NModal", tuple((m, "?") for m in exc.modes))
-    name = _HAZARD_NAMES.get(sh.classification, "NModal")
+    name = _shape_label(sh.classification, 0, "NModal")
     return HazardShape(name, tuple((m.location, m.kind) for m in sh.modes))
-
-
-def _hazard_limit0(ctx) -> LimitValue:
-    X = ctx.X
-    return limit_at(lambda p: hazard_quantile(X, p), 0, closed_form(ratio_qd_tail(X, ctx.Y, 0)))
 
 
 def _mrl_shape_fallback(ctx):
     prof = ctx.X.profile(ctx.n)
-    return {
-        CONSTANT: "Constant",
-        INCREASING: "IMRL",
-        DECREASING: "DMRL",
-        UNIMODAL_MAX: "UBT",
-        UNIMODAL_MIN: "BT",
-    }.get(shape_class(prof.upper / (1.0 - prof.grid), ctx.n), "Inconclusive")
+    return _shape_label(shape_class(prof.upper / (1.0 - prof.grid), ctx.n), 1, "Inconclusive")
 
 
 def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
@@ -133,7 +130,7 @@ def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
         return "IMRL"
     if hazard.status not in ("BT", "UBT"):
         return _mrl_shape_fallback(ctx)
-    lim = _hazard_limit0(ctx)
+    lim = ctx.limit("ratio", 0)  # the hazard quantile is ratio_qd(X, Exp(1))
     evidence["hazard_limit_0"] = lim.to_dict()
     spread = mu - ctx.X.support_lo  # E[X] - a
     if not spread > 0.0:  # rounded away: the support starts far above its width
@@ -142,21 +139,12 @@ def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
     evidence["mean_reciprocal"] = threshold
     if not lim.is_determinate:
         return _mrl_shape_fallback(ctx)
-    gap = lim.as_float() - threshold
+    gap = lim.x - threshold
     if abs(gap) <= TOL:
         return _mrl_shape_fallback(ctx)
     if hazard.status == "BT":
         return "DMRL" if gap < 0.0 else "UBT"
     return "IMRL" if gap > 0.0 else "BT"
-
-
-_SURROGATE_NAMES = {
-    CONSTANT: "Both",
-    INCREASING: "IHRWA",
-    DECREASING: "DHRWA",
-    UNIMODAL_MAX: "UBT",
-    UNIMODAL_MIN: "BT",
-}
 
 
 def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
@@ -174,7 +162,7 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
         lim = ctx.limit("centered_delta", 1)
         evidence["ihrwa_limit_1"] = lim.to_dict()
         if lim.is_determinate:
-            v = lim.as_float()
+            v = lim.x
             if hazard.status == "UBT":
                 corollary = "IHRWA" if v > TOL else ("UBT" if v < -TOL else None)
             else:
@@ -186,7 +174,7 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
     try:
         prof = ctx.X.profile(ctx.n)
         num = -np.log1p(-prof.grid) - prof.grid  # integral of q/(1-q) over (0, p)
-        surrogate = _SURROGATE_NAMES.get(shape_class(num / prof.lower, ctx.n), "Inconclusive")
+        surrogate = _shape_label(shape_class(num / prof.lower, ctx.n), 2, "Inconclusive")
     except TooOscillatoryError:
         surrogate = "Inconclusive"
     evidence["ihrwa_corollary"] = corollary
@@ -224,7 +212,7 @@ def classify_ifra(ctx: PairContext, hazard: HazardShape, evidence: dict):
     evidence["ifra_value_at_pstar"] = a_star
     if not (lim0.is_determinate and lim1.is_determinate):
         return _ifra_oracle(ctx)
-    v0, v1 = lim0.as_float(), lim1.as_float()
+    v0, v1 = lim0.x, lim1.x
     if hazard.status == "UBT":
         ifra = v0 > -TOL and v1 > -TOL
         dfra = a_star < TOL

@@ -1,13 +1,14 @@
-"""Decision functions on the probability scale.
+"""Decision functions on the probability scale, and their endpoint limits.
 
 These are the quantities whose signs at modes and endpoint limits decide each
-transform order: delta, delta_ps, delta_qmit, delta_dmrl, the centered variant
-used by the qmit/dmrl endpoint conditions, and the expected proportional
-shortfall.  Each function with endpoint conditions has its closed-form tail
-beside it, and :func:`endpoint_limit` hands that tail to
-:func:`qorder.limits.limit_at` as an analytic hint; the weighted integrals
-come from the model's ``lower_weighted_integral`` / ``upper_weighted_integral``,
-closed forms for the built-in families.
+transform order: the quantile-density ratio ratio_qd, delta, delta_ps,
+delta_qmit, delta_dmrl, the centered variant used by the qmit/dmrl endpoint
+conditions, and the expected proportional shortfall.  Each function with
+endpoint conditions has its closed-form tail beside it, read off the models'
+tail information, and :func:`endpoint_limit` is the one place that chooses
+between that tail and :func:`qorder.limits.limit_at`'s extrapolation.  The
+weighted integrals come from the model's ``lower_weighted_integral`` /
+``upper_weighted_integral``, closed forms for the built-in families.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NonFiniteMeanError, QuadratureError
-from .limits import LimitValue, closed_form, limit_at, ratio_qd_tail
-from .shape import ratio_qd
+from .limits import LimitValue, limit_at
 
 __all__ = [
+    "ratio_qd",
+    "ratio_qd_tail",
     "delta",
     "delta_ps",
     "delta_qmit",
@@ -38,6 +40,11 @@ def finite_mean(X) -> float:
     if not math.isfinite(m):
         raise NonFiniteMeanError(f"mean of {X.label()} is not finite")
     return m
+
+
+def ratio_qd(X, Y, p):
+    """Quantile-density ratio f(F^-1(p))/g(G^-1(p)) = qd_Y(p)/qd_X(p)."""
+    return Y.quantile_density(p) / X.quantile_density(p)
 
 
 def delta(X, Y, p):
@@ -89,6 +96,28 @@ def eps(X, p):
 # known, since a DSL model's tail_quantile extrapolates.
 
 
+def ratio_qd_tail(X, Y, end):
+    """Limit of ratio_qd at the end, or NaN when unknown.
+
+    When both models state a leading term c*t^beta, the terms decide: 0 if
+    beta_Y > beta_X, inf if beta_Y < beta_X, c_Y/c_X if they are equal.
+    Otherwise the point values of the quantile densities do, which leave
+    inf/inf and 0/0 undecided."""
+    tx, ty = X.tail_term(end), Y.tail_term(end)
+    if tx is not None and ty is not None:
+        (cx, bx), (cy, by) = tx, ty
+        if by != bx:
+            return 0.0 if by > bx else math.inf
+        return cy / cx
+    qdx = X.tail_qdensity(end)
+    qdy = Y.tail_qdensity(end)
+    if qdx is None or qdy is None:
+        return math.nan
+    if qdx == 0.0:  # float division by zero raises rather than giving inf or NaN
+        return math.nan if qdy == 0.0 else math.inf
+    return qdy / qdx
+
+
 def _delta_tail(X, Y, end):
     c = ratio_qd_tail(X, Y, end)
     if math.isnan(c):
@@ -111,6 +140,7 @@ def _delta_ps_tail(X, Y, end):
 
 # name -> (the function, its closed-form tail)
 _LIMITS = {
+    "ratio": (ratio_qd, ratio_qd_tail),
     "delta": (delta, _delta_tail),
     "centered_delta": (centered_delta, _centered_delta_tail),
     "delta_ps": (delta_ps, _delta_ps_tail),
@@ -119,7 +149,11 @@ _LIMITS = {
 
 def endpoint_limit(name, X, Y, end) -> LimitValue:
     """Limit at p -> 0+ (end 0) or 1- (end 1) of the function ``name``:
-    "delta", "centered_delta" or "delta_ps".  Its closed-form tail decides
-    where known; otherwise limit_at extrapolates."""
+    "ratio", "delta", "centered_delta" or "delta_ps".  Its closed-form tail
+    decides where known, as an "analytic-hint" value; where the tail is NaN,
+    limit_at extrapolates."""
     fn, tail = _LIMITS[name]
-    return limit_at(lambda p: fn(X, Y, p), end, closed_form(tail(X, Y, end)))
+    x = tail(X, Y, end)
+    if math.isnan(x):
+        return limit_at(lambda p: fn(X, Y, p), end)
+    return LimitValue(float(x), "analytic-hint")

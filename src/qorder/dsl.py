@@ -514,7 +514,7 @@ class DslModel(QuantileModel):
         if end not in memo:
             lim = limit_at(self._qf_fn, end)
             # an indeterminate limit falls back to an evaluation 1e-12 from the endpoint
-            memo[end] = (lim.as_float() if lim.is_determinate
+            memo[end] = (lim.x if lim.is_determinate
                          else float(self.quantile(1e-12 if end == 0 else 1.0 - 1e-12)))
         return memo[end]
 

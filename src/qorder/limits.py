@@ -1,12 +1,12 @@
-"""One-sided endpoint limits on (0,1).
+"""One-sided endpoint limits on (0,1), by extrapolation.
 
 A limit is an extended real: a float, +-inf, or NaN when it is
-indeterminate.  It is either supplied analytically (closed-form tails of the
-built-in families, leading terms of their quantile densities where both
-models state one, composed by IEEE float arithmetic, whose NaN marks 0*inf and
-inf - inf) or classified numerically by evaluating at geometrically shrinking
-distances from the endpoint and extrapolating.  Indeterminate is a value, not
-an error: callers fall back to their numeric-oracle path when they see it.
+indeterminate.  :func:`limit_at` classifies it numerically, by evaluating a
+function at geometrically shrinking distances from the endpoint and
+extrapolating; it knows nothing about models.  The closed-form tails that
+decide a limit before any sampling live beside their functions in
+:mod:`qorder.deltas`.  Indeterminate is a value, not an error: callers fall
+back to their numeric-oracle path when they see it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["LimitValue", "limit_at", "ratio_qd_tail", "closed_form"]
+__all__ = ["LimitValue", "limit_at"]
 
 _CAUCHY_REL = 1e-9
 _DIVERGE_MAG = 1e12
@@ -44,18 +44,8 @@ class LimitValue:
     def is_determinate(self):
         return not math.isnan(self.x)
 
-    def as_float(self):
-        """Extended-real view: finite value, +-inf, or NaN when indeterminate."""
-        return self.x
-
     def to_dict(self):
         return {"kind": self.kind, "value": self.value, "method": self.method}
-
-
-def closed_form(x):
-    """The analytic hint for limit_at given by the extended real x, or None when
-    x is NaN (no closed form, or an indeterminate one)."""
-    return None if math.isnan(x) else LimitValue(float(x), "analytic-hint")
 
 
 def _close(a, b):
@@ -89,15 +79,13 @@ def _extrapolant(a, b, c):
     return c + d2 * lam / (1.0 - lam) if abs(lam) < 0.97 else None
 
 
-def limit_at(fn, endpoint, hint: LimitValue | None = None):
+def limit_at(fn, endpoint):
     """Classify the one-sided limit of fn at p -> 0+ or p -> 1-.
 
-    ``endpoint`` is 0 or 1.  An analytic hint wins and is returned as it is
-    (closed_form tags it "analytic-hint"); otherwise the function
-    is sampled at distances 2^-k for k = 8..40, and the sequence is
-    classified: monotone divergence past 1e12 maps to an infinity, a Cauchy
-    tail of (extrapolated) values maps to a finite limit, anything else is
-    Indeterminate.
+    ``endpoint`` is 0 or 1.  The function is sampled at distances 2^-k for
+    k = 8..40, and the sequence is classified: monotone divergence past 1e12
+    maps to an infinity, a Cauchy tail of (extrapolated) values maps to a
+    finite limit, anything else is Indeterminate.
 
     The classification reads only the samples nearest the endpoint: the last
     10 (its diagnostics), the last 5 (divergence), the last 4 finite ones (the
@@ -107,9 +95,6 @@ def limit_at(fn, endpoint, hint: LimitValue | None = None):
     error at a point that the result does not need is not raised, since that
     point is never evaluated.
     """
-    if hint is not None:
-        return hint
-
     nearest, finite = [], []  # samples (eps, value) and finite values, nearest first
     diverges = cauchy = False
     extrapolants = 0
@@ -154,24 +139,3 @@ def _classify(samples):
         return LimitValue(extrapolants[-1], diagnostics=diag)
     return LimitValue(math.nan, diagnostics=diag)
 
-
-def ratio_qd_tail(X, Y, endpoint):
-    """Analytic limit of qd_Y/qd_X at the endpoint, or NaN when unknown.
-
-    When both models state a leading term c*t^beta, the terms decide: 0 if
-    beta_Y > beta_X, inf if beta_Y < beta_X, c_Y/c_X if they are equal.
-    Otherwise the point values of the quantile densities do, which leave
-    inf/inf and 0/0 undecided."""
-    tx, ty = X.tail_term(endpoint), Y.tail_term(endpoint)
-    if tx is not None and ty is not None:
-        (cx, bx), (cy, by) = tx, ty
-        if by != bx:
-            return 0.0 if by > bx else math.inf
-        return cy / cx
-    qdx = X.tail_qdensity(endpoint)
-    qdy = Y.tail_qdensity(endpoint)
-    if qdx is None or qdy is None:
-        return math.nan
-    if qdx == 0.0:  # float division by zero raises rather than giving inf or NaN
-        return math.nan if qdy == 0.0 else math.inf
-    return qdy / qdx

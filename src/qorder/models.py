@@ -3,9 +3,10 @@
 Every distribution is represented on the probability scale: a model knows its
 quantile function F^-1(p), its quantile density dF^-1/dp (the sparsity
 function, i.e. 1/f(F^-1(p))) and its mean.  Operations never accept p = 0 or
-p = 1; endpoint behaviour is the business of the limit evaluator in
-:mod:`qorder.limits`, which consumes the tail information exposed through
-``tail_quantile`` / ``tail_term`` / ``tail_qdensity``.
+p = 1; endpoint behaviour is the business of the closed-form tails in
+:mod:`qorder.deltas`, which consume the tail information exposed through
+``tail_quantile`` / ``tail_term`` / ``tail_qdensity``, and of the
+extrapolation in :mod:`qorder.limits` where that information runs out.
 
 Models are immutable after construction and all operations are pure.
 """

@@ -43,7 +43,6 @@ from .shape import (
     ShapeReport,
     find_shape,
     find_shapes,
-    ratio_qd,
 )
 from . import deltas
 
@@ -105,8 +104,6 @@ class OrderVerdict:
 def _tri(x, sense):
     """Sign test with a dead zone: True/False, or None when within tolerance
     of the threshold (borderline) or indeterminate."""
-    if isinstance(x, LimitValue):
-        x = x.as_float()
     x = float(x)
     if math.isnan(x):
         return None
@@ -178,7 +175,7 @@ class PairContext:
     # -- basic quantities ---------------------------------------------------
 
     def ratio(self, p):
-        return ratio_qd(self.X, self.Y, p)
+        return deltas.ratio_qd(self.X, self.Y, p)
 
     def shape(self) -> ShapeReport:
         if self._shape is None:
@@ -285,9 +282,9 @@ def _limit_cond(conds, lim: LimitValue, sense, name, *args):
     """Sign of the limit lim, recorded in conds as the condition named
     name % args.  conds is None when the caller keeps no certificate: then
     nothing is recorded and the name is never formatted."""
-    sat = _tri(lim, sense)
+    sat = _tri(lim.x, sense)
     if conds is not None:
-        value = lim.as_float()
+        value = lim.x
         conds.append(Condition(name % args, value if not math.isnan(value) else "indeterminate",
                                f"{sense} 0", sat))
     return sat
@@ -431,9 +428,9 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
         return _ps_fwd(ctx.swap(), conds, None, tag + "swapped.")
     if sh.classification != UNIMODAL_MAX:
         return None
-    lim0 = _tri(ctx.limit("delta", 0), ">=")
-    lim1 = _tri(ctx.limit("delta", 1), "<=")
-    ps0 = _tri(ctx.limit("delta_ps", 0), "<=")
+    lim0 = _tri(ctx.limit("delta", 0).x, ">=")
+    lim1 = _tri(ctx.limit("delta", 1).x, "<=")
+    ps0 = _tri(ctx.limit("delta_ps", 0).x, "<=")
     # case a: delta starts non-negative, ends negative
     case_a = _and(lim0, lim1, ps0)
     conds.append(Condition(tag + "case_a(lim0>=0, lim1<0, ps0<=0)",
@@ -442,8 +439,8 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
     if case_a is True:
         return True
     # case b: both delta limits negative, positive spike at the ratio mode
-    neg0 = _tri(ctx.limit("delta", 0), "<=")
-    neg1 = _tri(ctx.limit("delta", 1), "<=")
+    neg0 = _tri(ctx.limit("delta", 0).x, "<=")
+    neg1 = _tri(ctx.limit("delta", 1).x, "<=")
     spike = _tri(ctx.delta(sh.modes[0].location), ">=")
     pieces = [neg0, neg1, spike, ps0]
     if _and(*pieces) is True:

@@ -6,9 +6,8 @@ function's central-difference slope, by Brent's bracketed root-find;
 `shape_class` gives the same classification from the grid scan alone.
 `find_shapes` segments a stack of functions in one scan of all their grid
 values, and gives each row what `find_shape` gives it alone; the sweep
-segments its cells 16 at a time this way.  The quantile-density ratio of two
-models, whose shape drives every theorem in the order engine, lives here as
-well.
+segments its cells 16 at a time this way.  The functions are plain
+callables and grid values: this module knows nothing about models.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "Mode",
     "Segment",
     "ShapeReport",
-    "ratio_qd",
     "find_shape",
     "find_shapes",
     "shape_class",
@@ -77,11 +75,6 @@ class ShapeReport:
     classification: str
     modes: list[Mode] = field(default_factory=list)
     segments: list[Segment] = field(default_factory=list)
-
-
-def ratio_qd(X, Y, p):
-    """Quantile-density ratio f(F^-1(p))/g(G^-1(p)) = qd_Y(p)/qd_X(p)."""
-    return Y.quantile_density(p) / X.quantile_density(p)
 
 
 def _refine_mode(fn, lo, hi, kind):

@@ -13,7 +13,7 @@ from conftest import oracle_can_resolve
 
 from qorder import orders
 from qorder.aging import aging_report
-from qorder.deltas import delta, delta_ps, endpoint_limit, eps
+from qorder.deltas import delta, delta_ps, endpoint_limit, eps, ratio_qd
 from qorder.empirical import SampleSet, qq_transform
 from qorder.errors import DomainError
 from qorder.limits import limit_at
@@ -30,7 +30,7 @@ from qorder.orders import (
     check_star,
     compare_all,
 )
-from qorder.shape import ratio_qd, tukey_unimodal_region
+from qorder.shape import tukey_unimodal_region
 
 X_TUKEY = TukeyGeneralized(4, 1, 2.5)
 Y_TUKEY = TukeyGeneralized(1.5, 1, 1.5)
@@ -72,10 +72,10 @@ def test_closed_form_delta_limits():
     ok = (
         l0.method == "analytic-hint"
         and l1.method == "analytic-hint"
-        and abs(l0.as_float() - 1.3) < 1e-9
-        and abs(l1.as_float() - 0.5) < 1e-9
-        and abs(n0.as_float() - 1.3) / 1.3 < 1e-3
-        and abs(n1.as_float() - 0.5) / 0.5 < 1e-3
+        and abs(l0.x - 1.3) < 1e-9
+        and abs(l1.x - 0.5) < 1e-9
+        and abs(n0.x - 1.3) / 1.3 < 1e-3
+        and abs(n1.x - 0.5) / 0.5 < 1e-3
     )
     _verdict_line("closed-form-delta-limits", ok)
 

@@ -15,12 +15,13 @@ from qorder.aging import (
     classify_mrl,
     hazard_quantile,
 )
-from qorder.cli import dumps, parse_spec
+from qorder.cli import dumps, main, parse_spec
+from qorder.deltas import ratio_qd
 from qorder.errors import ModelIntegrityError, QorderError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
 from qorder.orders import PairContext
-from qorder.shape import find_shape, ratio_qd
+from qorder.shape import find_shape
 
 GOV = Govindarajulu(0, 2, 2)
 EXP = UnitExponential()
@@ -145,6 +146,12 @@ class TestShiftInvariance:
             "BT", "DMRL", "BT", "IFRA")
         assert rep.evidence["mean_reciprocal"] == 1.0 / (X.mean - X.support_lo)
 
+    def test_hazard_limit_is_the_pairs_ratio_limit(self):
+        # the hazard quantile is ratio_qd(X, Exp(1)): its limit at 0+ is the pair's memo
+        X = TukeyGeneralized(2.57145, 0.994598, 1.55534)
+        rep = aging_report(X)
+        assert rep.evidence["hazard_limit_0"] == _ctx(X).limit("ratio", 0).to_dict()
+
     def test_width_rounded_away_by_the_location_takes_the_shape_fallback(self):
         # E[X] - a rounds to 0: no threshold is read, and no division by zero escapes
         X = Govindarajulu(1e17, 1, 2)
@@ -155,6 +162,13 @@ class TestShiftInvariance:
         assert hazard.status == "BT"
         assert classify_mrl(ctx, hazard, evidence) in ("DMRL", "IMRL", "BT", "UBT", "Inconclusive")
         assert "mean_reciprocal" not in evidence
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: absolute tolerance at a large location")
+    def test_location_far_above_the_width_agrees_with_the_order_engine(self, tmp_path):
+        # theta from 0 to 1e14 exits 0; at 1e16 it exits 1 with
+        # "mrl=UBT contradicts the order engine (dmrl vs Exp(1) is Holds)"
+        assert main(["aging", "--x", "govindarajulu:1e16,1,2",
+                     "--out", str(tmp_path / "report.json")]) == 0
 
     @staticmethod
     def _hazard_and_mrl(X):

@@ -12,13 +12,14 @@ from qorder import aging as aging_mod
 from qorder.aging import aging_report, hazard_quantile
 from qorder import cli
 from qorder.cli import dumps, main, parse_spec
+from qorder.deltas import ratio_qd
 from qorder.dsl import DslModel
 from qorder.empirical import SampleSet
 from qorder.errors import ParseError, QorderError, ValidationError
 from qorder.models import Govindarajulu, GridProfile, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid, lower_cumulative, upper_cumulative
 from qorder.orders import Condition, PairContext, compare_all, theorem_status
-from qorder.shape import ratio_qd, tukey_unimodal_region
+from qorder.shape import tukey_unimodal_region
 
 
 def _curve_columns(path):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qorder import deltas
+from qorder import deltas, limits
+from qorder.deltas import ratio_qd
 from qorder.errors import DomainError, NonFiniteMeanError
-from qorder.limits import LimitValue, closed_form, limit_at, ratio_qd_tail
+from qorder.limits import LimitValue, limit_at
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import quadrature
-from qorder.shape import ratio_qd
+from qorder.orders import ORDERS, compare_all
 
 X_TUKEY = TukeyGeneralized(4, 1, 2.5)
 Y_TUKEY = TukeyGeneralized(1.5, 1, 1.5)
@@ -24,18 +25,18 @@ class TestDelta:
         lim = deltas.endpoint_limit("delta", X_TUKEY, Y_TUKEY, 0)
         assert lim.method == "analytic-hint"
         # (eta2*alpha2/(eta1*alpha1)) * (lam1-eta1) - (lam2-eta2) = 0.6*3 - 0.5
-        assert lim.as_float() == pytest.approx(1.3, rel=1e-12)
+        assert lim.x == pytest.approx(1.3, rel=1e-12)
 
     def test_limit_1_closed_form(self):
         lim = deltas.endpoint_limit("delta", X_TUKEY, Y_TUKEY, 1)
-        assert lim.as_float() == pytest.approx(0.5, rel=1e-12)
+        assert lim.x == pytest.approx(0.5, rel=1e-12)
 
     def test_limits_by_extrapolation(self):
         lim0 = limit_at(lambda p: deltas.delta(X_TUKEY, Y_TUKEY, p), 0)
         lim1 = limit_at(lambda p: deltas.delta(X_TUKEY, Y_TUKEY, p), 1)
         assert lim0.method == "extrapolation"
-        assert lim0.as_float() == pytest.approx(1.3, rel=1e-3)
-        assert lim1.as_float() == pytest.approx(0.5, rel=1e-3)
+        assert lim0.x == pytest.approx(1.3, rel=1e-3)
+        assert lim1.x == pytest.approx(0.5, rel=1e-3)
 
     def test_integral_representation(self):
         # delta(p) = int_0^p [ratio(p)*qd_X(q) - qd_Y(q)] dq + l_X*ratio(p) - l_Y
@@ -113,8 +114,8 @@ class TestWeightedDeltas:
         lim1 = deltas.endpoint_limit("centered_delta", X_TUKEY, Y_TUKEY, 1)
         lim0 = deltas.endpoint_limit("centered_delta", X_TUKEY, Y_TUKEY, 0)
         # eta2*(alpha2/2 - 1) and eta2*(1 - alpha2/2) for alpha1 = 2.5 > 2
-        assert lim1.as_float() == pytest.approx(-0.4, rel=1e-6)
-        assert lim0.as_float() == pytest.approx(0.4, rel=1e-6)
+        assert lim1.x == pytest.approx(-0.4, rel=1e-6)
+        assert lim0.x == pytest.approx(0.4, rel=1e-6)
 
 
 def _mrl(X, p):
@@ -202,12 +203,10 @@ class TestLimitEvaluator:
         X = TukeyGeneralized(1.0, 1.0, 0.5)
         Y = Y_TUKEY
         lim = deltas.endpoint_limit("delta", X, Y, 0)
-        assert lim.as_float() == pytest.approx(-(1.5 - 1.0), rel=1e-9)
+        assert lim.x == pytest.approx(-(1.5 - 1.0), rel=1e-9)
 
     def test_govindarajulu_hazard_diverges_at_zero(self):
-        g = Govindarajulu(0, 2, 2)
-        hint = closed_form(ratio_qd_tail(g, EXP, 0))
-        lim = limit_at(lambda p: ratio_qd(g, EXP, p), 0, hint)
+        lim = deltas.endpoint_limit("ratio", Govindarajulu(0, 2, 2), EXP, 0)
         assert lim.kind == "+inf"
 
     def test_divergence_classified_without_hint(self):
@@ -231,11 +230,6 @@ class TestLimitEvaluator:
         assert lim.kind == "finite"
         assert lim.value == pytest.approx(1.0, abs=1e-6)
 
-    def test_hint_wins_and_is_tagged(self):
-        lim = limit_at(lambda p: 99.0, 1, hint=closed_form(7.0))
-        assert lim.method == "analytic-hint"
-        assert lim.value == 7.0
-
 
 class TestEndpointLimit:
     @pytest.mark.parametrize("X, Y, end, form", [
@@ -251,7 +245,22 @@ class TestEndpointLimit:
     def test_zero_times_inf_extrapolates_to_its_limit(self):
         # the ratio of the quantile densities vanishes at 1-, so delta -> -(lam + eta)
         lim = deltas.endpoint_limit("delta", EXP, TukeyGeneralized(2, 1, 2.5), 1)
-        assert lim.as_float() == pytest.approx(-3.0, rel=1e-9)
+        assert lim.x == pytest.approx(-3.0, rel=1e-9)
+
+    def test_closed_form_tails_need_no_extrapolation(self, monkeypatch):
+        # every limit of the worked Tukey pair has a closed-form tail, so
+        # compare_all completes with the extrapolation switched off
+        calls = []
+
+        def refuse(fn, end):
+            calls.append(end)
+            raise AssertionError("limit_at called")
+
+        monkeypatch.setattr(limits, "limit_at", refuse)
+        monkeypatch.setattr(deltas, "limit_at", refuse)
+        verdicts = compare_all(X_TUKEY, Y_TUKEY, method="both")
+        assert [v.order for v in verdicts] == list(ORDERS)
+        assert calls == []
 
 
 class TestLimitValue:
@@ -264,11 +273,6 @@ class TestLimitValue:
     def test_to_dict_keeps_the_evidence_format(self, x, kind, value):
         assert LimitValue(x).to_dict() == {"kind": kind, "value": value,
                                            "method": "extrapolation"}
-
-    def test_closed_form(self):
-        assert closed_form(math.nan) is None
-        assert closed_form(-math.inf).to_dict() == {"kind": "-inf", "value": None,
-                                                    "method": "analytic-hint"}
 
 
 class TestQuadratureContracts:

@@ -3,7 +3,8 @@ function, no module reaches into another through private names (imported or
 read through the module object), no private module-level function or class
 is left unreferenced, every public name a module lists in ``__all__`` exists,
 and every public function or class it lists there is read by the package or
-is a documented entry point; importing the CLI loads no scipy."""
+is a documented entry point; the limit extrapolation and the segmentation
+read no model attribute; importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -208,6 +209,29 @@ def test_every_name_in_all_is_bound():
         missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
                     if not hasattr(module, attr)]
     assert missing == []
+
+
+# what a model exposes on the probability scale and at its ends
+MODEL_ATTRS = {"quantile", "quantile_density", "tail_term", "tail_qdensity", "tail_quantile"}
+
+
+def _model_reads(path):
+    """Model attributes read in a module, as ``X.quantile_density``."""
+    return [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and node.attr in MODEL_ATTRS]
+
+
+def test_limits_and_shape_know_nothing_about_models():
+    # the closed-form tails that read models live in deltas.py; limits.py only
+    # extrapolates and shape.py only segments
+    assert _model_reads(PKG / "limits.py") + _model_reads(PKG / "shape.py") == []
+
+
+def test_a_model_read_is_caught(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("a = X.quantile(p)\nb = Y.tail_term(0)\nc = fn(p)\nd = X.mean\n")
+    assert _model_reads(src) == ["probe.py:1 X.quantile", "probe.py:2 Y.tail_term"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -657,7 +657,7 @@ def _case(ctx):
     lim0, lim1 = ctx.limit("delta", 0), ctx.limit("delta", 1)
     if not (lim0.is_determinate and lim1.is_determinate):
         return None
-    key = (lim0.as_float() >= 0.0, lim1.as_float() >= 0.0)
+    key = (lim0.x >= 0.0, lim1.x >= 0.0)
     if key in _CASES:
         return _CASES[key]
     if ctx.delta(ctx.shape().modes[0].location) <= 0.0:
@@ -766,4 +766,4 @@ class TestCaseAnalysis:
         for x, y in sorted(pairs):
             ctx = PairContext(parse_spec(x), parse_spec(y))
             for end, at, off in ((0, grid[0], left), (1, grid[-1], right)):
-                assert (ctx.limit("delta", end).as_float() < 0.0 < ctx.delta(at)) is off, (x, y, end)
+                assert (ctx.limit("delta", end).x < 0.0 < ctx.delta(at)) is off, (x, y, end)

@@ -6,6 +6,7 @@ import pytest
 
 from qorder import shape
 from qorder.cli import parse_spec
+from qorder.deltas import ratio_qd
 from qorder.errors import DomainError, QorderError, TooOscillatoryError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
@@ -24,7 +25,6 @@ from qorder.shape import (
     find_shape,
     find_shapes,
     shape_class,
-    ratio_qd,
     tukey_unimodal_region,
 )
 

@@ -1,5 +1,5 @@
 """Leading terms of the quantile densities at the ends, qd ~ c*t^beta as t -> 0
-(t = p at end 0, t = 1 - p at end 1), and the ratio limits that limits.ratio_qd_tail
+(t = p at end 0, t = 1 - p at end 1), and the ratio limits that deltas.ratio_qd_tail
 draws from them; checked against the quantile densities at 50 digits."""
 
 import math
@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 from qorder import dsl
-from qorder.limits import ratio_qd_tail
+from qorder.deltas import ratio_qd_tail
 from qorder.models import Govindarajulu, QuantileModel, TukeyGeneralized, UnitExponential
 
 EXP = UnitExponential()

@@ -7,7 +7,10 @@ The classifiers below apply the corresponding corollaries directly on the
 hazard quantile function, reading the endpoint limits, delta values and grid
 oracle runs of one ``PairContext(X, UnitExponential(), n)``; ``aging_report``
 hands that same context to the order engine to cross-check each class, so the
-two routes can never silently drift apart.
+two routes can never silently drift apart.  One table, ``_DIRECTION_CLASSES``,
+gives the class of each notion for a monotone or constant direction, and the
+endpoint criteria test their limits with the engine's own ``sign_test``, so a
+borderline limit is the one the engine's verdicts call borderline.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .orders import (
     check_dmrl,
     check_qmit,
     check_star,
+    sign_test,
 )
 from .shape import (
     CONSTANT,
@@ -85,10 +89,19 @@ _SHAPE_LABELS = {
 }
 
 
-def _shape_label(cls, column, default):
-    """Column 0 (hazard), 1 (mrl) or 2 (weighted average) of the label of the
-    shape class cls, or default when cls has none."""
-    labels = _SHAPE_LABELS.get(cls)
+# direction of a monotone or constant hazard, or of the star oracle's run, ->
+# the class it gives as (hazard, mrl, ihrwa, ifra); IFR implies DMRL, IHRWA and
+# IFRA, and DFR the reverse of each
+_DIRECTION_CLASSES = {
+    INCREASING: ("IFR", "DMRL", "IHRWA", "IFRA"),
+    DECREASING: ("DFR", "IMRL", "DHRWA", "DFRA"),
+    CONSTANT: ("Both", "Constant", "Both", "Both"),
+}
+
+
+def _label(table, key, column, default):
+    """table[key][column], or default when key has no row."""
+    labels = table.get(key)
     return default if labels is None else labels[column]
 
 
@@ -103,13 +116,14 @@ def classify_hazard(ctx: PairContext) -> HazardShape:
         sh = find_shape(lambda p: hazard_quantile(X, p), ctx.n, _hazard(prof.qd, prof.grid))
     except TooOscillatoryError as exc:
         return HazardShape("NModal", tuple((m, "?") for m in exc.modes))
-    name = _shape_label(sh.classification, 0, "NModal")
+    name = _label(_SHAPE_LABELS, sh.classification, 0, "NModal")
     return HazardShape(name, tuple((m.location, m.kind) for m in sh.modes))
 
 
 def _mrl_shape_fallback(ctx):
     prof = ctx.X.profile(ctx.n)
-    return _shape_label(shape_class(prof.upper / (1.0 - prof.grid), ctx.n), 1, "Inconclusive")
+    cls = shape_class(prof.upper / (1.0 - prof.grid), ctx.n)
+    return _label(_SHAPE_LABELS, cls, 1, "Inconclusive")
 
 
 def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
@@ -122,12 +136,8 @@ def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
     opposite bathtub shape.
     """
     mu = finite_mean(ctx.X)
-    if hazard.status == "Constant":
-        return "Constant"
-    if hazard.status == "Increasing":
-        return "DMRL"
-    if hazard.status == "Decreasing":
-        return "IMRL"
+    if hazard.status in _DIRECTION_CLASSES:
+        return _DIRECTION_CLASSES[hazard.status][1]
     if hazard.status not in ("BT", "UBT"):
         return _mrl_shape_fallback(ctx)
     lim = ctx.limit("ratio", 0)  # the hazard quantile is ratio_qd(X, Exp(1))
@@ -137,14 +147,12 @@ def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
         return _mrl_shape_fallback(ctx)
     threshold = 1.0 / spread
     evidence["mean_reciprocal"] = threshold
-    if not lim.is_determinate:
-        return _mrl_shape_fallback(ctx)
-    gap = lim.x - threshold
-    if abs(gap) <= TOL:
+    above = sign_test(lim.x - threshold, ">=")
+    if above is None:  # indeterminate or borderline
         return _mrl_shape_fallback(ctx)
     if hazard.status == "BT":
-        return "DMRL" if gap < 0.0 else "UBT"
-    return "IMRL" if gap > 0.0 else "BT"
+        return "UBT" if above else "DMRL"
+    return "IMRL" if above else "BT"
 
 
 def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
@@ -155,26 +163,22 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
     sign of the limit at 1- of r(F^-1(p))*(F^-1(p)-E[X]) + log(1-p) + 1.  Both
     are recorded in the evidence, with a note when they disagree.
     """
-    if hazard.status == "Constant":
-        return "Both"
-    corollary = None
+    if hazard.status == CONSTANT:
+        return _DIRECTION_CLASSES[CONSTANT][2]
+    corollary = _label(_DIRECTION_CLASSES, hazard.status, 2, None)
     if hazard.status in ("BT", "UBT"):
         lim = ctx.limit("centered_delta", 1)
         evidence["ihrwa_limit_1"] = lim.to_dict()
-        if lim.is_determinate:
-            v = lim.x
+        above = sign_test(lim.x, ">=")
+        if above is not None:
             if hazard.status == "UBT":
-                corollary = "IHRWA" if v > TOL else ("UBT" if v < -TOL else None)
+                corollary = "IHRWA" if above else "UBT"
             else:
-                corollary = "DHRWA" if v < -TOL else ("BT" if v > TOL else None)
-    elif hazard.status == "Increasing":
-        corollary = "IHRWA"  # IFR implies IHRWA
-    elif hazard.status == "Decreasing":
-        corollary = "DHRWA"
+                corollary = "BT" if above else "DHRWA"
     try:
         prof = ctx.X.profile(ctx.n)
         num = -np.log1p(-prof.grid) - prof.grid  # integral of q/(1-q) over (0, p)
-        surrogate = _shape_label(shape_class(num / prof.lower, ctx.n), 2, "Inconclusive")
+        surrogate = _label(_SHAPE_LABELS, shape_class(num / prof.lower, ctx.n), 2, "Inconclusive")
     except TooOscillatoryError:
         surrogate = "Inconclusive"
     evidence["ihrwa_corollary"] = corollary
@@ -195,12 +199,8 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
 def classify_ifra(ctx: PairContext, hazard: HazardShape, evidence: dict):
     """Increasing/decreasing-failure-rate-in-average class of ctx.X via the sign of
     A(p) = F^-1(p)*r(F^-1(p)) + log(1-p) at its endpoints and inner extremum."""
-    if hazard.status == "Constant":
-        return "Both"
-    if hazard.status == "Increasing":
-        return "IFRA"
-    if hazard.status == "Decreasing":
-        return "DFRA"
+    if hazard.status in _DIRECTION_CLASSES:
+        return _DIRECTION_CLASSES[hazard.status][3]
     if hazard.status not in ("BT", "UBT"):
         return _ifra_oracle(ctx)
     lim0 = ctx.limit("delta", 0)
@@ -219,20 +219,14 @@ def classify_ifra(ctx: PairContext, hazard: HazardShape, evidence: dict):
     else:
         dfra = v0 < TOL and v1 < TOL
         ifra = a_star > -TOL
-    if ifra and dfra:
-        return "Both"
-    if ifra:
-        return "IFRA"
-    if dfra:
-        return "DFRA"
-    return "Neither"
+    direction = CONSTANT if ifra and dfra else INCREASING if ifra else DECREASING if dfra else None
+    return _label(_DIRECTION_CLASSES, direction, 3, "Neither")
 
 
 def _ifra_oracle(ctx):
-    gv = ctx.oracle("star")
-    return {"Increasing": "IFRA", "Decreasing": "DFRA", "Constant": "Both"}.get(
-        gv.status, "Neither"
-    )
+    """The class of the star oracle's run, whose statuses name directions; a
+    Mixed run (violations both ways) is Neither."""
+    return _label(_DIRECTION_CLASSES, ctx.oracle("star").status, 3, "Neither")
 
 
 @dataclass
@@ -280,8 +274,7 @@ def aging_report(X, n=4096) -> AgingReport:
     report = AgingReport(hazard, mrl, ihrwa, ifra, evidence)
 
     notes = report.notes
-    hazard_label = {"Increasing": "IFR", "Decreasing": "DFR",
-                    "Constant": "Both"}.get(hazard.status, hazard.status)
+    hazard_label = _label(_DIRECTION_CLASSES, hazard.status, 0, hazard.status)
     _cross_check(notes, "hazard", hazard_label, check_convex(ctx))
     _cross_check(notes, "mrl", mrl, check_dmrl(ctx))
     _cross_check(notes, "ihrwa", ihrwa, check_qmit(ctx))

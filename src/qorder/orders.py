@@ -64,6 +64,7 @@ __all__ = [
     "check_ps",
     "compare_all",
     "segment_ratios",
+    "sign_test",
     "theorem_status",
 ]
 
@@ -101,9 +102,10 @@ class OrderVerdict:
     certificate: Certificate
 
 
-def _tri(x, sense):
-    """Sign test with a dead zone: True/False, or None when within tolerance
-    of the threshold (borderline) or indeterminate."""
+def sign_test(x, sense):
+    """Whether x >= 0 (sense ">=") or x <= 0 (sense "<=") holds, with a dead
+    zone: True/False, or None when x is within TOL of 0 (borderline) or NaN
+    (indeterminate)."""
     x = float(x)
     if math.isnan(x):
         return None
@@ -282,7 +284,7 @@ def _limit_cond(conds, lim: LimitValue, sense, name, *args):
     """Sign of the limit lim, recorded in conds as the condition named
     name % args.  conds is None when the caller keeps no certificate: then
     nothing is recorded and the name is never formatted."""
-    sat = _tri(lim.x, sense)
+    sat = sign_test(lim.x, sense)
     if conds is not None:
         value = lim.x
         conds.append(Condition(name % args, value if not math.isnan(value) else "indeterminate",
@@ -292,7 +294,7 @@ def _limit_cond(conds, lim: LimitValue, sense, name, *args):
 
 def _value_cond(conds, value, sense, name, *args):
     """Sign of value, recorded in conds as _limit_cond records a limit."""
-    sat = _tri(value, sense)
+    sat = sign_test(value, sense)
     if conds is not None:
         conds.append(Condition(name % args, float(value), f"{sense} 0", sat))
     return sat
@@ -428,9 +430,9 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
         return _ps_fwd(ctx.swap(), conds, None, tag + "swapped.")
     if sh.classification != UNIMODAL_MAX:
         return None
-    lim0 = _tri(ctx.limit("delta", 0).x, ">=")
-    lim1 = _tri(ctx.limit("delta", 1).x, "<=")
-    ps0 = _tri(ctx.limit("delta_ps", 0).x, "<=")
+    lim0 = sign_test(ctx.limit("delta", 0).x, ">=")
+    lim1 = sign_test(ctx.limit("delta", 1).x, "<=")
+    ps0 = sign_test(ctx.limit("delta_ps", 0).x, "<=")
     # case a: delta starts non-negative, ends negative
     case_a = _and(lim0, lim1, ps0)
     conds.append(Condition(tag + "case_a(lim0>=0, lim1<0, ps0<=0)",
@@ -439,9 +441,9 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
     if case_a is True:
         return True
     # case b: both delta limits negative, positive spike at the ratio mode
-    neg0 = _tri(ctx.limit("delta", 0).x, "<=")
-    neg1 = _tri(ctx.limit("delta", 1).x, "<=")
-    spike = _tri(ctx.delta(sh.modes[0].location), ">=")
+    neg0 = sign_test(ctx.limit("delta", 0).x, "<=")
+    neg1 = sign_test(ctx.limit("delta", 1).x, "<=")
+    spike = sign_test(ctx.delta(sh.modes[0].location), ">=")
     pieces = [neg0, neg1, spike, ps0]
     if _and(*pieces) is True:
         qsh = ctx.quantile_ratio_shape()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, QorderError, TooOscillatoryError, ValidationError
-from .oracle import P_MIN, logit_grid
+from .oracle import logit_grid
 
 __all__ = [
     "MAX_MODES",
@@ -190,7 +190,7 @@ def _scan(values, n):
     if size != grid.size:
         raise ValidationError(
             f"find_shape got {size} values for the {grid.size}-point grid "
-            f"logit_grid({n}, {P_MIN:g})"
+            f"logit_grid({n})"
         )
     finite = np.isfinite(vals).all(axis=1)
     if not finite.all():  # a non-finite row is scanned as zeros and reported as an error

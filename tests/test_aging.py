@@ -1,13 +1,16 @@
 import dataclasses
 import gc
 import json
+import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qorder import aging, oracle
 from qorder.aging import (
+    HazardShape,
     aging_report,
     classify_hazard,
     classify_ifra,
@@ -17,11 +20,17 @@ from qorder.aging import (
 )
 from qorder.cli import dumps, main, parse_spec
 from qorder.deltas import ratio_qd
-from qorder.errors import ModelIntegrityError, QorderError
+from qorder.errors import (
+    InternalConsistencyError,
+    ModelIntegrityError,
+    QorderError,
+    TooOscillatoryError,
+)
+from qorder.limits import LimitValue
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import logit_grid
-from qorder.orders import PairContext
-from qorder.shape import find_shape
+from qorder.orders import TOL, PairContext
+from qorder.shape import CONSTANT, UNIMODAL_MIN, find_shape
 
 GOV = Govindarajulu(0, 2, 2)
 EXP = UnitExponential()
@@ -336,3 +345,203 @@ class TestGridProfileShapes:
             assert ref() is None
         finally:
             gc.enable()
+
+
+INF = math.inf
+NAN = math.nan
+_BAND = [  # (x, sign test of x against the band [-TOL, TOL]: True above, False below)
+    (INF, True), (-INF, False), (NAN, None), (0.0, None),
+    (TOL, None), (-TOL, None),  # exactly on the band's edges: borderline
+    (math.nextafter(TOL, 0.0), None), (math.nextafter(-TOL, 0.0), None),  # just inside
+    (math.nextafter(TOL, INF), True), (math.nextafter(-TOL, -INF), False),  # just outside
+]
+
+
+class TestClassifierBranches:
+    """Every branch of the mrl, ihrwa and ifra classifiers, driven by limits,
+    delta values and oracle runs patched on one context of X = Exp(1), whose
+    mrl shape (Constant) and weighted-average surrogate (Both) differ from every
+    endpoint outcome.  E[X] is pinned at 2**40, so the mrl threshold
+    1/(E[X] - a) is 2**-40 and every gap lim - threshold below is exact."""
+
+    THRESHOLD = 2.0 ** -40
+
+    @pytest.fixture
+    def ctx(self, monkeypatch):
+        monkeypatch.setattr(aging, "finite_mean", lambda X: 2.0 ** 40)
+        return PairContext(EXP, EXP, 64)
+
+    @staticmethod
+    def _patch(ctx, limits=None, delta=None, oracle_status=None):
+        """Make ctx read limits[(name, end)], delta at any p and a star oracle
+        run of the given status; anything not given must not be read."""
+
+        def limit(name, end):
+            return LimitValue(limits[(name, end)], "analytic-hint")
+
+        def unread(*args):
+            raise AssertionError(f"unexpected read {args}")
+
+        ctx.limit = unread if limits is None else limit
+        ctx.delta = unread if delta is None else (lambda p: delta)
+        ctx.oracle = unread if oracle_status is None else (
+            lambda order: SimpleNamespace(status=oracle_status))
+
+    @pytest.mark.parametrize("status, expected", [
+        ("Increasing", "DMRL"), ("Decreasing", "IMRL"), ("Constant", "Constant"),
+        ("NModal", "Constant"),  # the shape fallback
+    ])
+    def test_mrl_of_a_monotone_hazard_reads_no_limit(self, ctx, status, expected):
+        self._patch(ctx)
+        evidence = {}
+        assert classify_mrl(ctx, HazardShape(status), evidence) == expected
+        assert evidence == {}
+
+    @pytest.mark.parametrize("status", ["BT", "UBT"])
+    @pytest.mark.parametrize("gap, above", _BAND)
+    def test_mrl_endpoint_criterion(self, ctx, status, gap, above):
+        x = gap if math.isinf(gap) else self.THRESHOLD + gap
+        if math.isfinite(gap):
+            assert x - self.THRESHOLD == gap
+        self._patch(ctx, limits={("ratio", 0): x})
+        evidence = {}
+        got = classify_mrl(ctx, HazardShape(status, ((0.3, "min"),)), evidence)
+        expected = {None: "Constant",  # the shape fallback
+                    True: "UBT" if status == "BT" else "IMRL",
+                    False: "DMRL" if status == "BT" else "BT"}[above]
+        assert got == expected
+        assert list(evidence) == ["hazard_limit_0", "mean_reciprocal"]
+        assert evidence["hazard_limit_0"] == LimitValue(x, "analytic-hint").to_dict()
+        assert evidence["mean_reciprocal"] == self.THRESHOLD
+
+    @pytest.fixture(params=[CONSTANT, UNIMODAL_MIN, None])
+    def surrogate(self, request, monkeypatch):
+        """The weighted-average surrogate's label, from a patched shape class:
+        Both, BT, or Inconclusive when the surrogate is too oscillatory."""
+        cls = request.param
+
+        def shape_class(values, n):
+            if cls is None:
+                raise TooOscillatoryError("too many modes", [0.2, 0.4])
+            return cls
+
+        monkeypatch.setattr(aging, "shape_class", shape_class)
+        return {CONSTANT: "Both", UNIMODAL_MIN: "BT", None: "Inconclusive"}[cls]
+
+    @staticmethod
+    def _ihrwa_outcome(corollary, surrogate, keys):
+        """The class and evidence keys of the corollary and surrogate: the
+        surrogate wins unless it is Inconclusive."""
+        if corollary is not None and surrogate not in ("Inconclusive", corollary):
+            keys = keys + ["ihrwa_conflict"]
+        elif corollary in ("BT", "UBT"):
+            keys = keys + ["ihrwa_arbitration"]
+        if surrogate == "Inconclusive":
+            return corollary or "Inconclusive", keys
+        return surrogate, keys
+
+    @pytest.mark.parametrize("status, corollary", [
+        ("Increasing", "IHRWA"), ("Decreasing", "DHRWA"), ("NModal", None),
+    ])
+    def test_ihrwa_corollary_of_a_monotone_hazard(self, ctx, surrogate, status, corollary):
+        self._patch(ctx)
+        evidence = {}
+        got = classify_ihrwa(ctx, HazardShape(status), evidence)
+        assert (got, list(evidence)) == self._ihrwa_outcome(
+            corollary, surrogate, ["ihrwa_corollary", "ihrwa_surrogate"])
+        assert (evidence["ihrwa_corollary"], evidence["ihrwa_surrogate"]) == (corollary,
+                                                                             surrogate)
+
+    def test_ihrwa_of_a_constant_hazard_is_both(self, ctx):
+        self._patch(ctx)
+        evidence = {}
+        assert classify_ihrwa(ctx, HazardShape("Constant"), evidence) == "Both"
+        assert evidence == {}
+
+    @pytest.mark.parametrize("status", ["BT", "UBT"])
+    @pytest.mark.parametrize("v, above", _BAND)
+    def test_ihrwa_endpoint_criterion(self, ctx, surrogate, status, v, above):
+        self._patch(ctx, limits={("centered_delta", 1): v})
+        evidence = {}
+        got = classify_ihrwa(ctx, HazardShape(status, ((0.3, "min"),)), evidence)
+        corollary = {None: None,
+                     True: "IHRWA" if status == "UBT" else "BT",
+                     False: "UBT" if status == "UBT" else "DHRWA"}[above]
+        assert (got, list(evidence)) == self._ihrwa_outcome(
+            corollary, surrogate, ["ihrwa_limit_1", "ihrwa_corollary", "ihrwa_surrogate"])
+        assert evidence["ihrwa_limit_1"] == LimitValue(v, "analytic-hint").to_dict()
+        assert (evidence["ihrwa_corollary"], evidence["ihrwa_surrogate"]) == (corollary,
+                                                                             surrogate)
+
+    @pytest.mark.parametrize("status, expected", [
+        ("Increasing", "IFRA"), ("Decreasing", "DFRA"), ("Constant", "Both"),
+    ])
+    def test_ifra_of_a_monotone_hazard(self, ctx, status, expected):
+        self._patch(ctx)
+        evidence = {}
+        assert classify_ifra(ctx, HazardShape(status), evidence) == expected
+        assert evidence == {}
+
+    @pytest.mark.parametrize("oracle_status, expected", [
+        ("Increasing", "IFRA"), ("Decreasing", "DFRA"), ("Constant", "Both"),
+        ("Mixed", "Neither"),
+    ])
+    def test_ifra_of_an_nmodal_hazard_is_the_star_oracles(self, ctx, oracle_status, expected):
+        self._patch(ctx, oracle_status=oracle_status)
+        evidence = {}
+        assert classify_ifra(ctx, HazardShape("NModal"), evidence) == expected
+        assert evidence == {}
+
+    @pytest.mark.parametrize("status", ["BT", "UBT"])
+    @pytest.mark.parametrize("v0, v1", [(NAN, 0.0), (0.0, NAN), (NAN, INF)])
+    def test_ifra_of_an_indeterminate_limit_is_the_star_oracles(self, ctx, status, v0, v1):
+        self._patch(ctx, limits={("delta", 0): v0, ("delta", 1): v1}, delta=0.25,
+                    oracle_status="Decreasing")
+        evidence = {}
+        assert classify_ifra(ctx, HazardShape(status, ((0.3, "min"),)), evidence) == "DFRA"
+        assert list(evidence) == ["ifra_limit_0", "ifra_limit_1", "ifra_value_at_pstar"]
+        assert evidence["ifra_value_at_pstar"] == 0.25
+
+    @pytest.mark.parametrize("status, v0, v1, a_star, expected", [
+        # UBT: IFRA when neither limit is below -TOL, DFRA when A(p*) is below TOL
+        ("UBT", -TOL, 0.0, TOL, "Neither"),
+        ("UBT", math.nextafter(-TOL, 0.0), INF, math.nextafter(TOL, 0.0), "Both"),
+        ("UBT", 0.0, 0.0, TOL, "IFRA"),
+        ("UBT", -INF, 0.0, -1.0, "DFRA"),
+        ("UBT", 0.0, math.nextafter(-TOL, -INF), 0.0, "DFRA"),
+        # BT: DFRA when neither limit is above TOL, IFRA when A(p*) is above -TOL
+        ("BT", TOL, 0.0, -TOL, "Neither"),
+        ("BT", math.nextafter(TOL, 0.0), -INF, math.nextafter(-TOL, 0.0), "Both"),
+        ("BT", 0.0, 0.0, -1.0, "DFRA"),
+        ("BT", 1.0, 0.0, 0.0, "IFRA"),
+        ("BT", 0.0, INF, math.nextafter(-TOL, -INF), "Neither"),
+    ])
+    def test_ifra_endpoint_criterion(self, ctx, status, v0, v1, a_star, expected):
+        self._patch(ctx, limits={("delta", 0): v0, ("delta", 1): v1}, delta=a_star)
+        evidence = {}
+        assert classify_ifra(ctx, HazardShape(status, ((0.3, "min"),)), evidence) == expected
+        assert list(evidence) == ["ifra_limit_0", "ifra_limit_1", "ifra_value_at_pstar"]
+        assert evidence["ifra_limit_0"] == LimitValue(v0, "analytic-hint").to_dict()
+        assert evidence["ifra_value_at_pstar"] == a_star
+
+    def test_an_oscillatory_hazard_is_nmodal_with_its_modes(self, monkeypatch):
+        def too_oscillatory(fn, n, values):
+            raise TooOscillatoryError("too many modes", [0.2, 0.7])
+
+        monkeypatch.setattr(aging, "find_shape", too_oscillatory)
+        assert classify_hazard(PairContext(EXP, EXP, 64)) == HazardShape(
+            "NModal", ((0.2, "?"), (0.7, "?")))
+
+    @pytest.mark.parametrize("status, label", [
+        ("Increasing", "IFR"), ("Decreasing", "DFR"), ("Constant", "Both"),
+    ])
+    def test_report_names_the_hazard_class(self, monkeypatch, status, label):
+        monkeypatch.setattr(aging, "classify_hazard", lambda ctx: HazardShape(status))
+        notes = aging_report(EXP, 64).notes
+        assert notes[0] == f"hazard: class {label} agrees with convex=Equivalent"
+
+    def test_report_keeps_a_bathtub_hazard_label(self, monkeypatch):
+        monkeypatch.setattr(aging, "classify_hazard",
+                            lambda ctx: HazardShape("BT", ((0.5, "min"),)))
+        with pytest.raises(InternalConsistencyError, match=r"aging class hazard=BT contradicts"):
+            aging_report(EXP, 64)

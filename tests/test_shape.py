@@ -130,6 +130,11 @@ class TestFindShape:
         with pytest.raises(ValidationError, match=r"512 values .* 4096-point grid"):
             shape_class(fn(logit_grid(512)), 4096)
 
+    def test_wrong_length_error_names_the_grid_call(self):
+        with pytest.raises(ValidationError) as info:
+            shape_class(np.zeros(512), 4096)
+        assert str(info.value) == "find_shape got 512 values for the 4096-point grid logit_grid(4096)"
+
     def test_non_finite_values_rejected(self):
         values = np.linspace(1.0, 2.0, 512)
         values[100] = math.nan

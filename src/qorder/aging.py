@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .deltas import finite_mean
-from .errors import InternalConsistencyError, ModelIntegrityError, TooOscillatoryError
+from .errors import InternalConsistencyError, TooOscillatoryError
 from .models import UnitExponential
+from .oracle import curve, hazard_rate
 from .orders import (
     BOTH_FAIL,
     EQUIVALENT,
@@ -62,14 +61,7 @@ _EXP = UnitExponential()
 
 def hazard_quantile(X, p):
     """Hazard rate at the p-th quantile, r(F^-1(p)) = f(F^-1(p))/(1-p) = 1/qd(p)/(1-p)."""
-    return _hazard(X.quantile_density(p), p)
-
-
-def _hazard(qd, p):
-    """1/qd/(1-p) from the quantile density qd at p, which must be positive."""
-    if np.any(np.asarray(qd) <= 0.0):
-        raise ModelIntegrityError("quantile density must be positive")
-    return 1.0 / qd / (1.0 - p)
+    return hazard_rate(X.quantile_density(p), p)
 
 
 @dataclass(frozen=True)
@@ -109,21 +101,20 @@ def classify_hazard(ctx: PairContext) -> HazardShape:
     """Shape of the hazard quantile function of ctx.X in reliability vocabulary.
 
     The hazard quantile is ratio_qd(X, Exp(1)), whose shape ctx.shape() also
-    finds; it is segmented here on its own, from X's profile, so that the convex
-    cross-check in ``aging_report`` compares two segmentations."""
-    X, prof = ctx.X, ctx.X.profile(ctx.n)
+    finds; it is segmented here on its own, from the hazard curve of X's profile, so
+    that the convex cross-check in ``aging_report`` compares two segmentations."""
+    X = ctx.X
     try:
-        sh = find_shape(lambda p: hazard_quantile(X, p), ctx.n, _hazard(prof.qd, prof.grid))
+        sh = find_shape(lambda p: hazard_quantile(X, p), ctx.n, curve("hazard", X.profile(ctx.n)))
     except TooOscillatoryError as exc:
         return HazardShape("NModal", tuple((m, "?") for m in exc.modes))
     name = _label(_SHAPE_LABELS, sh.classification, 0, "NModal")
     return HazardShape(name, tuple((m.location, m.kind) for m in sh.modes))
 
 
-def _mrl_shape_fallback(ctx):
-    prof = ctx.X.profile(ctx.n)
-    cls = shape_class(prof.upper / (1.0 - prof.grid), ctx.n)
-    return _label(_SHAPE_LABELS, cls, 1, "Inconclusive")
+def _curve_label(ctx, name, column):
+    cls = shape_class(curve(name, ctx.X.profile(ctx.n)), ctx.n)
+    return _label(_SHAPE_LABELS, cls, column, "Inconclusive")
 
 
 def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
@@ -139,17 +130,17 @@ def classify_mrl(ctx: PairContext, hazard: HazardShape, evidence: dict):
     if hazard.status in _DIRECTION_CLASSES:
         return _DIRECTION_CLASSES[hazard.status][1]
     if hazard.status not in ("BT", "UBT"):
-        return _mrl_shape_fallback(ctx)
+        return _curve_label(ctx, "mrl", 1)
     lim = ctx.limit("ratio", 0)  # the hazard quantile is ratio_qd(X, Exp(1))
     evidence["hazard_limit_0"] = lim.to_dict()
     spread = mu - ctx.X.support_lo  # E[X] - a
     if not spread > 0.0:  # rounded away: the support starts far above its width
-        return _mrl_shape_fallback(ctx)
+        return _curve_label(ctx, "mrl", 1)
     threshold = 1.0 / spread
     evidence["mean_reciprocal"] = threshold
     above = sign_test(lim.x - threshold, ">=")
     if above is None:  # indeterminate or borderline
-        return _mrl_shape_fallback(ctx)
+        return _curve_label(ctx, "mrl", 1)
     if hazard.status == "BT":
         return "UBT" if above else "DMRL"
     return "IMRL" if above else "BT"
@@ -176,9 +167,7 @@ def classify_ihrwa(ctx: PairContext, hazard: HazardShape, evidence: dict):
             else:
                 corollary = "BT" if above else "DHRWA"
     try:
-        prof = ctx.X.profile(ctx.n)
-        num = -np.log1p(-prof.grid) - prof.grid  # integral of q/(1-q) over (0, p)
-        surrogate = _label(_SHAPE_LABELS, shape_class(num / prof.lower, ctx.n), 2, "Inconclusive")
+        surrogate = _curve_label(ctx, "wa_surrogate", 2)
     except TooOscillatoryError:
         surrogate = "Inconclusive"
     evidence["ihrwa_corollary"] = corollary

@@ -26,6 +26,7 @@ from . import dsl
 from .empirical import SampleSet, convexity_scan, load_samples, qq_transform
 from .errors import ParseError, QorderError, ValidationError
 from .models import Govindarajulu, TukeyGeneralized, UnitExponential, check_p
+from .oracle import curve
 from .orders import INCONCLUSIVE, PairContext, compare_all, segment_ratios, theorem_status
 from .shape import tukey_unimodal_region
 
@@ -234,7 +235,7 @@ def _empty(fh):
         fh.truncate(0)
 
 
-def _emit(report, out):
+def _emit(report, out=None):
     text = dumps(report) + "\n"
     if out:
         _empty(out)
@@ -287,41 +288,21 @@ def run_compare(args):
             "verdicts": verdicts,
         }
         if curves:
-            _compare_curves(X, Y, curves, args.grid)
+            _write_curves(curves, _COMPARE_CURVES, X.profile(args.grid), Y.profile(args.grid))
             report["curves"] = args.curves
         _emit(report, out)
     return 2 if any(v.status == INCONCLUSIVE for v in verdicts) else 0
 
 
-def _or_nan(read):
-    """read(), or nan when it fails: a curve never costs the report its verdicts."""
-    try:
-        return read()
-    except QorderError:
-        return math.nan
-
-
 CURVE_ROWS = 1024  # the most rows a --curves CSV holds
+_COMPARE_CURVES = ("p", "ratio_qd", "delta", "delta_ps", "quantile_ratio", "eps_x", "eps_y")
+_AGING_CURVES = ("p", "hazard", "mrl", "wa_surrogate")
 
 
-def _curve_rows(cols, n):
-    """Rows of the grid columns ``cols``: every k-th grid point from the first, with
-    k = ceil(n / CURVE_ROWS), so that at most CURVE_ROWS rows are written."""
-    k = -(-n // CURVE_ROWS)
-    return zip(*(col[::k] for col in cols))
-
-
-def _compare_curves(X, Y, fh, n):
-    px, py = X.profile(n), Y.profile(n)  # the profiles the verdicts were decided on
-    ux, uy = _or_nan(lambda: px.upper), _or_nan(lambda: py.upper)
-    mx, my = _or_nan(lambda: X.mean), _or_nan(lambda: Y.mean)
-    fx, gy = px.q, py.q
-    r = py.qd / px.qd
-    cols = (px.grid, r, fx * r - gy, fx / mx - gy / my,
-            np.where(fx != 0.0, gy / fx, math.inf),
-            np.where(fx > 0.0, ux / fx, math.inf), np.where(gy > 0.0, uy / gy, math.inf))
-    _write_csv(fh, ["p", "ratio_qd", "delta", "delta_ps", "quantile_ratio", "eps_x", "eps_y"],
-               _curve_rows(cols, n))
+def _write_curves(fh, names, px, py=None):
+    """Write the curves ``names`` on every ceil(n / CURVE_ROWS)-th grid point from the first."""
+    k = -(-px.n // CURVE_ROWS)
+    _write_csv(fh, names, zip(*(curve(name, px, py)[::k] for name in names)))
 
 
 def run_aging(args):
@@ -336,18 +317,11 @@ def run_aging(args):
             "report": report_obj,
         }
         if curves:
-            _aging_curves(X, curves, args.grid)
+            _write_curves(curves, _AGING_CURVES, X.profile(args.grid))
             report["curves"] = args.curves
         _emit(report, out)
     classes = (report_obj.mrl_class, report_obj.ihrwa_class, report_obj.ifra_class)
     return 2 if "Inconclusive" in classes else 0
-
-
-def _aging_curves(X, fh, n):
-    prof = X.profile(n)  # the profile the report was decided on
-    p, ux, lx = prof.grid, prof.upper, prof.lower
-    cols = (p, 1.0 / prof.qd / (1.0 - p), ux / (1.0 - p), (-np.log1p(-p) - p) / lx)
-    _write_csv(fh, ["p", "hazard", "mrl", "wa_surrogate"], _curve_rows(cols, n))
 
 
 def run_empirical(args):
@@ -370,7 +344,7 @@ def run_empirical(args):
         "diagnostic": diag,
         "curve": args.out,
     }
-    sys.stdout.write(dumps(report) + "\n")
+    _emit(report)
     return 0
 
 
@@ -399,8 +373,7 @@ def run_sweep(args):
     with _outputs(args.out) as (out,):
         cells = _write_csv(out, ["alpha1", "alpha2", "in_region", "ratio_shape", "star", "qmit",
                                  "dmrl"], _sweep_rows(args, n1, n2))
-    sys.stdout.write(dumps({"schema": 1, "command": "sweep", "cells": cells,
-                            "out": args.out}) + "\n")
+    _emit({"schema": 1, "command": "sweep", "cells": cells, "out": args.out})
     return 0
 
 
@@ -464,7 +437,7 @@ def run_eval(args):
         qdf = dsl.parse(args.qdf)
         report["qdf"] = dsl.render(qdf)
         report["qdf_value"] = dsl.evaluate(qdf, at, bindings)
-    sys.stdout.write(dumps(report) + "\n")
+    _emit(report)
     return 0
 
 

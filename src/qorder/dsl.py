@@ -177,6 +177,8 @@ class _Parser:
         kind, val, off = self.peek()
         if kind == "num":
             self.next()
+            if not np.isfinite(float(val)):
+                raise ParseError(f"number {val!r} at offset {off} is not finite")
             return Num(float(val))
         if kind == "ident":
             self.next()

@@ -1,9 +1,10 @@
-"""Ground-truth numerics: quadrature and dense-grid monotonicity checks.
+"""Ground-truth numerics: quadrature, the grid curves and dense-grid monotonicity checks.
 
 Everything in here works straight from the order definitions, independently of
 the theorem machinery in :mod:`qorder.orders`, so it can arbitrate whenever the
 certified path is in doubt.  Its authority is bounded by grid resolution; every
-verdict records the grid size used.
+verdict records the grid size used.  Every curve read on the grid is one row of
+one table, read through ``curve`` by the oracle, the ratio scans, aging and --curves.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, ModelIntegrityError, QorderError, QuadratureError
 
 __all__ = [
     "P_MIN",
@@ -24,6 +25,8 @@ __all__ = [
     "logit_grid",
     "panel_nodes",
     "grid_sign",
+    "hazard_rate",
+    "curve",
     "lower_cumulative",
     "upper_cumulative",
     "order_oracle",
@@ -597,6 +600,51 @@ def grid_sign(grid, values, scales):
     return GridVerdict(*_classify_signs(grid, grid, values, scales), len(grid))
 
 
+def hazard_rate(qd, p):
+    """The hazard rate 1/qd/(1-p) at the p-th quantile; qd, a point or an array, must be > 0."""
+    if np.any(np.asarray(qd) <= 0.0):
+        raise ModelIntegrityError("quantile density must be positive")
+    return 1.0 / qd / (1.0 - p)
+
+
+def _over(den, num):
+    """num / den, den read first."""
+    return num / den
+
+
+def _known(obj, attr):
+    """obj.attr, or nan when it fails: the mean or U that delta_ps or EPS only reports."""
+    try:
+        return getattr(obj, attr)
+    except QorderError:
+        return math.nan
+
+
+# every curve read on the grid, by its --curves column name: its values on logit_grid(n)
+# from profiles px of X and py of Y (or None), read in order; U/Q at Q <= 0, Q_Y/0 are +inf
+_CURVES = {
+    "p": lambda px, py: px.grid,
+    "ratio_qd": lambda px, py: py.qd / px.qd,
+    "delta": lambda px, py: px.q * curve("ratio_qd", px, py) - py.q,
+    "delta_ps": lambda px, py: (px.q / _known(px.model(), "mean")
+                                - py.q / _known(py.model(), "mean")),
+    "quantile_ratio": lambda px, py: np.where(px.q != 0.0, py.q / px.q, math.inf),
+    "lower_ratio": lambda px, py: _over(px.lower, py.lower),
+    "upper_ratio": lambda px, py: _over(px.upper, py.upper),
+    "eps_x": lambda px, py: np.where(px.q > 0.0, _known(px, "upper") / px.q, math.inf),
+    "eps_y": lambda px, py: np.where(py.q > 0.0, _known(py, "upper") / py.q, math.inf),
+    "hazard": lambda px, py: hazard_rate(px.qd, px.grid),
+    "mrl": lambda px, py: px.upper / (1.0 - px.grid),
+    # the integral of q/(1-q) over (0, p), over L
+    "wa_surrogate": lambda px, py: (-np.log1p(-px.grid) - px.grid) / px.lower,
+}
+
+
+def curve(name, px, py=None):
+    """The grid curve ``name`` from the grid profiles px of X and py of Y."""
+    return _CURVES[name](px, py)
+
+
 def order_oracle(X, Y, order, n=4096):
     """Grid-check the defining ratio/inequality of a transform order.
 
@@ -605,31 +653,26 @@ def order_oracle(X, Y, order, n=4096):
     verdict (see GridVerdict).
     """
     px, py = X.profile(n), Y.profile(n)
-    grid = px.grid
     if order == "convex":
-        vals = py.qd / px.qd
+        vals = curve("ratio_qd", px, py)
         if np.any(~np.isfinite(vals)):
             raise DomainError("function not finite on the working grid")
-        return _monotone_verdict(grid, vals)
+        return _monotone_verdict(px.grid, vals)
     if order == "star":
-        fx, gy = px.q, py.q
-        if np.any(fx <= 0.0):
+        if np.any(px.q <= 0.0):
             raise DomainError("star oracle requires strictly positive quantiles of X")
-        return _monotone_verdict(grid, gy / fx)
+        return _monotone_verdict(px.grid, curve("quantile_ratio", px, py))
     if order == "qmit":
-        lx, ly = px.lower, py.lower
-        return _monotone_verdict(grid, ly / lx)
+        return _monotone_verdict(px.grid, curve("lower_ratio", px, py))
     if order not in ("dmrl", "ps", "nbue"):
         raise ValueError(f"unknown order {order!r}")
-    ux, uy = px.upper, py.upper
+    ratio = curve("upper_ratio", px, py)  # for ps too: a failing U fails it before EPS
     if order == "dmrl":
-        return _monotone_verdict(grid, uy / ux)
+        return _monotone_verdict(px.grid, ratio)
     if order == "ps":
-        fx, gy = px.q, py.q
-        if np.any(fx <= 0.0) or np.any(gy <= 0.0):
+        if np.any(px.q <= 0.0) or np.any(py.q <= 0.0):
             raise DomainError("ps oracle requires strictly positive quantiles")
-        eps_x, eps_y = ux / fx, uy / gy
-        return grid_sign(grid, eps_y - eps_x, np.maximum(eps_x, eps_y))
-    ratio = uy / ux
+        eps_x, eps_y = curve("eps_x", px, py), curve("eps_y", px, py)
+        return grid_sign(px.grid, eps_y - eps_x, np.maximum(eps_x, eps_y))
     const = Y.mean / X.mean
-    return grid_sign(grid, ratio - const, np.maximum(ratio, const))
+    return grid_sign(px.grid, ratio - const, np.maximum(ratio, const))

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .limits import LimitValue
 from .models import QuantileModel
-from .oracle import GridVerdict, order_oracle
+from .oracle import GridVerdict, curve, order_oracle
 from .shape import (
     CONSTANT,
     DECREASING,
@@ -237,10 +237,10 @@ class PairContext:
             return self.Y.quantile(p) / fx
 
         def build():
-            # the grid values are qr read off the two profiles; qr refines the modes
+            # the grid values are the quantile_ratio curve; qr refines the modes
             px, py = self._profiles()
-            fx = positive(px.q)
-            return find_shape(qr, self.n, py.q / fx)
+            positive(px.q)
+            return find_shape(qr, self.n, curve("quantile_ratio", px, py))
 
         return self._memo(("qshape",), build)
 
@@ -251,7 +251,7 @@ class PairContext:
 def segment_ratios(contexts):
     """Give every context that has none yet its ratio shape, from one find_shapes
     scan of all their ratios.  The contexts share one grid size; the ratio's grid
-    values are ratio_qd read off each context's two profiles, so contexts that
+    values are the ratio_qd curve of each context's two profiles, so contexts that
     share X read its quantile density once.  A context whose profiles or
     segmentation fail keeps that failure, which its shape() raises."""
     todo = [ctx for ctx in contexts if ctx._shape is None]
@@ -260,17 +260,15 @@ def segment_ratios(contexts):
     n = todo[0].n
     if any(ctx.n != n for ctx in todo):
         raise ValidationError("segment_ratios needs contexts of one grid size")
-    values = np.empty((len(todo), n))
-    rows = []
+    values, rows = [], []
     for ctx in todo:
         try:
-            px, py = ctx._profiles()
-            np.divide(py.qd, px.qd, out=values[len(rows)])
+            values.append(curve("ratio_qd", *ctx._profiles()))
         except QorderError as exc:  # deterministic: every later call would fail alike
             ctx._shape = copy.copy(exc)
         else:
             rows.append(ctx)
-    shapes = find_shapes([ctx.ratio for ctx in rows], n, values[:len(rows)])
+    shapes = find_shapes([ctx.ratio for ctx in rows], n, np.reshape(values, (len(rows), n)))
     for ctx, sh in zip(rows, shapes):
         # a stored failure gets no traceback, whose frames would refer back to the context
         ctx._shape = copy.copy(sh) if isinstance(sh, QorderError) else sh
@@ -442,9 +440,8 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
         return True
     # case b: both delta limits negative, positive spike at the ratio mode
     neg0 = sign_test(ctx.limit("delta", 0).x, "<=")
-    neg1 = sign_test(ctx.limit("delta", 1).x, "<=")
     spike = sign_test(ctx.delta(sh.modes[0].location), ">=")
-    pieces = [neg0, neg1, spike, ps0]
+    pieces = [neg0, lim1, spike, ps0]  # lim1 tests delta's limit at 1 <= 0 already
     if _and(*pieces) is True:
         qsh = ctx.quantile_ratio_shape()
         mins = [m for m in qsh.modes if m.kind == "min"]
@@ -472,13 +469,8 @@ def theorem_status(ctx: PairContext, order) -> str:
 
 
 def _oracle_directions(gv: GridVerdict):
-    if gv.status == "Increasing":
-        return True, False
-    if gv.status == "Decreasing":
-        return False, True
-    if gv.status == "Constant":
-        return True, True
-    return False, False  # Mixed: violations in both directions exceed tolerance
+    # Mixed gives neither: violations in both directions exceed tolerance
+    return gv.status in (CONSTANT, INCREASING), gv.status in (CONSTANT, DECREASING)
 
 
 def _oracle_cond(order, gv: GridVerdict, prefix=""):

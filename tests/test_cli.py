@@ -404,6 +404,66 @@ class TestCurvesOnTheVerdictGrid:
         assert len(fresh) == (2 if command == "compare" else 1)
 
 
+def _or_nan(read):
+    try:
+        return read()
+    except QorderError:
+        return math.nan
+
+
+def _compare_columns(X, Y, n):
+    """The compare columns written out from the two profiles; a failing mean or
+    upper integral reads as nan."""
+    px, py = X.profile(n), Y.profile(n)
+    ux, uy = _or_nan(lambda: px.upper), _or_nan(lambda: py.upper)
+    mx, my = _or_nan(lambda: X.mean), _or_nan(lambda: Y.mean)
+    fx, gy = px.q, py.q
+    r = py.qd / px.qd
+    return (px.grid, r, fx * r - gy, fx / mx - gy / my,
+            np.where(fx != 0.0, gy / fx, math.inf),
+            np.where(fx > 0.0, ux / fx, math.inf), np.where(gy > 0.0, uy / gy, math.inf))
+
+
+def _aging_columns(X, n):
+    prof = X.profile(n)
+    p = prof.grid
+    return (p, 1.0 / prof.qd / (1.0 - p), prof.upper / (1.0 - p),
+            (-np.log1p(-p) - p) / prof.lower)
+
+
+class TestCurvesBitForBit:
+    """Every --curves column is, bit for bit, its expression written out from the
+    models' profiles, on every k-th grid point: %.17g round-trips a float exactly."""
+
+    CASES = {
+        "worked pair": (["compare", "--x", "tukey:4,1,2.5", "--y", "tukey:1.5,1,1.5"],
+                        lambda n: _compare_columns(TukeyGeneralized(4, 1, 2.5),
+                                                   TukeyGeneralized(1.5, 1, 1.5), n)),
+        "failing integral": (["compare", "--x", "tukey:2,1,0.5",
+                              "--y", "dsl:p/(1-p);qdf=1/(1-p)^2", "--method", "theorem"],
+                             lambda n: _compare_columns(parse_spec("tukey:2,1,0.5"),
+                                                        parse_spec("dsl:p/(1-p);qdf=1/(1-p)^2"),
+                                                        n)),
+        "aging": (["aging", "--x", "govindarajulu:0,2,2"],
+                  lambda n: _aging_columns(Govindarajulu(0, 2, 2), n)),
+    }
+
+    @pytest.mark.parametrize("n", [4096, 512])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_column_is_its_expression(self, tmp_path, capsys, case, n):
+        argv, columns = self.CASES[case]
+        curves = tmp_path / "curves.csv"
+        assert main(argv + ["--grid", str(n), "--curves", str(curves)]) in (0, 2)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            ref = columns(n)
+        got = _curve_columns(curves)
+        k = -(-n // cli.CURVE_ROWS)
+        assert len(got) == len(ref)
+        for i, (g, r) in enumerate(zip(got, ref)):
+            assert np.array_equal(g, r[::k], equal_nan=True), i
+
+
 class TestEmpiricalCommand:
     def test_identity_samples(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
@@ -632,6 +692,10 @@ class TestNonFiniteModelInput:
          "on that panel"),
         (["aging", "--x", "tukey:1,1,nan"], "Tukey family requires a finite alpha, got nan"),
         (["aging", "--x", "govindarajulu:0,inf,1"], "Govindarajulu requires a finite sigma, got inf"),
+        # a literal that overflows a float, refused by the parser before its label is rendered
+        (["eval", "--qf", "1e999*p", "--at", "0.5"], "number '1e999' at offset 0 is not finite"),
+        (["compare", "--x", "dsl:p+1/1e999", "--y", "exp1"],
+         "number '1e999' at offset 4 is not finite"),
     ])
     def test_is_one_error_line(self, capsys, argv, message):
         # otherwise it passes every comparison check after it, and the engine certifies verdicts

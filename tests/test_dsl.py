@@ -52,6 +52,12 @@ def test_syntax_error_reports_offset():
         parse("2 +")
 
 
+@pytest.mark.parametrize("text, offset", [("1e999*p", 0), ("p+1/1e999", 4), ("2*(p + 9e400)", 7)])
+def test_a_literal_that_overflows_is_refused_at_its_offset(text, offset):
+    with pytest.raises(ParseError, match=f"number '[^']+' at offset {offset} is not finite"):
+        parse(text)
+
+
 def test_unknown_function():
     with pytest.raises(ParseError, match="unknown function 'foo'"):
         parse("foo(p)")

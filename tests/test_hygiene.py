@@ -4,7 +4,8 @@ read through the module object), no private module-level function or class
 is left unreferenced, every public name a module lists in ``__all__`` exists,
 and every public function or class it lists there is read by the package or
 is a documented entry point; the limit extrapolation and the segmentation
-read no model attribute; importing the CLI loads no scipy."""
+read no model attribute; the CLI and aging read no grid profile array;
+importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -215,11 +216,21 @@ def test_every_name_in_all_is_bound():
 MODEL_ATTRS = {"quantile", "quantile_density", "tail_term", "tail_qdensity", "tail_quantile"}
 
 
+# the arrays of a grid profile, whose curves are read through oracle.curve
+PROFILE_ATTRS = {"q", "qd", "lower", "upper"}
+
+
+def _attribute_reads(path, attrs):
+    """The attributes ``attrs`` read in a module, as ``X.quantile_density``, in source order."""
+    nodes = sorted((node for node in ast.walk(_tree(path))
+                    if isinstance(node, ast.Attribute) and node.attr in attrs),
+                   key=lambda node: (node.lineno, node.col_offset))
+    return [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in nodes]
+
+
 def _model_reads(path):
-    """Model attributes read in a module, as ``X.quantile_density``."""
-    return [f"{path.name}:{node.lineno} {ast.unparse(node)}"
-            for node in ast.walk(_tree(path))
-            if isinstance(node, ast.Attribute) and node.attr in MODEL_ATTRS]
+    """Model attributes read in a module."""
+    return _attribute_reads(path, MODEL_ATTRS)
 
 
 def test_limits_and_shape_know_nothing_about_models():
@@ -232,6 +243,21 @@ def test_a_model_read_is_caught(tmp_path):
     src = tmp_path / "probe.py"
     src.write_text("a = X.quantile(p)\nb = Y.tail_term(0)\nc = fn(p)\nd = X.mean\n")
     assert _model_reads(src) == ["probe.py:1 X.quantile", "probe.py:2 Y.tail_term"]
+
+
+def test_cli_and_aging_read_no_profile_array():
+    # every curve they write or segment is a row of the one table in oracle.py
+    assert [read for name in ("cli.py", "aging.py")
+            for read in _attribute_reads(PKG / name, PROFILE_ATTRS)] == []
+
+
+def test_a_profile_read_is_caught(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("a = px.qd / px.q\nb = prof.upper\nc = curve('mrl', prof)\nd = prof.grid\n"
+                   "e = X.lower_weighted_integral(p)\nf = ctx.X.profile(n).lower\n")
+    assert _attribute_reads(src, PROFILE_ATTRS) == [
+        "probe.py:1 px.qd", "probe.py:1 px.q", "probe.py:2 prof.upper",
+        "probe.py:6 ctx.X.profile(n).lower"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -12,7 +12,7 @@ from .errors import (
     ValidationError,
 )
 from .models import Govindarajulu, QuantileModel, TukeyGeneralized, UnitExponential
-from .shape import Mode, Segment, ShapeReport, find_shape, shape_class, tukey_unimodal_region
+from .shape import Mode, ShapeReport, find_shape, shape_class, tukey_unimodal_region
 from .limits import LimitValue, limit_at
 from .deltas import (
     centered_delta,

@@ -221,8 +221,9 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 def render(expr: Expression) -> str:
     """Serialize an AST back to source; parse(render(e)) == e."""
-    if isinstance(expr, Num):
-        return repr(expr.value) if expr.value != int(expr.value) else str(int(expr.value))
+    if isinstance(expr, Num):  # integral below 1e16 in full ("2"), else as repr ("1e+16")
+        v = expr.value
+        return str(int(v)) if abs(v) < 1e16 and v == int(v) else repr(v)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Neg):

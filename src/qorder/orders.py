@@ -39,7 +39,6 @@ from .shape import (
     UNIMODAL_MAX,
     UNIMODAL_MIN,
     Mode,
-    Segment,
     ShapeReport,
     find_shape,
     find_shapes,
@@ -142,11 +141,17 @@ _FLIP_CLS = {
 
 def _flip_shape(sh: ShapeReport) -> ShapeReport:
     modes = [Mode(m.location, "min" if m.kind == "max" else "max") for m in sh.modes]
-    segs = [
-        Segment(s.lo, s.hi, "decreasing" if s.direction == "increasing" else "increasing")
-        for s in sh.segments
-    ]
-    return ShapeReport(_FLIP_CLS[sh.classification], modes=modes, segments=segs)
+    return ShapeReport(_FLIP_CLS[sh.classification], modes)
+
+
+def _end_run(sh: ShapeReport, end):
+    """The direction of a non-constant ratio's monotone run at end 0 or 1: it
+    rises into its first mode if that is a max, and falls out of its last mode
+    if that is a max; without modes it runs as its class."""
+    if not sh.modes:
+        return "increasing" if sh.classification == INCREASING else "decreasing"
+    rises = sh.modes[-1 if end else 0].kind == ("min" if end else "max")
+    return "increasing" if rises else "decreasing"
 
 
 class PairContext:
@@ -308,9 +313,9 @@ class _Rule:
 
     ``steps`` are read in order, each appending its condition: (end,
     direction) reads the endpoint limit of the function ``limit`` of deltas
-    ("delta" or "centered_delta") at that end when the ratio's segment there
-    runs in that direction; "min" or "max" reads the function ``delta`` of deltas at every
-    mode of that kind.  Each is tested with ``sense``.  ``hypothesis`` is the
+    ("delta" or "centered_delta") at that end when the ratio's run there
+    goes in that direction (_end_run); "min" or "max" reads the function
+    ``delta`` of deltas at every mode of that kind.  Each is tested with ``sense``.  ``hypothesis`` is the
     (index, kind) of the mode the theorem needs; when it is unmet, the
     direction is the other one on the swapped pair if ``swap``, else
     undecided.  With ``ratio_monotone`` a monotone ratio decides it outright."""
@@ -375,7 +380,7 @@ def _apply(ctx: PairContext, order, direction, conds, tag=""):
                                               "star" if len(sh.modes) == 1 else k))
             continue
         end, run = step
-        if sh.segments[-1 if end else 0].direction == run:
+        if _end_run(sh, end) == run:
             checks.append(_limit_cond(conds, ctx.limit(rule.limit, end), rule.sense,
                                       "%slim_%s_%d", tag, rule.limit, end))
     return _and(*checks)
@@ -576,6 +581,7 @@ def check_ps(ctx: PairContext, star: OrderVerdict):
 
 
 def _nbue_from(ctx: PairContext, verdicts: dict, zero_left_support: bool):
+    deltas.finite_mean(ctx.X), deltas.finite_mean(ctx.Y)  # nbue compares the means
     sources = [verdicts[o] for o in ("star", "dmrl", "ps")]
     fwd = any(v.status in (HOLDS, EQUIVALENT) for v in sources)
     rev = any(v.status in (HOLDS_REVERSED, EQUIVALENT) for v in sources)
@@ -584,7 +590,6 @@ def _nbue_from(ctx: PairContext, verdicts: dict, zero_left_support: bool):
         for v in sources
     ]
     if (fwd or rev) and not zero_left_support:  # the implications need lifetimes starting at 0
-        deltas.finite_mean(ctx.X), deltas.finite_mean(ctx.Y)
         conds.append(Condition("left_support_endpoint", max(ctx.X.support_lo, ctx.Y.support_lo),
                                "= 0 for star, dmrl, ps => nbue", False))
         return _finish("nbue", "dense-grid check of the definition", conds, None, None, ctx)

@@ -4,6 +4,9 @@
 sign changes on a logit-uniform grid and refining each one to the root of the
 function's central-difference slope, by Brent's bracketed root-find;
 `shape_class` gives the same classification from the grid scan alone.
+A `ShapeReport` is that classification and the refined modes, in order: the
+monotone pieces run between 0, the modes and 1, rising into each max and
+falling into each min.
 `find_shapes` segments a stack of functions in one scan of all their grid
 values, and gives each row what `find_shape` gives it alone; the sweep
 segments its cells 16 at a time this way.  The functions are plain
@@ -23,7 +26,6 @@ from .oracle import logit_grid
 __all__ = [
     "MAX_MODES",
     "Mode",
-    "Segment",
     "ShapeReport",
     "find_shape",
     "find_shapes",
@@ -64,17 +66,9 @@ class Mode:
 
 
 @dataclass(frozen=True)
-class Segment:
-    lo: float
-    hi: float
-    direction: str  # "increasing" | "decreasing"
-
-
-@dataclass(frozen=True)
 class ShapeReport:
     classification: str
     modes: list[Mode] = field(default_factory=list)
-    segments: list[Segment] = field(default_factory=list)
 
 
 def _refine_mode(fn, lo, hi, kind):
@@ -261,15 +255,8 @@ def shape_class(values, n=4096):
 def _report(fn, scanned):
     """The ShapeReport of one row that _scan segmented; fn refines its modes."""
     first, kinds, lo, hi = scanned
-    cls = _classify(first, kinds)
-    if cls == CONSTANT:
-        return ShapeReport(CONSTANT)
     modes = [Mode(_refine_mode(fn, a, b, kind), kind) for a, b, kind in zip(lo, hi, kinds)]
-    directions = ("increasing", "decreasing") if first > 0 else ("decreasing", "increasing")
-    bounds = [0.0] + [m.location for m in modes] + [1.0]
-    segments = [Segment(a, b, directions[i % 2])
-                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    return ShapeReport(cls, modes=modes, segments=segments)
+    return ShapeReport(_classify(first, kinds), modes)
 
 
 def find_shapes(fns, n, values):

@@ -11,6 +11,16 @@ import pytest
 
 from qorder import oracle
 from qorder.deltas import delta, endpoint_limit
+from qorder.shape import (
+    CONSTANT,
+    DECREASING,
+    INCREASING,
+    N_MODAL,
+    UNIMODAL_MAX,
+    UNIMODAL_MIN,
+    Mode,
+    ShapeReport,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,6 +51,29 @@ def oracle_can_resolve(X, Y):
         if lim.kind == "finite" and lim.value * delta(X, Y, edge) < 0.0:
             return False
     return True
+
+
+# ratio shapes by name: (class, the direction of the first run, the number of modes)
+SYNTHETIC_SHAPES = {
+    "constant": (CONSTANT, None, 0),
+    "increasing": (INCREASING, "up", 0),
+    "decreasing": (DECREASING, "down", 0),
+    "unimodal-max": (UNIMODAL_MAX, "up", 1),
+    "unimodal-min": (UNIMODAL_MIN, "down", 1),
+    "2-modal-up": (N_MODAL, "up", 2),
+    "2-modal-down": (N_MODAL, "down", 2),
+    "3-modal-up": (N_MODAL, "up", 3),
+    "3-modal-down": (N_MODAL, "down", 3),
+}
+
+
+def synthetic_shape(name):
+    """The ShapeReport SYNTHETIC_SHAPES[name] names: its modes lie at 0.3, 0.5
+    and 0.7, and alternate from a max if its first run goes up, else from a min."""
+    cls, first, n_modes = SYNTHETIC_SHAPES[name]
+    up = first == "up"
+    return ShapeReport(cls, [Mode(0.3 + 0.2 * i, "max" if (i % 2 == 0) == up else "min")
+                             for i in range(n_modes)])
 
 
 _LABELS = {

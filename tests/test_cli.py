@@ -254,6 +254,21 @@ class TestCompareCommand:
         assert statuses["nbue"] == "Inconclusive"
         assert code == 2
 
+    def test_an_infinite_mean_leaves_nbue_not_run(self, capsys):
+        # X is log-logistic with shape 0.8, whose mean diverges; star holds reversed on the
+        # grid, but nbue compares the means, so no implication reaches it
+        argv = ["compare", "--x", "dsl:s*(p/(1-p))^(1/b);qdf=s/b*(p/(1-p))^(1/b-1)/(1-p)^2;s=1;b=0.8",
+                "--y", "exp1", "--method", "theorem"]
+        assert main(argv) == 2
+        verdicts = {v["order"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert verdicts["star"]["status"] == "HoldsReversed"
+        for order in ("qmit", "dmrl", "ps", "nbue"):
+            assert verdicts[order] == {**verdicts["qmit"], "order": order}
+        nbue = verdicts["nbue"]
+        assert (nbue["status"], nbue["method"], nbue["certificate"]["theorem"]) == \
+            ("Inconclusive", "theorem", "not run")
+        assert [c["name"] for c in nbue["certificate"]["conditions"]] == ["finite_mean"]
+
     def test_negative_support_exits_one(self, capsys):
         assert main(["compare", "--x", "tukey:1,2,3", "--y", "exp1"]) == 1
         assert "support" in capsys.readouterr().err
@@ -716,6 +731,22 @@ class TestEvalCommand:
                      "--at", "0.5"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["value"] == pytest.approx(3 * 0.6931471805599453)
+
+    def test_qdf(self, capsys):
+        assert main(["eval", "--qf", "s*p^2", "--qdf", "2*s*p", "--param", "s=2",
+                     "--at", "0.5"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep == {"schema": 1, "command": "eval", "qf": "s * p ^ 2", "at": 0.5,
+                       "value": 0.5, "qdf": "2 * s * p", "qdf_value": 2}
+
+    @pytest.mark.parametrize("qf, rendered", [
+        ("1e308*p", "1e+308 * p"),
+        ("1e16*p", "1e+16 * p"),
+        ("9999999999999998*p", "9999999999999998 * p"),
+    ])
+    def test_a_large_literal_is_reported_as_a_float(self, capsys, qf, rendered):
+        assert main(["eval", "--qf", qf, "--at", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["qf"] == rendered
 
     @pytest.mark.parametrize("at", ["1.5", "nan", "0", "-0.25"])
     def test_probability_outside_the_open_interval_is_one_error_line(self, capsys, at):

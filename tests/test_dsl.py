@@ -108,6 +108,18 @@ def test_parse_render_round_trip(tree):
 
 
 @pytest.mark.parametrize("text,rendered", [
+    ("9999999999999998", "9999999999999998"),  # below 1e16: in full
+    ("1e16", "1e+16"),
+    ("1e308", "1e+308"),
+    ("123456789012345678", "1.2345678901234568e+17"),
+])
+def test_an_integral_literal_from_1e16_renders_as_a_float(text, rendered):
+    tree = parse(text)
+    assert render(tree) == rendered
+    assert parse(rendered) == tree
+
+
+@pytest.mark.parametrize("text,rendered", [
     ("log1p(-p)", "log1p(-p)"),
     ("expm1(s*p)-log1p(p^2)", "expm1(s * p) - log1p(p ^ 2)"),
 ])

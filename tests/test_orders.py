@@ -1,21 +1,24 @@
 import gc
+import math
 import weakref
 from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from conftest import oracle_can_resolve
+from conftest import SYNTHETIC_SHAPES, oracle_can_resolve, synthetic_shape
 
 from qorder import deltas, oracle, orders
 from qorder.cli import parse_spec
 from qorder.errors import (
     DomainError,
+    InternalConsistencyError,
     QorderError,
     QuadratureError,
     TooOscillatoryError,
     ValidationError,
 )
+from qorder.limits import LimitValue
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.orders import (
     BOTH_FAIL,
@@ -24,6 +27,7 @@ from qorder.orders import (
     HOLDS_REVERSED,
     INCONCLUSIVE,
     ORDERS,
+    Condition,
     PairContext,
     check_convex,
     check_dmrl,
@@ -35,13 +39,11 @@ from qorder.orders import (
 )
 from qorder.shape import (
     CONSTANT,
-    DECREASING,
     INCREASING,
     N_MODAL,
     UNIMODAL_MAX,
     UNIMODAL_MIN,
     Mode,
-    Segment,
     ShapeReport,
     find_shape,
     tukey_unimodal_region,
@@ -146,31 +148,6 @@ class TestVerdictAssembly:
         assert v.method == "numeric-fallback"
 
 
-def _synthetic_shape(cls, first=None, n_modes=0):
-    """A ShapeReport of class cls whose first segment goes ``first`` ("up" or
-    "down"), with n_modes alternating modes at 0.3, 0.5, 0.7."""
-    if cls == CONSTANT:
-        return ShapeReport(CONSTANT)
-    up = first == "up"
-    modes = [Mode(0.3 + 0.2 * i, "max" if (i % 2 == 0) == up else "min") for i in range(n_modes)]
-    bounds = [0.0] + [m.location for m in modes] + [1.0]
-    runs = ("increasing", "decreasing") if up else ("decreasing", "increasing")
-    segments = [Segment(a, b, runs[i % 2]) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    return ShapeReport(cls, modes=modes, segments=segments)
-
-
-_SYNTHETIC_SHAPES = {
-    "constant": (CONSTANT,),
-    "increasing": (INCREASING, "up"),
-    "decreasing": (DECREASING, "down"),
-    "unimodal-max": (UNIMODAL_MAX, "up", 1),
-    "unimodal-min": (UNIMODAL_MIN, "down", 1),
-    "2-modal-up": (N_MODAL, "up", 2),
-    "2-modal-down": (N_MODAL, "down", 2),
-    "3-modal-up": (N_MODAL, "up", 3),
-    "3-modal-down": (N_MODAL, "down", 3),
-}
-
 # (forward, reverse) theorem verdict and the conditions read, in order, for
 # the worked Tukey pair under each synthetic ratio shape
 _THEOREM_PATHS = {
@@ -220,14 +197,14 @@ class TestTheoremPaths:
     @pytest.mark.parametrize("shape, order", sorted(_THEOREM_PATHS),
                              ids=[f"{s}-{o}" for s, o in sorted(_THEOREM_PATHS)])
     def test_verdicts_and_conditions(self, shape, order):
-        ctx = PairContext(X_TUKEY, Y_TUKEY, _shape=_synthetic_shape(*_SYNTHETIC_SHAPES[shape]))
+        ctx = PairContext(X_TUKEY, Y_TUKEY, _shape=synthetic_shape(shape))
         conds = []
         fwd, rev = orders._directions(ctx, order, conds)
         assert (fwd, rev, [c.name for c in conds]) == _THEOREM_PATHS[shape, order]
 
-    @pytest.mark.parametrize("shape", sorted(_SYNTHETIC_SHAPES))
+    @pytest.mark.parametrize("shape", sorted(SYNTHETIC_SHAPES))
     def test_theorem_status_equals_the_certificate_path(self, shape):
-        sh = _synthetic_shape(*_SYNTHETIC_SHAPES[shape])
+        sh = synthetic_shape(shape)
         ctx = PairContext(X_TUKEY, Y_TUKEY, _shape=sh)  # one context, as a sweep cell has
         for order in ("star", "qmit", "dmrl"):
             fresh = PairContext(X_TUKEY, Y_TUKEY, _shape=sh)
@@ -589,12 +566,107 @@ class TestImplicationChain:
                 continue
             X = TukeyGeneralized(a1 + rng.uniform(1, 2), 1.0, a1)
             Y = TukeyGeneralized(a2 + rng.uniform(1, 2), 1.0, a2)
-            got = _statuses(compare_all(X, Y))  # raises on violated implications
+            got = {v.order: v for v in compare_all(X, Y)}  # raises on violated implications
             checked += 1
             for up, down in self.EDGES:
-                if got[up] == HOLDS:
-                    assert got[down] in (HOLDS, EQUIVALENT, INCONCLUSIVE) or \
-                        "not applicable" in str(got), (got, up, down)
+                if got[up].status == HOLDS:
+                    notes = got[down].certificate.notes
+                    assert got[down].status in (HOLDS, EQUIVALENT, INCONCLUSIVE) or \
+                        any("not applicable" in note for note in notes), (up, down, got)
+
+
+class TestImplicationGate:
+    """The implication-diagram gate, tripped by order checks patched to give
+    statuses that violate it."""
+
+    @staticmethod
+    def _patch(monkeypatch, **statuses):
+        for order, status in statuses.items():
+            def check(*args, order=order, status=status):
+                return orders.OrderVerdict(order, status, "theorem", orders.Certificate("patched"))
+            monkeypatch.setattr(orders, f"check_{order}", check)
+
+    def test_zero_left_support_raises_on_both_kinds_of_edge(self, monkeypatch):
+        # convex => qmit holds on any support, qmit => star on lifetimes from 0
+        self._patch(monkeypatch, convex=HOLDS, qmit=HOLDS_REVERSED, dmrl=INCONCLUSIVE,
+                    star=HOLDS, ps=INCONCLUSIVE)
+        with pytest.raises(InternalConsistencyError) as info:
+            compare_all(Govindarajulu(0, 2, 2), EXP)
+        assert str(info.value) == ("implication diagram violated: convex=Holds but "
+                                   "qmit=HoldsReversed; qmit=HoldsReversed but star=Holds")
+
+    def test_positive_left_support_only_notes_a_support_bound_edge(self, monkeypatch):
+        self._patch(monkeypatch, convex=INCONCLUSIVE, qmit=HOLDS, dmrl=INCONCLUSIVE,
+                    star=HOLDS_REVERSED, ps=INCONCLUSIVE)
+        assert X_TUKEY.support_lo > 0.0 and Y_TUKEY.support_lo > 0.0
+        got = {v.order: v for v in compare_all(X_TUKEY, Y_TUKEY)}
+        assert {order: v.certificate.notes for order, v in got.items()} == {
+            **{order: [] for order in ORDERS},
+            "star": ["implication qmit => star not applicable: left support endpoints are "
+                     "positive (qmit=Holds but star=HoldsReversed)"],
+        }
+
+
+_CASE_A = "case_a(lim0>=0, lim1<0, ps0<=0)"
+
+
+class TestReversedPsCases:
+    """orders._ps_rev's two sufficient cases on a UnimodalMax ratio, driven by
+    endpoint limits, delta at the mode and a quantile-ratio shape patched on
+    one context of the worked pair."""
+
+    @pytest.fixture
+    def ctx(self):
+        return PairContext(X_TUKEY, Y_TUKEY, _shape=synthetic_shape("unimodal-max"))
+
+    @staticmethod
+    def _patch(ctx, delta0, delta1, ps0, at_mode=-1.0, qshape=None):
+        limits = {("delta", 0): delta0, ("delta", 1): delta1, ("delta_ps", 0): ps0}
+        ctx.limit = lambda name, end: LimitValue(limits[name, end], "analytic-hint")
+        ctx.delta = lambda p: at_mode
+        ctx.quantile_ratio_shape = lambda: qshape
+
+    @staticmethod
+    def _case_a(satisfied):
+        return Condition(_CASE_A, "satisfied" if satisfied else "not satisfied",
+                         "sufficient for reversed ps", satisfied)
+
+    def test_case_a(self, ctx):
+        self._patch(ctx, 1.0, -1.0, -1.0)
+        conds = []
+        assert orders._ps_rev(ctx, conds, False) is True
+        assert conds == [self._case_a(True)]
+
+    @pytest.mark.parametrize("value, satisfied", [(-1.0, False), (0.0, None), (math.nan, None)],
+                             ids=["refuted", "borderline", "indeterminate"])
+    @pytest.mark.parametrize("limit", range(3), ids=["delta_0", "delta_1", "delta_ps_0"])
+    def test_case_a_fails_with_any_of_its_limits(self, ctx, limit, value, satisfied):
+        limits = [1.0, -1.0, -1.0]  # case a's limits, each met with room to spare
+        limits[limit] = value if limit == 0 else -value
+        self._patch(ctx, *limits)  # delta is negative at the mode: no case b either
+        conds = []
+        assert orders._ps_rev(ctx, conds, False) is None
+        assert conds == [self._case_a(satisfied)]
+
+    @pytest.mark.parametrize("gap, satisfied", [(1.0, True), (0.0, None), (-1.0, False)])
+    def test_case_b_reads_eps_at_the_quantile_ratio_minimum(self, ctx, monkeypatch, gap,
+                                                           satisfied):
+        eps = {X_TUKEY: 2.0 + gap, Y_TUKEY: 2.0}
+        monkeypatch.setattr(deltas, "eps", lambda M, p: eps[M] if p == 0.4 else math.nan)
+        self._patch(ctx, -1.0, -1.0, -1.0, at_mode=1.0,
+                    qshape=ShapeReport(UNIMODAL_MIN, [Mode(0.4, "min")]))
+        conds = []
+        assert orders._ps_rev(ctx, conds, False) is (True if satisfied else None)
+        assert conds == [self._case_a(False),
+                         Condition("eps_X_minus_eps_Y_at_p1", gap, ">= 0", satisfied)] + (
+            [Condition("case_b", "satisfied", "sufficient for reversed ps", True)]
+            if satisfied else [])
+
+    def test_case_b_needs_a_quantile_ratio_minimum(self, ctx):
+        self._patch(ctx, -1.0, -1.0, -1.0, at_mode=1.0, qshape=ShapeReport(INCREASING))
+        conds = []
+        assert orders._ps_rev(ctx, conds, False) is None
+        assert conds == [self._case_a(False)]
 
 
 class TestClosedFormStarCondition:
@@ -641,9 +713,9 @@ class TestTheoremOracleAgreement:
 # The paper's case analysis of G^-1/F^-1 when the quantile-density ratio r = qd_Y/qd_X
 # rises, then falls (UnimodalMax).  d/dp (G^-1/F^-1) = qd_X * delta / (F^-1)^2, so
 # G^-1/F^-1 rises exactly where delta = F^-1 * r - G^-1 > 0, and the signs of delta's
-# limits at 0 and 1 (and, in case 4, of delta at r's mode) give its segments.
+# limits at 0 and 1 (and, in case 4, of delta at r's mode) give its monotone runs.
 _INC, _DEC = "increasing", "decreasing"
-_CASES = {  # (lim delta_0 >= 0, lim delta_1 >= 0): case and segments
+_CASES = {  # (lim delta_0 >= 0, lim delta_1 >= 0): case and runs
     (True, True): ("1", (_INC,)),
     (True, False): ("2", (_INC, _DEC)),
     (False, True): ("3", (_DEC, _INC)),
@@ -651,8 +723,19 @@ _CASES = {  # (lim delta_0 >= 0, lim delta_1 >= 0): case and segments
 _CASE_STAR = {"1": HOLDS, "4a": HOLDS_REVERSED}  # cases 2, 3 and 4b: BOTH_FAIL
 
 
+def _runs(sh):
+    """The directions of sh's monotone runs from 0 to 1: one into each mode,
+    rising into a max and falling into a min, then one out of the last."""
+    if sh.classification == CONSTANT:
+        return ()
+    if not sh.modes:
+        return (_INC if sh.classification == INCREASING else _DEC,)
+    last = _DEC if sh.modes[-1].kind == "max" else _INC
+    return tuple(_INC if m.kind == "max" else _DEC for m in sh.modes) + (last,)
+
+
 def _case(ctx):
-    """(case, segments of G^-1/F^-1) of a pair whose ratio is UnimodalMax, or
+    """(case, runs of G^-1/F^-1) of a pair whose ratio is UnimodalMax, or
     None when a delta limit is indeterminate."""
     lim0, lim1 = ctx.limit("delta", 0), ctx.limit("delta", 1)
     if not (lim0.is_determinate and lim1.is_determinate):
@@ -700,9 +783,9 @@ class TestModesOutsideTheGridWindow:
 
 class _PoolCase(NamedTuple):
     case: str  # "1" to "4b", "refused" (r is not UnimodalMax) or "indeterminate"
-    segments: tuple = ()  # the case's segments of G^-1/F^-1
+    runs: tuple = ()  # the case's runs of G^-1/F^-1
     star: tuple = ()  # the star verdict's (status, method)
-    read: tuple = ()  # the segments of G^-1/F^-1 on the grid
+    read: tuple = ()  # the runs of G^-1/F^-1 on the grid
 
 
 @pytest.fixture(scope="module")
@@ -723,7 +806,7 @@ def pool_cases(workloads):
                     out[specs[i], specs[j]] = _PoolCase("indeterminate")
                 else:
                     star = check_star(ctx)
-                    read = tuple(s.direction for s in ctx.quantile_ratio_shape().segments)
+                    read = _runs(ctx.quantile_ratio_shape())
                     out[specs[i], specs[j]] = _PoolCase(*case, (star.status, star.method), read)
     return out
 
@@ -734,7 +817,7 @@ class TestCaseAnalysis:
     def test_worked_pair_is_case_1(self):
         ctx = PairContext(X_TUKEY, Y_TUKEY)
         assert _case(ctx) == ("1", (_INC,))
-        assert [s.direction for s in ctx.quantile_ratio_shape().segments] == [_INC]
+        assert _runs(ctx.quantile_ratio_shape()) == (_INC,)
 
     def test_the_pool_splits_by_case(self, pool_cases):
         counts = Counter(row.case for row in pool_cases.values())
@@ -743,13 +826,13 @@ class TestCaseAnalysis:
 
     def test_each_star_verdict_matches_its_case(self, pool_cases):
         # not independent of the star row: both read ctx.limit("delta", end)
-        wrong = {pair: row for pair, row in pool_cases.items() if row.segments
+        wrong = {pair: row for pair, row in pool_cases.items() if row.runs
                  and row.star != (_CASE_STAR.get(row.case, BOTH_FAIL), "theorem")}
         assert wrong == {}
 
     def test_the_grid_reads_each_case_but_on_the_pinned_pairs(self, pool_cases):
         mismatched = {pair: (row.case, row.read) for pair, row in pool_cases.items()
-                      if row.segments != row.read}
+                      if row.runs != row.read}
         assert mismatched == {**{pair: ("4b", (_INC, _DEC)) for pair in _LEFT_RUN_BELOW_GRID},
                               **{pair: ("4b", (_INC,)) for pair in _BOTH_RUNS_OFF_GRID},
                               **{pair: ("2", (_INC,)) for pair in _RIGHT_RUN_ABOVE_GRID}}

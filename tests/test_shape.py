@@ -4,12 +4,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import SYNTHETIC_SHAPES, synthetic_shape
+
 from qorder import shape
 from qorder.cli import parse_spec
 from qorder.deltas import ratio_qd
 from qorder.errors import DomainError, QorderError, TooOscillatoryError, ValidationError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
-from qorder.oracle import logit_grid
+from qorder.oracle import curve, logit_grid
+from qorder.orders import _end_run
 from qorder.shape import (
     _FLAT_REL,
     CONSTANT,
@@ -19,7 +22,6 @@ from qorder.shape import (
     UNIMODAL_MAX,
     UNIMODAL_MIN,
     Mode,
-    Segment,
     ShapeReport,
     _refine_mode,
     find_shape,
@@ -90,14 +92,6 @@ class TestFindShape:
         assert rep.modes[0].location == pytest.approx(0.25, abs=1e-7)
         assert rep.modes[1].location == pytest.approx(0.75, abs=1e-7)
 
-    def test_segments_consistent_with_modes(self):
-        rep = find_shape(lambda p: np.sin(2 * math.pi * np.asarray(p)))
-        assert len(rep.segments) == len(rep.modes) + 1
-        dirs = [s.direction for s in rep.segments]
-        assert dirs == ["increasing", "decreasing", "increasing"]
-        locs = [m.location for m in rep.modes]
-        assert locs == sorted(locs)
-
     def test_too_oscillatory(self):
         with pytest.raises(TooOscillatoryError):
             find_shape(lambda p: np.sin(40 * math.pi * np.asarray(p)))
@@ -144,6 +138,44 @@ class TestFindShape:
                 classify()
 
 
+def _end_steps(values):
+    """The direction of the first and of the last significant step of values,
+    a step being significant where the scan reads it as one."""
+    vals = np.asarray(values, dtype=float)
+    steps = np.diff(vals)
+    tol = _FLAT_REL * np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
+    significant = steps[np.abs(steps) > tol]
+    return tuple("increasing" if d > 0 else "decreasing" for d in significant[[0, -1]])
+
+
+class TestEndRuns:
+    """The theorem stage reads the ratio's run at each end from the mode next
+    to that end (orders._end_run); the scanned values must step that way at
+    that end.  A constant ratio has no run."""
+
+    @pytest.mark.parametrize("x, y", [(TukeyGeneralized(2, 1, 0.5), TukeyGeneralized(2, 1, 3.0)),
+                                      (TukeyGeneralized(2, 1, 3.0), TukeyGeneralized(2, 1, 0.5))])
+    def test_a_real_n_modal_pair(self, x, y):
+        values = curve("ratio_qd", x.profile(4096), y.profile(4096))
+        rep = find_shape(lambda p: ratio_qd(x, y, p), 4096, values)
+        assert (rep.classification, len(rep.modes)) == (N_MODAL, 3)
+        assert (_end_run(rep, 0), _end_run(rep, 1)) == _end_steps(values)
+
+    @pytest.mark.parametrize("name", sorted(set(SYNTHETIC_SHAPES) - {"constant"}))
+    def test_every_synthetic_shape(self, name):
+        # a broken line through 0, the modes and 1 whose first run goes the named way
+        rep = synthetic_shape(name)
+        knots = [0.0] + [m.location for m in rep.modes] + [1.0]
+        first_up = SYNTHETIC_SHAPES[name][1] == "up"
+        heights = [float((i % 2 == 1) == first_up) for i in range(len(knots))]
+        fn = lambda p: np.interp(p, knots, heights)
+        values = fn(logit_grid(512))
+        scanned = find_shape(fn, 512, values)
+        assert scanned.classification == rep.classification
+        assert [m.kind for m in scanned.modes] == [m.kind for m in rep.modes]
+        assert (_end_run(rep, 0), _end_run(rep, 1)) == _end_steps(values)
+
+
 def _find_shape_loops(fn, n, values):
     """Reference: find_shape as it walked the panel signs in Python loops."""
     grid = logit_grid(n)
@@ -174,20 +206,13 @@ def _find_shape_loops(fn, n, values):
 
     modes = [Mode(_refine_mode(fn, lo, hi, kind), kind) for lo, hi, kind in brackets]
 
-    first_dir = "increasing" if signs[sig_idx[0]] > 0 else "decreasing"
-    bounds = [0.0] + [m.location for m in modes] + [1.0]
-    directions = [first_dir]
-    for _ in modes:
-        directions.append("decreasing" if directions[-1] == "increasing" else "increasing")
-    segments = [Segment(bounds[i], bounds[i + 1], directions[i]) for i in range(len(directions))]
-
     if not modes:
-        cls = INCREASING if first_dir == "increasing" else DECREASING
+        cls = INCREASING if signs[sig_idx[0]] > 0 else DECREASING
     elif len(modes) == 1:
         cls = UNIMODAL_MAX if modes[0].kind == "max" else UNIMODAL_MIN
     else:
         cls = N_MODAL
-    return ShapeReport(cls, modes=modes, segments=segments)
+    return ShapeReport(cls, modes=modes)
 
 
 def _runs(*runs):

@@ -327,8 +327,6 @@ def run_aging(args):
 def run_empirical(args):
     SX = parse_spec(args.x) if args.x.startswith("csv:") else load_samples(args.x)
     SY = parse_spec(args.y) if args.y.startswith("csv:") else load_samples(args.y)
-    if not isinstance(SX, SampleSet) or not isinstance(SY, SampleSet):
-        raise ValidationError("empirical expects CSV sample inputs")
     pts = qq_transform(SX, SY)
     diag = convexity_scan(pts) if len(pts) >= 4 else {"pattern": "n/a", "runs": [],
                                                       "min_run": 0, "warnings": ["too few points"]}

@@ -14,6 +14,7 @@ Models are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import abc
+import copy
 import math
 import weakref
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .errors import DomainError, NonFiniteMeanError, ValidationError
+from .errors import DomainError, NonFiniteMeanError, QuadratureError, ValidationError
 
 __all__ = [
     "GridProfile",
@@ -158,8 +159,16 @@ class QuantileModel(abc.ABC):
 
     @cached_property
     def mean(self) -> float:
-        """E[X] = integral of the quantile function over (0,1)."""
-        return oracle.quadrature(lambda q: self.quantile(q), 0.0, 1.0, rel_tol=1e-10)
+        """E[X] = integral of the quantile function over (0,1).  A failed integral is
+        kept too, like profile's grids, and each read raises a copy of it: the kept
+        one gets no traceback, whose frames would refer back to this model."""
+        failed = self.__dict__.get("_mean_failure")
+        if failed is None:
+            try:
+                return oracle.quadrature(lambda q: self.quantile(q), 0.0, 1.0, rel_tol=1e-10)
+            except QuadratureError as exc:
+                failed = self.__dict__["_mean_failure"] = copy.copy(exc)
+        raise copy.copy(failed)
 
     def lower_weighted_integral(self, p) -> float:
         """int_0^p q*qd(q) dq, the qmit order's integral; the default integrates numerically."""

@@ -664,15 +664,16 @@ def order_oracle(X, Y, order, n=4096):
         return _monotone_verdict(px.grid, curve("quantile_ratio", px, py))
     if order == "qmit":
         return _monotone_verdict(px.grid, curve("lower_ratio", px, py))
-    if order not in ("dmrl", "ps", "nbue"):
-        raise ValueError(f"unknown order {order!r}")
-    ratio = curve("upper_ratio", px, py)  # for ps too: a failing U fails it before EPS
-    if order == "dmrl":
-        return _monotone_verdict(px.grid, ratio)
     if order == "ps":
+        px.upper, py.upper  # a failing U fails ps here, before EPS reads it as nan
         if np.any(px.q <= 0.0) or np.any(py.q <= 0.0):
             raise DomainError("ps oracle requires strictly positive quantiles")
         eps_x, eps_y = curve("eps_x", px, py), curve("eps_y", px, py)
         return grid_sign(px.grid, eps_y - eps_x, np.maximum(eps_x, eps_y))
+    if order not in ("dmrl", "nbue"):
+        raise ValueError(f"unknown order {order!r}")
+    ratio = curve("upper_ratio", px, py)
+    if order == "dmrl":
+        return _monotone_verdict(px.grid, ratio)
     const = Y.mean / X.mean
     return grid_sign(px.grid, ratio - const, np.maximum(ratio, const))

@@ -105,19 +105,11 @@ def sign_test(x, sense):
     """Whether x >= 0 (sense ">=") or x <= 0 (sense "<=") holds, with a dead
     zone: True/False, or None when x is within TOL of 0 (borderline) or NaN
     (indeterminate)."""
-    x = float(x)
-    if math.isnan(x):
-        return None
-    if sense == ">=":
-        if x > TOL:
-            return True
-        if x < -TOL:
-            return False
-        return None
-    if x < -TOL:
-        return True
+    x = float(x)  # NaN passes neither test
     if x > TOL:
-        return False
+        return sense == ">="
+    if x < -TOL:
+        return sense != ">="
     return None
 
 
@@ -350,6 +342,8 @@ def _apply(ctx: PairContext, order, direction, conds, tag=""):
     """Theorem verdict of one direction ("fwd" or "rev"): True/False, or None
     when undecided.  Each condition joins conds as soon as it is read; with
     conds None the same conditions are read and none is recorded."""
+    if direction == "rev" and (order, "rev") not in _RULES:  # qmit and dmrl: fwd on (Y, X)
+        return _apply(ctx.swap(), order, "fwd", conds, tag + "swapped.")
     rule = _RULES[order, direction]
     sh = ctx.shape()
     cls = sh.classification
@@ -386,54 +380,47 @@ def _apply(ctx: PairContext, order, direction, conds, tag=""):
     return _and(*checks)
 
 
+def _contained(decide, *args):
+    """decide(*args), a theorem direction, or None when its numerics fail: a
+    failed direction is undecided on its own, and the other keeps its verdict."""
+    try:
+        return decide(*args)
+    except QorderError:
+        return None
+
+
 def _directions(ctx: PairContext, order, conds):
     """Theorem verdict (fwd, rev) of star, qmit or dmrl; True/False, or None
-    when undecided.  A direction whose numerics fail is None on its own, so
-    the other direction keeps its theorem verdict.  conds collects the
-    certificate's conditions, or is None when no certificate is kept."""
-    out = []
-    for direction in ("fwd", "rev"):
-        try:
-            if (order, direction) in _RULES:
-                out.append(_apply(ctx, order, direction, conds))
-            else:  # qmit and dmrl reversed: the forward row with X and Y exchanged
-                out.append(_apply(ctx.swap(), order, "fwd", conds, "swapped."))
-        except QorderError:
-            out.append(None)
-    return tuple(out)
+    when undecided.  conds collects the certificate's conditions, or is None
+    when no certificate is kept."""
+    return _contained(_apply, ctx, order, "fwd", conds), _contained(_apply, ctx, order, "rev", conds)
 
 
 # ---------------------------------------------------------------------------
 # ps order
 
 
-def _ps_fwd(ctx: PairContext, conds, star_fwd, tag=""):
-    if star_fwd is True:
-        conds.append(Condition(tag + "implied_by_star", "star holds", "star implies ps", True))
-        return True
+def _ps_fwd(ctx: PairContext, conds, tag=""):
     sh = ctx.shape()
     if sh.classification == UNIMODAL_MIN:
-        return _ps_rev(ctx.swap(), conds, None, tag + "swapped.")
+        return _ps_rev(ctx.swap(), conds, tag + "swapped.")
     if sh.classification != UNIMODAL_MAX:
         return None
     a = _limit_cond(conds, ctx.limit("delta", 0), "<=", "%slim_delta_0", tag)
     b = _limit_cond(conds, ctx.limit("delta", 1), ">=", "%slim_delta_1", tag)
     c = _limit_cond(conds, ctx.limit("delta_ps", 0), ">=", "%slim_delta_ps_0", tag)
-    res = _and(a, b, c)
     # the case conditions are sufficient; their failure alone does not refute ps
-    return True if res is True else None
+    return True if _and(a, b, c) is True else None
 
 
-def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
-    if star_rev is True:
-        conds.append(Condition(tag + "implied_by_star", "star holds reversed", "star implies ps", True))
-        return True
+def _ps_rev(ctx: PairContext, conds, tag=""):
     sh = ctx.shape()
     if sh.classification == UNIMODAL_MIN:
-        return _ps_fwd(ctx.swap(), conds, None, tag + "swapped.")
+        return _ps_fwd(ctx.swap(), conds, tag + "swapped.")
     if sh.classification != UNIMODAL_MAX:
         return None
-    lim0 = sign_test(ctx.limit("delta", 0).x, ">=")
+    delta0 = ctx.limit("delta", 0).x
+    lim0 = sign_test(delta0, ">=")
     lim1 = sign_test(ctx.limit("delta", 1).x, "<=")
     ps0 = sign_test(ctx.limit("delta_ps", 0).x, "<=")
     # case a: delta starts non-negative, ends negative
@@ -443,21 +430,19 @@ def _ps_rev(ctx: PairContext, conds, star_rev, tag=""):
                            "sufficient for reversed ps", case_a))
     if case_a is True:
         return True
-    # case b: both delta limits negative, positive spike at the ratio mode
-    neg0 = sign_test(ctx.limit("delta", 0).x, "<=")
+    # case b: both delta limits negative (lim1 tests delta's limit at 1 <= 0
+    # already), positive spike at the ratio mode
     spike = sign_test(ctx.delta(sh.modes[0].location), ">=")
-    pieces = [neg0, lim1, spike, ps0]  # lim1 tests delta's limit at 1 <= 0 already
-    if _and(*pieces) is True:
-        qsh = ctx.quantile_ratio_shape()
-        mins = [m for m in qsh.modes if m.kind == "min"]
-        if mins:
-            p1 = mins[0].location
-            eps_gap = deltas.eps(ctx.X, p1) - deltas.eps(ctx.Y, p1)
-            sat = _value_cond(conds, eps_gap, ">=", "%seps_X_minus_eps_Y_at_p1", tag)
-            if sat is True:
-                conds.append(Condition(tag + "case_b", "satisfied", "sufficient for reversed ps", True))
-                return True
-    return None
+    if _and(sign_test(delta0, "<="), lim1, spike, ps0) is not True:
+        return None
+    mins = [m.location for m in ctx.quantile_ratio_shape().modes if m.kind == "min"]
+    if not mins:
+        return None
+    eps_gap = deltas.eps(ctx.X, mins[0]) - deltas.eps(ctx.Y, mins[0])
+    if _value_cond(conds, eps_gap, ">=", "%seps_X_minus_eps_Y_at_p1", tag) is not True:
+        return None
+    conds.append(Condition(tag + "case_b", "satisfied", "sufficient for reversed ps", True))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -566,16 +551,19 @@ def check_ps(ctx: PairContext, star: OrderVerdict):
     if ctx.proportional():
         return _equivalent_verdict("ps", "proportional quantiles (EPS is scale invariant)")
     star_fwd = star.status in (HOLDS, EQUIVALENT)
-    star_rev = star.status in (HOLDS_REVERSED, EQUIVALENT)
     conds = []
-    try:
-        fwd = _ps_fwd(ctx, conds, star_fwd)
-        rev = _ps_rev(ctx, conds, star_rev)
-    except TooOscillatoryError:
-        fwd = rev = None
+
+    def direction(star_holds, label, case):
+        if star_holds:  # star implies ps wherever the quantiles are positive
+            conds.append(Condition("implied_by_star", label, "star implies ps", True))
+            return True
+        return _contained(case, ctx, conds)
+
+    fwd = direction(star_fwd, "star holds", _ps_fwd)
+    rev = direction(star.status in (HOLDS_REVERSED, EQUIVALENT), "star holds reversed", _ps_rev)
     verdict = _finish("ps", "endpoint limits of delta and delta_ps (unimodal-ratio cases)",
                       conds, fwd, rev, ctx)
-    if verdict.status in (HOLDS, EQUIVALENT) and star_fwd and fwd is True:
+    if star_fwd:  # fwd is True, so the status is Holds or Equivalent
         verdict.method = "implication"  # conds[0] is implied_by_star
     return verdict
 
@@ -599,11 +587,14 @@ def _nbue_from(ctx: PairContext, verdicts: dict, zero_left_support: bool):
                    method="implication")
 
 
+# (a, b, whether a => b holds on any support; else it needs lifetimes from 0).
+# star => ps needs only positive quantiles, as EPS(p) = int_p^1 Q(q)/Q(p) dq - (1 - p)
+# does: Q_Y(q)/Q_Y(p) >= Q_X(q)/Q_X(p) for q >= p gives EPS_Y >= EPS_X
 _EDGES = (
-    ("convex", "qmit", True),   # support-independent
+    ("convex", "qmit", True),
     ("convex", "dmrl", True),
-    ("qmit", "star", False),    # requires zero left support endpoints
-    ("star", "ps", False),
+    ("qmit", "star", False),
+    ("star", "ps", True),
     ("dmrl", "nbue", False),
     ("ps", "nbue", False),
 )

@@ -1,14 +1,19 @@
+import gc
 import math
 import random
 import tracemalloc
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qorder import oracle
-from qorder.errors import DomainError, NonFiniteMeanError, ValidationError
+from qorder import deltas, oracle
+from qorder.cli import parse_spec
+from qorder.errors import DomainError, NonFiniteMeanError, QuadratureError, ValidationError
 from qorder.models import (Govindarajulu, TukeyGeneralized, UnitExponential, check_p,
                            upper_integrand)
+from qorder.orders import compare_all
 
 
 class TestCheckP:
@@ -61,6 +66,52 @@ class TestCheckP:
     @pytest.mark.parametrize("p", [np.array([]), [], np.empty((0, 3)), np.linspace(0.01, 0.99, 21)])
     def test_empty_and_plain_arrays_as_before(self, p):
         assert self._outcome(check_p, p) == self._outcome(self._three_reductions, p)
+
+
+class TestDivergingMean:
+    """A mean whose integral fails is integrated once per model: the failure is
+    kept like a value, without the traceback that would refer back to the model."""
+
+    # log-logistic with shape 0.8, whose mean diverges
+    SPEC = "dsl:s*(p/(1-p))^(1/b);qdf=s/b*(p/(1-p))^(1/b-1)/(1-p)^2;s=1;b=0.8"
+
+    def test_compare_integrates_the_mean_once(self, monkeypatch):
+        calls = Counter()
+        real = oracle.quadrature
+
+        def spy(fn, a, b, *args, **kw):
+            calls[a, b] += 1
+            return real(fn, a, b, *args, **kw)
+
+        monkeypatch.setattr(oracle, "quadrature", spy)
+        verdicts = compare_all(parse_spec(self.SPEC), UnitExponential(), method="theorem")
+        assert calls[0.0, 1.0] == 1
+        assert [v.certificate.theorem for v in verdicts if v.order not in ("convex", "star")] == \
+            ["not run"] * 4
+
+    def test_every_read_raises_the_same_error(self):
+        X = parse_spec(self.SPEC)
+        for _ in range(2):
+            with pytest.raises(QuadratureError, match=r"^quadrature on \(0.0, 1.0\)"):
+                X.mean
+            with pytest.raises(NonFiniteMeanError) as info:
+                deltas.finite_mean(X)
+            assert str(info.value) == f"mean of {X.label()} does not converge"
+
+    def test_the_kept_failure_lets_the_model_die(self):
+        X = parse_spec(self.SPEC)
+        ref = weakref.ref(X)
+        gc.disable()
+        try:
+            for _ in range(2):
+                try:
+                    X.mean
+                except QuadratureError:
+                    pass
+            del X
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTukey:

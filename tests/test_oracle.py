@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qorder import oracle
-from qorder.errors import DomainError
+from qorder.errors import DomainError, QuadratureError
 from qorder.models import Govindarajulu, TukeyGeneralized, UnitExponential
 from qorder.oracle import (
     GridVerdict,
@@ -111,6 +111,24 @@ class TestOrderOracle:
         shifted = TukeyGeneralized(0.0, 1.0, 2.5)  # support dips below zero
         with pytest.raises(DomainError):
             order_oracle(shifted, Y_TUKEY, "star")
+
+    @pytest.mark.parametrize("order", ["dmrl", "ps", "nbue"])
+    def test_u_is_read_first_that_of_x_then_of_y(self, monkeypatch, order):
+        reads = []
+        real = oracle.upper_cumulative
+
+        def spy(qd, n, shared):
+            reads.append(qd.__self__)
+            if qd.__self__ is Y:
+                raise QuadratureError("forced failure")
+            return real(qd, n, shared)
+
+        monkeypatch.setattr(oracle, "upper_cumulative", spy)
+        X = TukeyGeneralized(0.0, 1.0, 2.5)  # its support dips below zero: ps refuses it after U
+        Y = TukeyGeneralized(1.5, 1, 1.5)
+        with pytest.raises(QuadratureError, match="forced failure"):
+            order_oracle(X, Y, order)
+        assert [id(m) for m in reads] == [id(X), id(Y)]
 
     def test_unknown_order(self):
         with pytest.raises(ValueError):

@@ -148,6 +148,62 @@ class TestVerdictAssembly:
         assert v.method == "numeric-fallback"
 
 
+_CASE_A = "case_a(lim0>=0, lim1<0, ps0<=0)"
+
+
+class TestPsDirections:
+    """check_ps applies the star implication once, and a direction whose
+    numerics fail goes to the grid oracle alone, as in _directions."""
+
+    # reversed ps by case b; forward ps reads its three limits and stays undecided
+    CASE_B = ("tukey:2.20268,1.5292,2.43994", "tukey:1.48892,0.885053,1.29627")
+    REV = [_CASE_A, "eps_X_minus_eps_Y_at_p1", "case_b"]
+
+    @staticmethod
+    def _raise(monkeypatch, target, name, error):
+        def fail(*args):
+            raise error("forced failure")
+        monkeypatch.setattr(target, name, fail)
+
+    def test_case_b_pair(self):
+        ps = {v.order: v for v in compare_all(*map(parse_spec, self.CASE_B))}["ps"]
+        assert [c.name for c in ps.certificate.conditions] == \
+            ["lim_delta_0", "lim_delta_1", "lim_delta_ps_0", *self.REV, "oracle_ps"]
+        assert (ps.status, ps.method) == (HOLDS_REVERSED, "numeric-fallback")
+
+    def test_star_forward_outlives_a_failed_reversed_case(self, monkeypatch):
+        self._raise(monkeypatch, orders, "_ps_rev", TooOscillatoryError)
+        ctx = PairContext(X_TUKEY, Y_TUKEY)
+        v = check_ps(ctx, check_star(ctx))
+        assert [c.name for c in v.certificate.conditions] == ["implied_by_star", "oracle_ps"]
+        assert (v.status, v.method) == (HOLDS, "implication")
+
+    def test_a_failed_direction_leaves_the_other_its_theorem_verdict(self, monkeypatch):
+        self._raise(monkeypatch, orders, "_ps_fwd", DomainError)
+        ps = {v.order: v for v in compare_all(*map(parse_spec, self.CASE_B))}["ps"]
+        assert [c.name for c in ps.certificate.conditions] == [*self.REV, "oracle_ps"]
+        assert (ps.status, ps.method) == (HOLDS_REVERSED, "numeric-fallback")
+
+    def test_a_failed_quantile_ratio_keeps_the_conditions_read(self, monkeypatch):
+        self._raise(monkeypatch, PairContext, "quantile_ratio_shape", DomainError)
+        ps = {v.order: v for v in compare_all(*map(parse_spec, self.CASE_B))}["ps"]
+        assert [c.name for c in ps.certificate.conditions] == \
+            ["lim_delta_0", "lim_delta_1", "lim_delta_ps_0", _CASE_A, "oracle_ps"]
+        assert (ps.status, ps.method) == (HOLDS_REVERSED, "numeric-fallback")
+
+
+class TestSignTest:
+    @pytest.mark.parametrize("x, geq", [
+        (2 * orders.TOL, True), (-2 * orders.TOL, False), (orders.TOL, None), (-orders.TOL, None),
+        (0.0, None), (-0.0, None), (math.inf, True), (-math.inf, False), (math.nan, None),
+        (np.nextafter(orders.TOL, 1.0), True), (np.nextafter(-orders.TOL, -1.0), False),
+    ])
+    def test_dead_zone(self, x, geq):
+        # the two senses mirror each other through x -> -x
+        assert orders.sign_test(x, ">=") is geq
+        assert orders.sign_test(-x, "<=") is geq
+
+
 # (forward, reverse) theorem verdict and the conditions read, in order, for
 # the worked Tukey pair under each synthetic ratio shape
 _THEOREM_PATHS = {
@@ -606,8 +662,13 @@ class TestImplicationGate:
                      "positive (qmit=Holds but star=HoldsReversed)"],
         }
 
-
-_CASE_A = "case_a(lim0>=0, lim1<0, ps0<=0)"
+    def test_star_to_ps_holds_on_positive_support_too(self, monkeypatch):
+        # star => ps needs only positive quantiles, not lifetimes starting at 0
+        self._patch(monkeypatch, convex=INCONCLUSIVE, qmit=INCONCLUSIVE, dmrl=INCONCLUSIVE,
+                    star=HOLDS, ps=HOLDS_REVERSED)
+        with pytest.raises(InternalConsistencyError) as info:
+            compare_all(X_TUKEY, Y_TUKEY)
+        assert str(info.value) == "implication diagram violated: star=Holds but ps=HoldsReversed"
 
 
 class TestReversedPsCases:
@@ -634,7 +695,7 @@ class TestReversedPsCases:
     def test_case_a(self, ctx):
         self._patch(ctx, 1.0, -1.0, -1.0)
         conds = []
-        assert orders._ps_rev(ctx, conds, False) is True
+        assert orders._ps_rev(ctx, conds) is True
         assert conds == [self._case_a(True)]
 
     @pytest.mark.parametrize("value, satisfied", [(-1.0, False), (0.0, None), (math.nan, None)],
@@ -645,7 +706,7 @@ class TestReversedPsCases:
         limits[limit] = value if limit == 0 else -value
         self._patch(ctx, *limits)  # delta is negative at the mode: no case b either
         conds = []
-        assert orders._ps_rev(ctx, conds, False) is None
+        assert orders._ps_rev(ctx, conds) is None
         assert conds == [self._case_a(satisfied)]
 
     @pytest.mark.parametrize("gap, satisfied", [(1.0, True), (0.0, None), (-1.0, False)])
@@ -656,7 +717,7 @@ class TestReversedPsCases:
         self._patch(ctx, -1.0, -1.0, -1.0, at_mode=1.0,
                     qshape=ShapeReport(UNIMODAL_MIN, [Mode(0.4, "min")]))
         conds = []
-        assert orders._ps_rev(ctx, conds, False) is (True if satisfied else None)
+        assert orders._ps_rev(ctx, conds) is (True if satisfied else None)
         assert conds == [self._case_a(False),
                          Condition("eps_X_minus_eps_Y_at_p1", gap, ">= 0", satisfied)] + (
             [Condition("case_b", "satisfied", "sufficient for reversed ps", True)]
@@ -665,7 +726,7 @@ class TestReversedPsCases:
     def test_case_b_needs_a_quantile_ratio_minimum(self, ctx):
         self._patch(ctx, -1.0, -1.0, -1.0, at_mode=1.0, qshape=ShapeReport(INCREASING))
         conds = []
-        assert orders._ps_rev(ctx, conds, False) is None
+        assert orders._ps_rev(ctx, conds) is None
         assert conds == [self._case_a(False)]
 
 
